@@ -191,7 +191,6 @@ class BenchConfig:
     trials: int = 3
     seed: int = 0
     k: int | None = None  # None selects the median address ceil(n/2)
-    workers: int = 1
     timing: bool = False  # real elapsed_ns breaks byte-reproducibility, so opt-in
 
 
@@ -199,13 +198,13 @@ def median_index(n: int) -> int:
     return (n + 1) // 2
 
 
-def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int, workers: int) -> tuple[int, Metrics, bool]:
+def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int) -> tuple[int, Metrics, bool]:
     ctx = Metrics()
     arr = prepare_buffer(values)
     start = time.perf_counter_ns()
     if algo.name == "dhselect":
         opts = SelectOptions(strategy=algo.strategy, presplit=algo.presplit)
-        value = dh_select(arr, k, opts, ctx, workers).value
+        value = dh_select(arr, k, opts, ctx).value
     elif algo.name == "quickselect":
         value = quickselect(arr, k, PivotRule(algo.pivot, seed=seed), ctx)
     else:
@@ -234,7 +233,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                 for trial in range(config.trials):
                     seed = trial_seeds[trial]
                     values = generate(InputSpec(n, dist, seed))
-                    value, ctx, correct = _run_trial(algo, values, k, seed, config.workers)
+                    value, ctx, correct = _run_trial(algo, values, k, seed)
                     if not correct:
                         raise OracleMismatchError(
                             f"oracle mismatch: algo={algo.label} n={n} k={k} "

@@ -73,7 +73,6 @@ def _add_algo_flags(sub):
     sub.add_argument("--swap", default="tree", choices=STRATEGIES, help="dualheap swap strategy")
     sub.add_argument("--presplit", type=int, default=1, choices=(0, 1, 2))
     sub.add_argument("--pivot", default="first", choices=("first", "random"), help="quickselect pivot rule")
-    sub.add_argument("--workers", type=_positive, default=1, help="parallel heap-construction workers (power of two)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dist", type=_dist_list, default=("random",), help="comma-separated input families")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--k", type=_positive, default=None, help="selection index (default: median per size)")
-    p_bench.add_argument("--trials", type=int, default=3)
+    p_bench.add_argument("--trials", type=_positive, default=3)
     _add_algo_flags(p_bench)
     p_bench.add_argument("--timing", action="store_true", help="record real elapsed_ns (breaks byte-reproducibility)")
     p_bench.add_argument("--out", default=None, help="CSV destination (default: stdout)")
@@ -131,7 +130,7 @@ def cmd_select(args) -> int:
     arr = prepare_buffer(values)
     if args.algo == "dhselect":
         opts = SelectOptions(strategy=args.swap, presplit=args.presplit)
-        value = dh_select(arr, k, opts, Metrics(), workers=args.workers).value
+        value = dh_select(arr, k, opts, Metrics()).value
     elif args.algo == "quickselect":
         value = quickselect(arr, k, PivotRule(args.pivot, seed=args.seed))
     else:
@@ -161,7 +160,6 @@ def cmd_bench(args) -> int:
         trials=args.trials,
         seed=args.seed,
         k=args.k,
-        workers=args.workers,
         timing=args.timing,
     )
     records = run_benchmark(config)

@@ -1,5 +1,5 @@
 """Sentinel-guarded buffer, the two opposing heap orientations, and
-bottom-up heap construction (serial and parallel).
+bottom-up heap construction.
 
 Layout convention used throughout the package:
 
@@ -24,7 +24,6 @@ bit-for-bit across implementations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .metrics import Metrics
@@ -85,16 +84,22 @@ class DualHeap:
     """Split view over one buffer: a mirrored max-rooted heap on the low
     segment and a min-rooted heap on the high segment, roots adjacent."""
 
-    array: SentinelArray
     small: SmallHeapView
     large: LargeHeapView
+
+
+def check_index(n: int, k: int) -> None:
+    """Reject a selection index outside 1..n, and a bool posing as one."""
+    if isinstance(k, bool):
+        raise TypeError(f"selection index k must be an int, not bool ({k!r})")
+    if not 1 <= k <= n:
+        raise IndexError(f"selection index k={k} out of range 1..{n}")
 
 
 def split_indices(n: int, k: int) -> tuple[int, int]:
     """Heap sizes for selecting the k-th smallest of n: the small side gets
     k rounded down to odd, the large side the rest."""
-    if not 1 <= k <= n:
-        raise IndexError(f"selection index k={k} out of range 1..{n}")
+    check_index(n, k)
     shn = k if k & 1 else k - 1
     return shn, n - shn
 
@@ -169,98 +174,115 @@ def sift_down_max(view: SmallHeapView, k: int, ctx: Metrics) -> None:
 
 
 def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
-    """Bottom-up construction: sift every internal node, deepest first."""
-    for i in range(view.lhn // 2, 0, -1):
-        sift_down_min(view, i, ctx)
+    """Bottom-up construction: sift every internal node, deepest first.
+
+    The sifts of ``sift_down_min`` run inline on absolute buffer positions:
+    the node at position p has its children at ``2p - base`` and
+    ``2p - base + 1``. Every internal node costs 2 compares, plus 2 per
+    level it sinks below its children; both tallies land in ``ctx`` once.
+    """
+    buf = view.buf
+    base = view.base
+    half = view.lhn // 2
+    quarter = view.lhn // 4
+    last = base + view.lhn
+    moves = 0
+    descents = 0
+    # Deepest internal level: both children are leaves, so one exchange at most.
+    for p in range(base + half, base + quarter, -1):
+        c = 2 * p - base
+        x = buf[c]
+        y = buf[c + 1]
+        if y < x:
+            c += 1
+            x = y
+        v = buf[p]
+        if x < v:
+            buf[p] = x
+            buf[c] = v
+            moves += 2
+    for p in range(base + quarter, base, -1):
+        v = buf[p]
+        c = 2 * p - base
+        x = buf[c]
+        y = buf[c + 1]
+        if y < x:
+            c += 1
+            x = y
+        if x < v:
+            while True:
+                buf[p] = x
+                moves += 1
+                p = c
+                c = 2 * p - base
+                if c > last:
+                    break
+                descents += 1
+                x = buf[c]
+                y = buf[c + 1]
+                if y < x:
+                    c += 1
+                    x = y
+                if not x < v:
+                    break
+            buf[p] = v
+            moves += 1
+    tally = ctx.active
+    tally.compares += 2 * (half + descents)
+    tally.moves += moves
 
 
 def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
-    for i in range(view.shn // 2, 0, -1):
-        sift_down_max(view, i, ctx)
-
-
-@dataclass(frozen=True)
-class ParallelPlan:
-    """Work split for building a heap of ``2**m - 1`` nodes with ``2**q``
-    workers: each worker owns one of the deepest disjoint subtrees, then the
-    remaining sifts run level by level toward the root."""
-
-    m: int
-    q: int
-
-    @property
-    def p(self) -> int:
-        return 1 << self.q
-
-    @property
-    def subheap_size(self) -> int:
-        return (1 << (self.m - self.q)) - 1
-
-    @property
-    def residual_sifts(self) -> int:
-        return (1 << self.q) - 1
-
-
-def plan_parallel_build(lhn: int, workers: int) -> ParallelPlan:
-    if lhn < 1 or lhn & (lhn + 1):
-        raise ValueError(f"parallel build needs a node count of form 2**m - 1, got {lhn}")
-    if workers < 1 or workers & (workers - 1):
-        raise ValueError(f"worker count must be a power of two, got {workers}")
-    m = (lhn + 1).bit_length() - 1
-    q = workers.bit_length() - 1
-    if q > m:
-        raise ValueError(f"{workers} workers exceed the {lhn}-node heap's {m} levels")
-    return ParallelPlan(m=m, q=q)
-
-
-def _subtree_internal_nodes(root: int, hn: int) -> list[int]:
-    """Internal nodes of the subtree rooted at ``root``, by increasing level."""
-    nodes = []
-    lo = hi = root
-    while 2 * lo <= hn:
-        nodes.extend(range(lo, hi + 1))
-        lo, hi = 2 * lo, 2 * hi + 1
-    return nodes
-
-
-def build_min_heap_parallel(view: LargeHeapView, workers: int, ctx: Metrics) -> None:
-    """Parallel bottom-up construction with the same result and counter
-    totals as the serial builder.
-
-    The p deepest disjoint subtrees are built concurrently; the residual
-    sifts then run a level at a time (nodes within a level own disjoint
-    subtrees), with a barrier between levels. Each task counts into its own
-    context; the contexts are merged into ``ctx`` by summation.
-    """
-    plan = plan_parallel_build(view.lhn, workers)
-    if plan.q == 0:
-        build_min_heap(view, ctx)
-        return
-    p = plan.p
-    phase = ctx.phase
-
-    def sift_range(nodes: list[int]) -> Metrics:
-        wctx = Metrics()
-        wctx.set_phase(phase)
-        for i in nodes:
-            sift_down_min(view, i, wctx)
-        return wctx
-
-    def subtree_job(root: int) -> Metrics:
-        nodes = _subtree_internal_nodes(root, view.lhn)
-        nodes.reverse()
-        return sift_range(nodes)
-
-    done: list[Metrics] = []
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        done.extend(pool.map(subtree_job, range(p, 2 * p)))
-        hi = p - 1
-        while hi >= 1:
-            lo = (hi + 1) // 2
-            done.extend(pool.map(lambda i: sift_range([i]), range(hi, lo - 1, -1)))
-            hi = lo - 1
-    for wctx in done:
-        ctx.merge(wctx)
+    """Mirror image of build_min_heap: the node at position p has its
+    children at ``2p - base`` and ``2p - base - 1``."""
+    buf = view.buf
+    base = view.base
+    half = view.shn // 2
+    quarter = view.shn // 4
+    first = base - view.shn
+    moves = 0
+    descents = 0
+    for p in range(base - half, base - quarter):
+        c = 2 * p - base
+        x = buf[c]
+        y = buf[c - 1]
+        if y > x:
+            c -= 1
+            x = y
+        v = buf[p]
+        if x > v:
+            buf[p] = x
+            buf[c] = v
+            moves += 2
+    for p in range(base - quarter, base):
+        v = buf[p]
+        c = 2 * p - base
+        x = buf[c]
+        y = buf[c - 1]
+        if y > x:
+            c -= 1
+            x = y
+        if x > v:
+            while True:
+                buf[p] = x
+                moves += 1
+                p = c
+                c = 2 * p - base
+                if c < first:
+                    break
+                descents += 1
+                x = buf[c]
+                y = buf[c - 1]
+                if y > x:
+                    c -= 1
+                    x = y
+                if not x > v:
+                    break
+            buf[p] = v
+            moves += 1
+    tally = ctx.active
+    tally.compares += 2 * (half + descents)
+    tally.moves += moves
 
 
 def check_heap_condition(view) -> bool:

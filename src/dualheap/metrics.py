@@ -8,8 +8,7 @@ Counting convention, applied uniformly by every instrumented operation:
   of two slots costs 2 moves; traffic through temporaries is not counted.
 
 Counters live in an explicit context object threaded through every call (no
-global state), which is what lets parallel construction keep one context per
-worker and merge them by summation afterwards.
+global state), so concurrent runs never share a tally.
 """
 
 from __future__ import annotations
@@ -87,15 +86,15 @@ class Metrics:
     def moves_total(self) -> int:
         return self.construct.moves + self.swap.moves + self.other.moves
 
-    def merge(self, worker: "Metrics") -> None:
-        """Fold a worker context into this one by summing all counters."""
-        self.construct.compares += worker.construct.compares
-        self.construct.moves += worker.construct.moves
-        self.swap.compares += worker.swap.compares
-        self.swap.moves += worker.swap.moves
-        self.other.compares += worker.other.compares
-        self.other.moves += worker.other.moves
-        self.elapsed_ns += worker.elapsed_ns
+    def merge(self, other: "Metrics") -> None:
+        """Fold another context into this one by summing all counters."""
+        self.construct.compares += other.construct.compares
+        self.construct.moves += other.construct.moves
+        self.swap.compares += other.swap.compares
+        self.swap.moves += other.swap.moves
+        self.other.compares += other.other.compares
+        self.other.moves += other.other.moves
+        self.elapsed_ns += other.elapsed_ns
 
     def snapshot(self) -> dict:
         return {

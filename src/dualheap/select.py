@@ -23,7 +23,7 @@ from .core import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
-    build_min_heap_parallel,
+    check_index,
     split_indices,
 )
 from .metrics import Metrics
@@ -66,64 +66,40 @@ def prepare_buffer(values) -> SentinelArray:
     return SentinelArray(buf=[lo, *values, hi], n=len(values))
 
 
-def _is_parallel_shape(n: int, workers: int) -> bool:
-    return (
-        workers > 1
-        and n >= 1
-        and n & (n + 1) == 0
-        and workers & (workers - 1) == 0
-        and workers <= n + 1
-    )
-
-
-def _construct(buf, off: int, n: int, k: int, presplit: int, ctx: Metrics, workers: int = 1) -> tuple[int, int]:
+def _construct(buf, off: int, n: int, k: int, presplit: int, ctx: Metrics) -> DualHeap:
     """Construction phase over the segment at positions off+1 .. off+n.
 
-    Returns (shn, lhn). Positions off and off+n+1 must already hold the
-    segment's guards.
+    Returns the two heap views. Positions off and off+n+1 must already hold
+    the segment's guards.
     """
     ctx.set_phase("construct")
     if presplit >= 1:
-        full = LargeHeapView(buf, off, n)
-        if _is_parallel_shape(n, workers):
-            build_min_heap_parallel(full, workers, ctx)
-        else:
-            build_min_heap(full, ctx)
+        build_min_heap(LargeHeapView(buf, off, n), ctx)
     if presplit == 2:
         build_max_heap(SmallHeapView(buf, off + n + 1, n), ctx)
     shn, lhn = split_indices(n, k)
-    build_max_heap(SmallHeapView(buf, off + shn + 1, shn), ctx)
-    build_min_heap(LargeHeapView(buf, off + shn, lhn), ctx)
-    return shn, lhn
+    dh = DualHeap(small=SmallHeapView(buf, off + shn + 1, shn), large=LargeHeapView(buf, off + shn, lhn))
+    build_max_heap(dh.small, ctx)
+    build_min_heap(dh.large, ctx)
+    return dh
 
 
-def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics, workers: int = 1) -> int:
-    shn, lhn = _construct(arr.buf, off, n, k, opts.presplit, ctx, workers)
-    dh = DualHeap(
-        array=arr,
-        small=SmallHeapView(arr.buf, off + shn + 1, shn),
-        large=LargeHeapView(arr.buf, off + shn, lhn),
-    )
+def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> DualHeap:
+    dh = _construct(arr.buf, off, n, k, opts.presplit, ctx)
     run_swapping_phase(dh, opts.strategy, ctx)
-    return shn
+    return dh
 
 
-def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None, workers: int = 1) -> DualHeap:
+def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None) -> DualHeap:
     """Run only the construction phase and hand back the two heap views,
     ready for a swapping phase. Useful for inspecting the phase boundary."""
     if ctx is None:
         ctx = Metrics()
-    if not 1 <= k <= arr.n:
-        raise IndexError(f"selection index k={k} out of range 1..{arr.n}")
-    shn, lhn = _construct(arr.buf, 0, arr.n, k, presplit, ctx, workers)
-    return DualHeap(
-        array=arr,
-        small=SmallHeapView(arr.buf, shn + 1, shn),
-        large=LargeHeapView(arr.buf, shn, lhn),
-    )
+    check_index(arr.n, k)
+    return _construct(arr.buf, 0, arr.n, k, presplit, ctx)
 
 
-def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None, workers: int = 1) -> SelectOutcome:
+def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
     """Select the k-th smallest element (1-based), partitioning the buffer
     around position k as a side effect: everything left of k ends up <= the
     returned value, everything right of it >=."""
@@ -131,10 +107,9 @@ def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx
         opts = SelectOptions()
     if ctx is None:
         ctx = Metrics()
-    if not 1 <= k <= arr.n:
-        raise IndexError(f"selection index k={k} out of range 1..{arr.n}")
-    shn = _select_segment(arr, 0, arr.n, k, opts, ctx, workers)
-    return SelectOutcome(value=arr.buf[k], split=shn, metrics=ctx)
+    check_index(arr.n, k)
+    dh = _select_segment(arr, 0, arr.n, k, opts, ctx)
+    return SelectOutcome(value=arr.buf[k], split=dh.small.shn, metrics=ctx)
 
 
 def dh_select_copy(values, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:

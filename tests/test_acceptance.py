@@ -24,7 +24,6 @@ from dualheap import (
     SplitMix64,
     build_max_heap,
     build_min_heap,
-    build_min_heap_parallel,
     check_heap_condition,
     construct_dualheap,
     dh_select,
@@ -41,7 +40,7 @@ from dualheap import (
     worst_case_search_exhaustive,
 )
 from dualheap.baselines import PivotRule
-from conftest import same_multiset
+from conftest import reference_build_max, reference_build_min
 
 SIZES = (1023, 4095, 16383)
 STRATEGIES = ("tree", "branch", "root")
@@ -138,14 +137,8 @@ def criterion_03(instances_per_size=1000):
                 return False, f"heap condition broken after swapping phase (n={n}, seed={seed})"
             if dh.small.node(1) > dh.large.node(1):
                 return False, f"root guard violated after swapping phase (n={n}, seed={seed})"
-
-            parr = prepare_buffer(values)
-            pview = LargeHeapView(parr.buf, 0, n)
-            build_min_heap_parallel(pview, 4, Metrics())
-            if not check_heap_condition(pview):
-                return False, f"heap condition broken after parallel construction (n={n}, seed={seed})"
             checked += 1
-    return True, f"{checked} instances: heaps valid after construction (serial+parallel) and swapping"
+    return True, f"{checked} instances: heaps valid after construction and swapping"
 
 
 def test_criterion_03_heap_condition_suite():
@@ -389,7 +382,7 @@ def criterion_09():
                     if not ok:
                         return False, f"{why} at perm={perm}"
                     builds += 1
-    # random large trials, all input families, plus the parallel builder
+    # random large trials, all input families
     master = SplitMix64(90)
     for n in SIZES:
         for dist in ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues"):
@@ -401,13 +394,6 @@ def criterion_09():
                     if not ok:
                         return False, f"{why} dist={dist} seed={seed}"
                     builds += 1
-                parr = prepare_buffer(values)
-                pctx = Metrics()
-                pctx.set_phase("construct")
-                build_min_heap_parallel(LargeHeapView(parr.buf, 0, n), 4, pctx)
-                if pctx.compares_construct > 3 * n:
-                    return False, f"parallel build exceeded 3n (n={n}, dist={dist}, seed={seed})"
-                builds += 1
     return True, f"{builds} construction sequences, every build within 3x its node count"
 
 
@@ -449,37 +435,62 @@ def test_criterion_10_worst_case_prospecting():
 
 
 # ---------------------------------------------------------------------------
-# criterion 11: parallel construction is equivalent to serial
+# criterion 11: the inlined builders equal the per-node reference
 # ---------------------------------------------------------------------------
 
 
+def _reference_construct(values, k, presplit):
+    """The construction phase of dh_select, every build done node by node
+    with sift_down_min/sift_down_max. Returns the buffer and its counts."""
+    n = len(values)
+    arr = prepare_buffer(values)
+    ctx = Metrics()
+    ctx.set_phase("construct")
+    if presplit >= 1:
+        reference_build_min(LargeHeapView(arr.buf, 0, n), ctx)
+    if presplit == 2:
+        reference_build_max(SmallHeapView(arr.buf, n + 1, n), ctx)
+    shn, lhn = split_indices(n, k)
+    reference_build_max(SmallHeapView(arr.buf, shn + 1, shn), ctx)
+    reference_build_min(LargeHeapView(arr.buf, shn, lhn), ctx)
+    return arr.buf, ctx.snapshot()
+
+
+def _construction_equal(values, k, presplit):
+    arr = prepare_buffer(values)
+    ctx = Metrics()
+    construct_dualheap(arr, k, presplit, ctx)
+    return (arr.buf, ctx.snapshot()) == _reference_construct(values, k, presplit)
+
+
 def criterion_11():
-    master = SplitMix64(110)
     checked = 0
-    identical = 0
-    for n in (15, 1023):
-        for workers in (2, 4):
-            for _ in range(100):
-                seed = master.next_u64()
-                values = generate(InputSpec(n, "random", seed))
-                parr = prepare_buffer(values)
-                pview = LargeHeapView(parr.buf, 0, n)
-                build_min_heap_parallel(pview, workers, Metrics())
-                sarr = prepare_buffer(values)
-                sview = LargeHeapView(sarr.buf, 0, n)
-                build_min_heap(sview, Metrics())
-                if not check_heap_condition(pview):
-                    return False, f"parallel build broke the heap condition (n={n}, p={workers}, seed={seed})"
-                if not same_multiset(parr.payload(), sarr.payload()):
-                    return False, f"parallel build changed the multiset (n={n}, p={workers}, seed={seed})"
-                identical += parr.buf == sarr.buf
-                checked += 1
-    return True, f"{checked} parallel builds valid; {identical}/{checked} matched serial arrays exactly"
+    # the criterion-1 sweep: every permutation of n <= 8, every k and presplit
+    for n in range(1, 9):
+        for perm in itertools.permutations(range(1, n + 1)):
+            values = list(perm)
+            for k in range(1, n + 1):
+                for presplit in PRESPLITS:
+                    if not _construction_equal(values, k, presplit):
+                        return False, f"construction differs from the reference at perm={perm} k={k} presplit={presplit}"
+                    checked += 1
+    # the criterion-3 sizes, at the median and at a random k
+    master = SplitMix64(110)
+    for n in SIZES:
+        for _ in range(10):
+            seed = master.next_u64()
+            values = generate(InputSpec(n, "random", seed))
+            for k in ((n + 1) // 2, 1 + master.next_u64() % n):
+                for presplit in PRESPLITS:
+                    if not _construction_equal(values, k, presplit):
+                        return False, f"construction differs from the reference at n={n} seed={seed} k={k} presplit={presplit}"
+                    checked += 1
+    return True, f"{checked} constructions equal the per-node reference in buffer and counts"
 
 
-def test_criterion_11_parallel_equivalence():
+def test_criterion_11_construction_equivalence():
     ok, detail = criterion_11()
-    _report(11, "parallel equivalence", ok, detail)
+    _report(11, "construction equivalence", ok, detail)
     assert ok, detail
 
 
@@ -529,7 +540,7 @@ CRITERIA = [
     (8, "quadratic vs linear worst cases", criterion_08),
     (9, "construction linearity", criterion_09),
     (10, "worst-case prospecting", criterion_10),
-    (11, "parallel equivalence", criterion_11),
+    (11, "construction equivalence", criterion_11),
     (12, "bench reproducibility", criterion_12),
 ]
 

@@ -100,8 +100,12 @@ def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
 
 
-def test_workers_flag_changes_nothing_observable():
-    base = run_cli("select", "--n", "1023", "--seed", "4")
-    parallel = run_cli("select", "--n", "1023", "--seed", "4", "--workers", "4")
-    assert base.returncode == parallel.returncode == 0
-    assert base.stdout == parallel.stdout
+def test_bench_rejects_non_positive_trials():
+    for trials in ("0", "-2"):
+        result = run_cli("bench", "--sizes", "63", "--trials", trials)
+        assert result.returncode == 1
+        assert result.stdout == ""
+
+
+def test_unknown_workers_flag_exits_one():
+    assert run_cli("select", "--n", "15", "--workers", "2").returncode == 1

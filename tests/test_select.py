@@ -91,6 +91,13 @@ def test_select_bounds_errors():
         dh_select(arr, 4)
 
 
+def test_select_rejects_bool_k():
+    with pytest.raises(TypeError):
+        dh_select(prepare_buffer([1, 2, 3]), True)
+    with pytest.raises(TypeError):
+        construct_dualheap(prepare_buffer([1, 2, 3]), False)
+
+
 def test_select_partition_side_effect():
     arr = prepare_buffer([8, 6, 7, 5, 3, 0, 9, 1, 4, 2])
     out = dh_select(arr, 4)
@@ -124,6 +131,33 @@ def test_determinism_identical_counters():
         out = dh_select(prepare_buffer(values), 200, SelectOptions("branch", 2), ctx)
         runs.append((out.value, out.split, ctx.snapshot()))
     assert runs[0] == runs[1]
+
+
+# Exact construct/swap counts (compares, moves, compares, moves) of dh_select
+# at n = 65535, k = median, tree swap, keyed by (input seed, presplit). Any
+# change here changes what the benchmark's figures report.
+PINNED_COUNTS_65535 = {
+    (1, 0): (123484, 74660, 251171, 148728),
+    (1, 1): (242030, 134029, 115167, 57649),
+    (1, 2): (349672, 160214, 85302, 41790),
+    (2, 0): (123358, 74401, 252476, 149251),
+    (2, 1): (242356, 133899, 114599, 57291),
+    (2, 2): (349694, 159561, 87263, 42789),
+    (3, 0): (123170, 74557, 252478, 149340),
+    (3, 1): (242442, 134243, 113712, 56932),
+    (3, 2): (350158, 160429, 84313, 41301),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pinned_counts_n65535(seed):
+    values = generate(InputSpec(65535, "random", seed))
+    for presplit in (0, 1, 2):
+        ctx = Metrics()
+        out = dh_select(prepare_buffer(values), 32768, SelectOptions("tree", presplit), ctx)
+        assert out.value == 32768
+        got = (ctx.compares_construct, ctx.moves_construct, ctx.compares_swap, ctx.moves_swap)
+        assert got == PINNED_COUNTS_65535[seed, presplit]
 
 
 def test_oracle_agreement_exhaustive_small():

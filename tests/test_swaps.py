@@ -31,7 +31,6 @@ def make_dualheap(values, shn, heapify=True):
     arr = prepare_buffer(values)
     assert shn & 1
     dh = DualHeap(
-        array=arr,
         small=SmallHeapView(arr.buf, shn + 1, shn),
         large=LargeHeapView(arr.buf, shn, arr.n - shn),
     )
