@@ -47,7 +47,7 @@ from .core import (
     split_indices,
 )
 from .errors import InternalInvariantError, OracleMismatchError
-from .metrics import Metrics, PhaseTally, counted_compare, counted_move
+from .metrics import Metrics, PhaseTally
 from .rng import SplitMix64
 from .select import (
     PRESPLITS,
@@ -68,66 +68,3 @@ from .swaps import (
     swap_step_budget,
     tree_swap,
 )
-
-__all__ = [
-    "ALGOS",
-    "AlgoSpec",
-    "BenchConfig",
-    "CSV_FIELDS",
-    "CSV_HEADER",
-    "DEFAULT_SIZES",
-    "DISTS",
-    "DualHeap",
-    "Element",
-    "ExperimentRecord",
-    "InputSpec",
-    "InternalInvariantError",
-    "LargeHeapView",
-    "Metrics",
-    "OracleMismatchError",
-    "PIVOT_RULES",
-    "PRESPLITS",
-    "PhaseTally",
-    "PivotRule",
-    "STRATEGIES",
-    "SelectOptions",
-    "SelectOutcome",
-    "SentinelArray",
-    "SmallHeapView",
-    "SplitMix64",
-    "WorstCaseReport",
-    "branch_swap",
-    "build_max_heap",
-    "build_min_heap",
-    "check_heap_condition",
-    "construct_dualheap",
-    "counted_compare",
-    "counted_move",
-    "dh_select",
-    "dh_select_copy",
-    "dh_sort",
-    "emit_csv",
-    "emit_worstcase_csv",
-    "fit_growth",
-    "generate",
-    "hoare_partition",
-    "median_index",
-    "median_of_medians",
-    "oracle_select",
-    "parse_csv",
-    "prepare_buffer",
-    "quickselect",
-    "quickselect_mom",
-    "records_to_csv",
-    "root_swap",
-    "run_benchmark",
-    "run_swapping_phase",
-    "sift_down_max",
-    "sift_down_min",
-    "split_indices",
-    "swap_step_budget",
-    "tree_swap",
-    "verify_partition",
-    "worst_case_search_exhaustive",
-    "worst_case_search_random",
-]

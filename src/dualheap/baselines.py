@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Element, SentinelArray
+from .core import Element, SentinelArray, check_index
 from .metrics import Metrics
 from .rng import SplitMix64
 
@@ -136,8 +136,7 @@ def quickselect(arr: SentinelArray, k: int, rule: PivotRule | None = None, ctx: 
         rule = PivotRule("first")
     if ctx is None:
         ctx = Metrics()
-    if not 1 <= k <= arr.n:
-        raise IndexError(f"selection index k={k} out of range 1..{arr.n}")
+    check_index(arr.n, k)
     ctx.set_phase("other")
     buf = arr.buf
     stream = SplitMix64(rule.seed) if rule.tag == "random" else None
@@ -159,7 +158,6 @@ def quickselect_mom(arr: SentinelArray, k: int, ctx: Metrics | None = None) -> E
 
 def oracle_select(values, k: int) -> Element:
     """Ground truth: k-th smallest via a full sort of a copy."""
-    values = list(values)
-    if not 1 <= k <= len(values):
-        raise IndexError(f"selection index k={k} out of range 1..{len(values)}")
-    return sorted(values)[k - 1]
+    values = sorted(values)
+    check_index(len(values), k)
+    return values[k - 1]

@@ -15,7 +15,7 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 
 from .baselines import PivotRule, oracle_select, quickselect
@@ -27,6 +27,7 @@ from .select import SelectOptions, dh_select, prepare_buffer, verify_partition
 
 DISTS = ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues")
 ALGOS = ("dhselect", "quickselect", "quickselect-mom")
+PIVOTS = ("first", "random")  # the pivot rules a "quickselect" series can name
 
 DEFAULT_SIZES = (1023, 4095, 16383)
 
@@ -73,32 +74,35 @@ def generate(spec: InputSpec) -> list[int]:
     return [(i % 4) + 1 for i in range(n)]
 
 
-CSV_FIELDS = (
-    "algo",
-    "swap_strategy",
-    "presplit",
-    "n",
-    "k",
-    "dist",
-    "seed",
-    "trial",
-    "compares_construct",
-    "moves_construct",
-    "compares_swap",
-    "moves_swap",
-    "compares_total",
-    "moves_total",
-    "elapsed_ns",
-    "correct",
-)
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)
 
-CSV_HEADER = ",".join(CSV_FIELDS)
+
+def _to_row(record) -> list[str]:
+    """The record's CSV cells, one per dataclass field, in field order."""
+    return [_cell(getattr(record, field.name)) for field in fields(record)]
+
+
+# Parsers for the annotations of ExperimentRecord's fields.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "int | None": lambda text: int(text) if text else None,
+    "bool": "true".__eq__,
+}
 
 
 @dataclass
 class ExperimentRecord:
-    """One benchmark trial row. The runner oracle-checks every trial, so
-    ``correct`` is true in every record that ever reaches a CSV."""
+    """One benchmark trial row; its fields, in order, are the CSV columns.
+    The runner oracle-checks every trial, so ``correct`` is true in every
+    record that ever reaches a CSV."""
 
     algo: str
     swap_strategy: str
@@ -117,46 +121,15 @@ class ExperimentRecord:
     elapsed_ns: int
     correct: bool
 
-    def to_row(self) -> list[str]:
-        return [
-            self.algo,
-            self.swap_strategy,
-            "" if self.presplit is None else str(self.presplit),
-            str(self.n),
-            str(self.k),
-            self.dist,
-            str(self.seed),
-            str(self.trial),
-            str(self.compares_construct),
-            str(self.moves_construct),
-            str(self.compares_swap),
-            str(self.moves_swap),
-            str(self.compares_total),
-            str(self.moves_total),
-            str(self.elapsed_ns),
-            "true" if self.correct else "false",
-        ]
+    to_row = _to_row
 
     @classmethod
     def from_row(cls, row: dict) -> "ExperimentRecord":
-        return cls(
-            algo=row["algo"],
-            swap_strategy=row["swap_strategy"],
-            presplit=None if row["presplit"] == "" else int(row["presplit"]),
-            n=int(row["n"]),
-            k=int(row["k"]),
-            dist=row["dist"],
-            seed=int(row["seed"]),
-            trial=int(row["trial"]),
-            compares_construct=int(row["compares_construct"]),
-            moves_construct=int(row["moves_construct"]),
-            compares_swap=int(row["compares_swap"]),
-            moves_swap=int(row["moves_swap"]),
-            compares_total=int(row["compares_total"]),
-            moves_total=int(row["moves_total"]),
-            elapsed_ns=int(row["elapsed_ns"]),
-            correct=row["correct"] == "true",
-        )
+        return cls(**{field.name: _PARSERS[field.type](row[field.name]) for field in fields(cls)})
+
+
+CSV_FIELDS = tuple(field.name for field in fields(ExperimentRecord))
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -173,14 +146,23 @@ class AlgoSpec:
     def __post_init__(self):
         if self.name not in ALGOS:
             raise ValueError(f"unknown algo {self.name!r}, expected one of {ALGOS}")
-        if self.pivot not in ("first", "random"):
-            raise ValueError(f"pivot must be 'first' or 'random', got {self.pivot!r}")
+        if self.pivot not in PIVOTS:
+            raise ValueError(f"pivot must be one of {PIVOTS}, got {self.pivot!r}")
 
     @property
     def label(self) -> str:
         if self.name == "quickselect":
             return f"quickselect-{self.pivot}"
         return self.name
+
+    def select(self, arr: SentinelArray, k: int, seed: int, ctx: Metrics):
+        """Run this configuration on a prepared buffer and return the k-th
+        smallest value. ``seed`` feeds the random quickselect pivot."""
+        if self.name == "dhselect":
+            return dh_select(arr, k, SelectOptions(self.strategy, self.presplit), ctx).value
+        if self.name == "quickselect":
+            return quickselect(arr, k, PivotRule(self.pivot, seed=seed), ctx)
+        return quickselect(arr, k, PivotRule("median_of_medians"), ctx)
 
 
 @dataclass(frozen=True)
@@ -198,22 +180,16 @@ def median_index(n: int) -> int:
     return (n + 1) // 2
 
 
-def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int) -> tuple[int, Metrics, bool]:
+def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int) -> tuple[int, Metrics, int, bool]:
     ctx = Metrics()
     arr = prepare_buffer(values)
     start = time.perf_counter_ns()
-    if algo.name == "dhselect":
-        opts = SelectOptions(strategy=algo.strategy, presplit=algo.presplit)
-        value = dh_select(arr, k, opts, ctx).value
-    elif algo.name == "quickselect":
-        value = quickselect(arr, k, PivotRule(algo.pivot, seed=seed), ctx)
-    else:
-        value = quickselect(arr, k, PivotRule("median_of_medians"), ctx)
-    ctx.elapsed_ns = time.perf_counter_ns() - start
+    value = algo.select(arr, k, seed, ctx)
+    elapsed_ns = time.perf_counter_ns() - start
     correct = value == oracle_select(values, k)
     if correct and algo.name == "dhselect":
         correct = verify_partition(arr, k)
-    return value, ctx, correct
+    return value, ctx, elapsed_ns, correct
 
 
 def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
@@ -233,7 +209,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                 for trial in range(config.trials):
                     seed = trial_seeds[trial]
                     values = generate(InputSpec(n, dist, seed))
-                    value, ctx, correct = _run_trial(algo, values, k, seed)
+                    value, ctx, elapsed_ns, correct = _run_trial(algo, values, k, seed)
                     if not correct:
                         raise OracleMismatchError(
                             f"oracle mismatch: algo={algo.label} n={n} k={k} "
@@ -249,82 +225,68 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                             dist=dist,
                             seed=seed,
                             trial=trial,
-                            compares_construct=ctx.compares_construct,
-                            moves_construct=ctx.moves_construct,
-                            compares_swap=ctx.compares_swap,
-                            moves_swap=ctx.moves_swap,
+                            compares_construct=ctx.construct.compares,
+                            moves_construct=ctx.construct.moves,
+                            compares_swap=ctx.swap.compares,
+                            moves_swap=ctx.swap.moves,
                             compares_total=ctx.compares_total,
                             moves_total=ctx.moves_total,
-                            elapsed_ns=ctx.elapsed_ns if config.timing else 0,
+                            elapsed_ns=elapsed_ns if config.timing else 0,
                             correct=True,
                         )
                     )
     return records
 
 
+def _write_csv(header, records, dest) -> None:
+    """Write a header and one row per record, LF line endings, to a path or
+    an open handle."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as handle:
+            return _write_csv(header, records, handle)
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(record.to_row() for record in records)
+
+
 def emit_csv(records, dest) -> None:
     """Write records with the pinned header, LF line endings."""
-    if hasattr(dest, "write"):
-        _write_csv(records, dest)
-    else:
-        with open(dest, "w", newline="") as handle:
-            _write_csv(records, handle)
-
-
-def _write_csv(records, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for record in records:
-        writer.writerow(record.to_row())
+    _write_csv(CSV_FIELDS, records, dest)
 
 
 def records_to_csv(records) -> str:
     out = StringIO()
-    _write_csv(records, out)
+    _write_csv(CSV_FIELDS, records, out)
     return out.getvalue()
 
 
 def parse_csv(source) -> list[ExperimentRecord]:
     """Round-trip reader for files produced by emit_csv."""
-    if hasattr(source, "read"):
-        return [ExperimentRecord.from_row(row) for row in csv.DictReader(source)]
-    with open(source, newline="") as handle:
-        return [ExperimentRecord.from_row(row) for row in csv.DictReader(handle)]
-
-
-WORSTCASE_FIELDS = (
-    "n",
-    "instances_tested",
-    "max_compares_swap",
-    "argmax_k",
-    "argmax_seed",
-    "argmax_permutation",
-)
+    if not hasattr(source, "read"):
+        with open(source, newline="") as handle:
+            return parse_csv(handle)
+    return [ExperimentRecord.from_row(row) for row in csv.DictReader(source)]
 
 
 @dataclass
 class WorstCaseReport:
     """Maximum swapping-phase comparisons observed for one size, with a
-    witness. Exhaustive mode records the witness permutation itself; random
-    mode records the seed that regenerates it (plus the permutation when it
-    is small enough to print)."""
+    witness; its fields, in order, are the CSV columns. Exhaustive mode
+    records the witness permutation itself; random mode records the seed
+    that regenerates it (plus the permutation when it is small enough to
+    print)."""
 
     n: int
     instances_tested: int
     max_compares_swap: int
-    argmax_permutation: tuple[int, ...]
     argmax_k: int
     argmax_seed: int | None = None
+    argmax_permutation: tuple[int, ...] = ()
 
-    def to_row(self) -> list[str]:
-        return [
-            str(self.n),
-            str(self.instances_tested),
-            str(self.max_compares_swap),
-            str(self.argmax_k),
-            "" if self.argmax_seed is None else str(self.argmax_seed),
-            " ".join(map(str, self.argmax_permutation)),
-        ]
+    to_row = _to_row
+
+
+WORSTCASE_FIELDS = tuple(field.name for field in fields(WorstCaseReport))
 
 
 EXHAUSTIVE_MAX_N = 9
@@ -414,18 +376,7 @@ def worst_case_search_random(
 
 
 def emit_worstcase_csv(reports, dest) -> None:
-    if hasattr(dest, "write"):
-        _write_worstcase(reports, dest)
-    else:
-        with open(dest, "w", newline="") as handle:
-            _write_worstcase(reports, handle)
-
-
-def _write_worstcase(reports, handle) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(WORSTCASE_FIELDS)
-    for report in reports:
-        writer.writerow(report.to_row())
+    _write_csv(WORSTCASE_FIELDS, reports, dest)
 
 
 def fit_growth(records, metric: str, agg: str = "mean") -> float:

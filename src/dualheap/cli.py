@@ -12,27 +12,30 @@ Exit codes: 0 success, 1 usage error, 2 internal invariant violation
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from types import SimpleNamespace
 
-from .baselines import PivotRule, quickselect
 from .bench import (
     ALGOS,
+    DEFAULT_SIZES,
+    DISTS,
+    PIVOTS,
     AlgoSpec,
     BenchConfig,
-    DISTS,
     InputSpec,
     emit_csv,
     emit_worstcase_csv,
     fit_growth,
     generate,
+    median_index,
     run_benchmark,
     worst_case_search_exhaustive,
     worst_case_search_random,
 )
 from .errors import InternalInvariantError
 from .metrics import Metrics
-from .select import SelectOptions, dh_select, dh_sort, prepare_buffer
+from .select import PRESPLITS, SelectOptions, dh_sort, prepare_buffer
 from .swaps import STRATEGIES
 
 
@@ -68,11 +71,19 @@ def _add_input_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="input seed")
 
 
+def _add_dualheap_flags(sub):
+    sub.add_argument("--swap", default="tree", choices=STRATEGIES, help="dualheap swap strategy")
+    sub.add_argument("--presplit", type=int, default=1, choices=PRESPLITS)
+
+
 def _add_algo_flags(sub):
     sub.add_argument("--algo", default="dhselect", choices=ALGOS)
-    sub.add_argument("--swap", default="tree", choices=STRATEGIES, help="dualheap swap strategy")
-    sub.add_argument("--presplit", type=int, default=1, choices=(0, 1, 2))
-    sub.add_argument("--pivot", default="first", choices=("first", "random"), help="quickselect pivot rule")
+    _add_dualheap_flags(sub)
+    sub.add_argument("--pivot", default="first", choices=PIVOTS, help="quickselect pivot rule")
+
+
+def _algo(args) -> AlgoSpec:
+    return AlgoSpec(name=args.algo, strategy=args.swap, presplit=args.presplit, pivot=args.pivot)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,13 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sort = subs.add_parser("sort", help="sort a generated input by recursive partitioning")
     _add_input_flags(p_sort)
-    p_sort.add_argument("--swap", default="tree", choices=STRATEGIES)
-    p_sort.add_argument("--presplit", type=int, default=1, choices=(0, 1, 2))
+    _add_dualheap_flags(p_sort)
     p_sort.add_argument("--out", default=None, help="write the sorted sequence to a file instead of stdout")
     p_sort.set_defaults(func=cmd_sort)
 
     p_bench = subs.add_parser("bench", help="run oracle-checked trials and emit CSV")
-    p_bench.add_argument("--sizes", type=_int_list, default=(1023, 4095, 16383))
+    p_bench.add_argument("--sizes", type=_int_list, default=DEFAULT_SIZES)
     p_bench.add_argument("--dist", type=_dist_list, default=("random",), help="comma-separated input families")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--k", type=_positive, default=None, help="selection index (default: median per size)")
@@ -106,12 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_worst = subs.add_parser("worstcase", help="search for swapping-phase worst cases")
     p_worst.add_argument("--mode", default="exhaustive", choices=("exhaustive", "random"))
     p_worst.add_argument("--max-n", type=_positive, default=8, help="exhaustive mode: largest size")
-    p_worst.add_argument("--n", type=_positive, default=1023, help="random mode: size")
+    p_worst.add_argument("--n", type=_int_list, default=(1023,), help="random mode: comma-separated sizes")
     p_worst.add_argument("--samples", type=_positive, default=1000, help="random mode: sample count")
     p_worst.add_argument("--seed", type=int, default=0)
     p_worst.add_argument("--k", type=_positive, default=None, help="random mode: fixed selection index (default: median)")
-    p_worst.add_argument("--swap", default="tree", choices=STRATEGIES)
-    p_worst.add_argument("--presplit", type=int, default=1, choices=(0, 1, 2))
+    _add_dualheap_flags(p_worst)
     p_worst.add_argument("--out", default=None, help="CSV destination (default: stdout)")
     p_worst.set_defaults(func=cmd_worstcase)
 
@@ -125,24 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_select(args) -> int:
-    values = generate(InputSpec(args.n, args.dist, args.seed))
-    k = args.k if args.k is not None else (args.n + 1) // 2
-    arr = prepare_buffer(values)
-    if args.algo == "dhselect":
-        opts = SelectOptions(strategy=args.swap, presplit=args.presplit)
-        value = dh_select(arr, k, opts, Metrics()).value
-    elif args.algo == "quickselect":
-        value = quickselect(arr, k, PivotRule(args.pivot, seed=args.seed))
-    else:
-        value = quickselect(arr, k, PivotRule("median_of_medians"))
-    print(value)
+    arr = prepare_buffer(generate(InputSpec(args.n, args.dist, args.seed)))
+    k = args.k if args.k is not None else median_index(args.n)
+    print(_algo(args).select(arr, k, args.seed, Metrics()))
     return 0
 
 
 def cmd_sort(args) -> int:
     values = generate(InputSpec(args.n, args.dist, args.seed))
-    opts = SelectOptions(strategy=args.swap, presplit=args.presplit)
-    line = " ".join(map(str, dh_sort(values, opts)))
+    line = " ".join(map(str, dh_sort(values, SelectOptions(args.swap, args.presplit))))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(line + "\n")
@@ -152,36 +152,33 @@ def cmd_sort(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algo = AlgoSpec(name=args.algo, strategy=args.swap, presplit=args.presplit, pivot=args.pivot)
     config = BenchConfig(
         sizes=args.sizes,
         dists=args.dist,
-        algos=(algo,),
+        algos=(_algo(args),),
         trials=args.trials,
         seed=args.seed,
         k=args.k,
         timing=args.timing,
     )
     records = run_benchmark(config)
-    emit_csv(records, args.out if args.out else sys.stdout)
+    emit_csv(records, args.out or sys.stdout)
     return 0
 
 
 def cmd_worstcase(args) -> int:
-    opts = SelectOptions(strategy=args.swap, presplit=args.presplit)
+    opts = SelectOptions(args.swap, args.presplit)
     if args.mode == "exhaustive":
         reports = worst_case_search_exhaustive(args.max_n, opts)
     else:
-        reports = [worst_case_search_random(args.n, args.samples, args.seed, args.k, opts)]
-    emit_worstcase_csv(reports, args.out if args.out else sys.stdout)
+        reports = [worst_case_search_random(n, args.samples, args.seed, args.k, opts) for n in args.n]
+    emit_worstcase_csv(reports, args.out or sys.stdout)
     return 0
 
 
 def cmd_fit(args) -> int:
-    import csv as _csv
-
     with open(args.source, newline="") as handle:
-        reader = _csv.DictReader(handle)
+        reader = csv.DictReader(handle)
         if reader.fieldnames is None or "n" not in reader.fieldnames:
             raise ValueError(f"{args.source} has no 'n' column")
         if args.metric not in reader.fieldnames:

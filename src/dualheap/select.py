@@ -13,6 +13,7 @@ want their input untouched.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -56,14 +57,22 @@ class SelectOutcome:
 
 
 def prepare_buffer(values) -> SentinelArray:
-    """Copy values into a fresh sentinel-guarded buffer. One scan finds the
-    minimum and maximum, which serve as the low and high guards."""
-    values = list(values)
-    if not values:
+    """Copy values into a fresh sentinel-guarded buffer whose low and high
+    guards are the minimum and maximum.
+
+    Elements must be totally ordered. A value unequal to itself (NaN) breaks
+    that contract and would yield a wrong partition, so it is rejected.
+    """
+    buf = [None, *values, None]
+    n = len(buf) - 2
+    if not n:
         raise ValueError("cannot build a sentinel buffer from an empty input")
-    lo = min(values)
-    hi = max(values)
-    return SentinelArray(buf=[lo, *values, hi], n=len(values))
+    buf[0] = buf[-1] = buf[1]
+    if any(map(operator.ne, buf, buf)):
+        raise ValueError("elements must be totally ordered, but one compares unequal to itself (NaN)")
+    buf[0] = min(buf)
+    buf[-1] = max(buf)
+    return SentinelArray(buf=buf, n=n)
 
 
 def _construct(buf, off: int, n: int, k: int, presplit: int, ctx: Metrics) -> DualHeap:

@@ -23,8 +23,6 @@ from .core import DualHeap, sift_down_max, sift_down_min
 from .errors import InternalInvariantError
 from .metrics import Metrics
 
-STRATEGIES = ("tree", "branch", "root")
-
 
 def tree_swap(dh: DualHeap, ks: int, kl: int, ctx: Metrics) -> None:
     """Greedy subtree exchange rooted at node pair (ks, kl).
@@ -130,6 +128,8 @@ _STRATEGY_FUNCS = {
     "branch": branch_swap,
     "root": root_swap,
 }
+
+STRATEGIES = tuple(_STRATEGY_FUNCS)
 
 
 def swap_step_budget(n: int) -> int:

@@ -342,7 +342,7 @@ def _construction_sequence_ok(values, k, presplit):
 
     def delta():
         nonlocal built
-        now = ctx.compares_construct
+        now = ctx.construct.compares
         step = now - (marks[-1] if marks else 0)
         marks.append(now)
         return step
@@ -366,7 +366,7 @@ def _construction_sequence_ok(values, k, presplit):
     built += lhn
     if delta() > 3 * lhn:
         return False, f"large-side build exceeded 3*lhn (n={n}, k={k})"
-    if ctx.compares_construct > 3 * built:
+    if ctx.construct.compares > 3 * built:
         return False, f"construct bucket exceeded 3x nodes built (n={n}, k={k})"
     return True, ""
 

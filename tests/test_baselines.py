@@ -230,6 +230,13 @@ def test_oracle_bounds():
         oracle_select([1], 2)
 
 
+def test_bool_index_rejected_like_dh_select():
+    with pytest.raises(TypeError):
+        quickselect(prepare_buffer([5, 3, 9]), True)
+    with pytest.raises(TypeError):
+        oracle_select([5, 3, 9], True)
+
+
 def test_oracle_does_not_mutate():
     values = [3, 1, 2]
     oracle_select(values, 1)

@@ -212,7 +212,7 @@ def test_worstcase_exhaustive_n3_visits_18_instances():
     arr = SentinelArray([1, *report.argmax_permutation, 3], 3)
     ctx = Metrics()
     dh_select(arr, report.argmax_k, SelectOptions(), ctx)
-    assert ctx.compares_swap == report.max_compares_swap
+    assert ctx.swap.compares == report.max_compares_swap
 
 
 def test_worstcase_exhaustive_n1_counts_single_guard():
@@ -245,7 +245,7 @@ def test_worstcase_random_deterministic_and_reproducible():
 
     ctx = Metrics()
     dh_select(prepare_buffer(values), a.argmax_k, SelectOptions(), ctx)
-    assert ctx.compares_swap == a.max_compares_swap
+    assert ctx.swap.compares == a.max_compares_swap
 
 
 # --- growth fitting ----------------------------------------------------------

@@ -72,6 +72,19 @@ def test_worstcase_random_mode_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_worstcase_random_takes_a_size_list(tmp_path):
+    sizes = ("15", "31", "63")
+    single = [run_cli("worstcase", "--mode", "random", "--n", n, "--samples", "5", "--seed", "3") for n in sizes]
+    path = tmp_path / "w.csv"
+    joined = run_cli("worstcase", "--mode", "random", "--n", ",".join(sizes), "--samples", "5", "--seed", "3", "--out", str(path))
+    assert joined.returncode == 0
+    lines = path.read_text().splitlines()
+    assert lines == single[0].stdout.splitlines() + [r.stdout.splitlines()[1] for r in single[1:]]
+    fit = run_cli("fit", "--in", str(path), "--metric", "max_compares_swap", "--agg", "max")
+    assert fit.returncode == 0
+    assert fit.stdout.startswith("slope=")
+
+
 def test_fit_reads_bench_csv(tmp_path):
     path = tmp_path / "series.csv"
     result = run_cli(

@@ -1,55 +1,33 @@
 import pytest
 
-from dualheap import Metrics, counted_compare, counted_move
+from dualheap import Metrics
 
 
 def test_fresh_context_is_all_zeros():
     ctx = Metrics()
-    assert ctx.compares_construct == 0
-    assert ctx.moves_construct == 0
-    assert ctx.compares_swap == 0
-    assert ctx.moves_swap == 0
-    assert ctx.compares_other == 0
-    assert ctx.moves_other == 0
+    assert ctx.snapshot() == {
+        "compares_construct": 0,
+        "moves_construct": 0,
+        "compares_swap": 0,
+        "moves_swap": 0,
+        "compares_other": 0,
+        "moves_other": 0,
+    }
     assert ctx.compares_total == 0
     assert ctx.moves_total == 0
-
-
-def test_counted_compare_orderings():
-    ctx = Metrics()
-    assert counted_compare(1, 2, ctx) == -1
-    assert counted_compare(2, 2, ctx) == 0
-    assert counted_compare(3, 2, ctx) == 1
-    assert ctx.compares_total == 3
-
-
-def test_counted_compare_additivity():
-    ctx = Metrics()
-    for _ in range(5):
-        counted_compare(1, 2, ctx)
-    assert ctx.compares_total == 5
-
-
-def test_counted_move_writes_and_counts():
-    ctx = Metrics()
-    buf = [0, 7, 8, 9, 0]
-    counted_move(buf, 2, 42, ctx)
-    assert buf == [0, 7, 42, 9, 0]
-    assert ctx.moves_total == 1
 
 
 def test_set_phase_routes_counts():
     ctx = Metrics()
     ctx.set_phase("construct")
-    counted_compare(1, 2, ctx)
-    counted_move([0, 0], 0, 5, ctx)
+    ctx.active.compares += 1
+    ctx.active.moves += 1
     ctx.set_phase("swap")
-    counted_compare(1, 2, ctx)
-    counted_compare(1, 2, ctx)
-    assert ctx.compares_construct == 1
-    assert ctx.moves_construct == 1
-    assert ctx.compares_swap == 2
-    assert ctx.moves_swap == 0
+    ctx.active.compares += 2
+    assert ctx.construct.compares == 1
+    assert ctx.construct.moves == 1
+    assert ctx.swap.compares == 2
+    assert ctx.swap.moves == 0
     assert ctx.compares_total == 3
 
 
@@ -58,29 +36,13 @@ def test_unknown_phase_rejected():
         Metrics().set_phase("warmup")
 
 
-def test_merge_sums_all_buckets():
-    a = Metrics()
-    a.set_phase("construct")
-    counted_compare(1, 2, a)
-    counted_move([0], 0, 1, a)
-    b = Metrics()
-    b.set_phase("swap")
-    counted_compare(1, 2, b)
-    b.set_phase("other")
-    counted_move([0], 0, 1, b)
-    a.merge(b)
-    assert a.compares_construct == 1
-    assert a.moves_construct == 1
-    assert a.compares_swap == 1
-    assert a.moves_other == 1
-    assert a.compares_total == 2
-    assert a.moves_total == 2
-
-
 def test_phase_additivity():
     ctx = Metrics()
     for phase, reps in (("construct", 3), ("swap", 2), ("other", 4)):
         ctx.set_phase(phase)
         for _ in range(reps):
-            counted_compare(0, 1, ctx)
-    assert ctx.compares_total == ctx.compares_construct + ctx.compares_swap + ctx.compares_other == 9
+            ctx.active.compares += 1
+            ctx.active.moves += 2
+    assert ctx.compares_total == ctx.construct.compares + ctx.swap.compares + ctx.other.compares == 9
+    assert ctx.moves_total == 18
+    assert ctx.snapshot()["moves_other"] == 8

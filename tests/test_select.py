@@ -44,6 +44,33 @@ def test_prepare_buffer_empty_rejected():
         prepare_buffer([])
 
 
+def test_prepare_buffer_accepts_any_iterable_and_copies():
+    values = [3.5, -1.0, 2.0]
+    arr = prepare_buffer(iter(values))
+    assert arr.buf == [-1.0, 3.5, -1.0, 2.0, 3.5]
+    arr.buf[1] = 0.0
+    assert values == [3.5, -1.0, 2.0]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dh_select(prepare_buffer([3.0, NAN, 1.0, 2.0, 5.0]), 3),
+        lambda: dh_select_copy([3.0, NAN, 1.0, 2.0, 5.0], 3),
+        lambda: dh_sort([NAN, 1.0, 0.5]),
+        lambda: prepare_buffer([NAN]),
+        lambda: prepare_buffer([1.0, 2.0, NAN]),
+    ],
+    ids=["dh_select", "dh_select_copy", "dh_sort", "lone_nan", "nan_last"],
+)
+def test_nan_breaks_the_total_order_contract(call):
+    with pytest.raises(ValueError, match="totally ordered"):
+        call()
+
+
 # --- dh_select ---------------------------------------------------------------
 
 
@@ -80,7 +107,7 @@ def test_select_singleton_reads_high_sentinel_guard():
     out = dh_select(prepare_buffer([6]), 1)
     assert out.value == 6
     assert out.split == 1
-    assert out.metrics.compares_swap == 1  # just the guard against the sentinel
+    assert out.metrics.swap.compares == 1  # just the guard against the sentinel
 
 
 def test_select_bounds_errors():
@@ -156,7 +183,7 @@ def test_pinned_counts_n65535(seed):
         ctx = Metrics()
         out = dh_select(prepare_buffer(values), 32768, SelectOptions("tree", presplit), ctx)
         assert out.value == 32768
-        got = (ctx.compares_construct, ctx.moves_construct, ctx.compares_swap, ctx.moves_swap)
+        got = (ctx.construct.compares, ctx.construct.moves, ctx.swap.compares, ctx.swap.moves)
         assert got == PINNED_COUNTS_65535[seed, presplit]
 
 

@@ -82,16 +82,16 @@ def test_guard_false_means_no_invocation():
     ctx = Metrics()
     run_swapping_phase(dh, "tree", ctx)
     assert arr.buf == before
-    assert ctx.compares_swap == 1
-    assert ctx.moves_swap == 0
+    assert ctx.swap.compares == 1
+    assert ctx.swap.moves == 0
 
 
 def test_all_equal_values_never_swap():
     dh, arr = make_dualheap([4, 4, 4, 4], shn=3)
     ctx = Metrics()
     run_swapping_phase(dh, "branch", ctx)
-    assert ctx.compares_swap == 1
-    assert ctx.moves_swap == 0
+    assert ctx.swap.compares == 1
+    assert ctx.swap.moves == 0
 
 
 # --- full phase --------------------------------------------------------------
@@ -163,8 +163,8 @@ def test_costs_positive_when_anything_swapped():
     dh, arr = make_dualheap([9, 8, 7, 1, 2, 3], shn=3)
     ctx = Metrics()
     run_swapping_phase(dh, "tree", ctx)
-    assert ctx.compares_swap > 0
-    assert ctx.moves_swap > 0
+    assert ctx.swap.compares > 0
+    assert ctx.swap.moves > 0
 
 
 # --- growth character --------------------------------------------------------
@@ -183,7 +183,7 @@ def test_root_swap_phase_grows_superlinearly():
             arr = prepare_buffer(values)
             ctx = Metrics()
             dh_select(arr, (n + 1) // 2, SelectOptions(strategy=strategy, presplit=1), ctx)
-            total += ctx.compares_swap
+            total += ctx.swap.compares
         return total / trials
 
     root_ratio = mean_swap_compares("root", 2048) / mean_swap_compares("root", 1024)
