@@ -56,22 +56,36 @@ class SelectOutcome:
     metrics: Metrics
 
 
+# Elements per chunk of the input scan: small enough that a chunk's element
+# objects are still cached for its second and third pass.
+_SCAN_CHUNK = 4096
+
+
 def prepare_buffer(values) -> SentinelArray:
     """Copy values into a fresh sentinel-guarded buffer whose low and high
     guards are the minimum and maximum.
 
     Elements must be totally ordered. A value unequal to itself (NaN) breaks
-    that contract and would yield a wrong partition, so it is rejected.
+    that contract and would yield a wrong partition, so it is rejected with
+    ``ValueError``; elements that cannot be compared with each other raise
+    ``TypeError``.
     """
     buf = [None, *values, None]
     n = len(buf) - 2
     if not n:
         raise ValueError("cannot build a sentinel buffer from an empty input")
-    buf[0] = buf[-1] = buf[1]
-    if any(map(operator.ne, buf, buf)):
-        raise ValueError("elements must be totally ordered, but one compares unequal to itself (NaN)")
-    buf[0] = min(buf)
-    buf[-1] = max(buf)
+    lo = hi = buf[1]
+    try:
+        for start in range(1, n + 1, _SCAN_CHUNK):
+            chunk = buf[start : min(start + _SCAN_CHUNK, n + 1)]
+            if any(map(operator.ne, chunk, chunk)):
+                raise ValueError("elements must be totally ordered, but one compares unequal to itself (NaN)")
+            lo = min(lo, min(chunk))
+            hi = max(hi, max(chunk))
+    except TypeError as exc:
+        raise TypeError(f"elements must be totally ordered, but two cannot be compared: {exc}") from exc
+    buf[0] = lo
+    buf[-1] = hi
     return SentinelArray(buf=buf, n=n)
 
 

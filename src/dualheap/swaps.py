@@ -65,7 +65,12 @@ def tree_swap(dh: DualHeap, ks: int, kl: int, ctx: Metrics) -> None:
         if kl <= lh2:
             sift_down_min(large, kl, ctx)
 
-    walk(ks, kl)
+    try:
+        walk(ks, kl)
+    finally:
+        # walk refers to itself through its closure cell; without this the
+        # cycle keeps the whole buffer alive until the cyclic GC runs.
+        del walk
 
 
 def branch_swap(dh: DualHeap, ctx: Metrics) -> None:

@@ -1,9 +1,13 @@
+import contextlib
 import itertools
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dualheap.core as core
 from dualheap import (
     LargeHeapView,
     Metrics,
@@ -230,26 +234,91 @@ def _guarded_segment(values, data):
     return [*left, lo, *values, hi, *right], len(left), n
 
 
+# The default block height plus three that force several blocks, and the
+# levels above them, into heaps of the sizes the hypothesis tests draw.
+_BLOCK_HEIGHTS = (core._BLOCK_HEIGHT, 1, 2, 3)
+
+
+@contextlib.contextmanager
+def _block_height(height):
+    """Build with another block height; the cached runs are dropped on the
+    way in and out, since they were computed for the other height."""
+    with mock.patch.object(core, "_BLOCK_HEIGHT", height):
+        core._build_runs.cache_clear()
+        try:
+            yield
+        finally:
+            core._build_runs.cache_clear()
+
+
+def _assert_build_matches_reference(build, reference, view, buf):
+    """``build`` leaves the buffer and counters exactly as ``reference`` does,
+    at every block height; ``view`` makes the heap view over a buffer."""
+    for height in _BLOCK_HEIGHTS:
+        got, ref_buf = list(buf), list(buf)
+        ctx, ref_ctx = Metrics(), Metrics()
+        with _block_height(height):
+            build(view(got), ctx)
+        reference(view(ref_buf), ref_ctx)
+        assert got == ref_buf, height
+        assert ctx.snapshot() == ref_ctx.snapshot(), height
+
+
+def _min_view_at(off, n):
+    return lambda buf: LargeHeapView(buf, off, n)
+
+
+def _max_view_at(off, n):
+    return lambda buf: SmallHeapView(buf, off + n + 1, n)
+
+
 @given(_payloads, st.data())
 def test_build_min_matches_per_node_reference(values, data):
     buf, off, n = _guarded_segment(values, data)
-    ref_buf = list(buf)
-    ctx, ref_ctx = Metrics(), Metrics()
-    build_min_heap(LargeHeapView(buf, off, n), ctx)
-    reference_build_min(LargeHeapView(ref_buf, off, n), ref_ctx)
-    assert buf == ref_buf
-    assert ctx.snapshot() == ref_ctx.snapshot()
+    _assert_build_matches_reference(build_min_heap, reference_build_min, _min_view_at(off, n), buf)
 
 
 @given(_payloads, st.data())
 def test_build_max_matches_per_node_reference(values, data):
     buf, off, n = _guarded_segment(values, data)
-    ref_buf = list(buf)
-    ctx, ref_ctx = Metrics(), Metrics()
-    build_max_heap(SmallHeapView(buf, off + n + 1, n), ctx)
-    reference_build_max(SmallHeapView(ref_buf, off + n + 1, n), ref_ctx)
-    assert buf == ref_buf
-    assert ctx.snapshot() == ref_ctx.snapshot()
+    _assert_build_matches_reference(build_max_heap, reference_build_max, _max_view_at(off, n), buf)
+
+
+# Heap sizes on either side of one and of two default blocks, and a large one.
+_BLOCK_EDGES = (2047, 2048, 4095, 4096, 65535, 65536)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_builds_match_reference_across_block_edges(n):
+    rng = random.Random(n)
+    values = [rng.randrange(n // 3) for _ in range(n)]
+    off = 3
+    buf = [-1] * off + [-1, *values, n] + [n] * 2
+    assert core._build_runs(n) != ((n // 4 + 1, n // 2), (1, n // 4))
+    _assert_build_matches_reference(build_min_heap, reference_build_min, _min_view_at(off, n), buf)
+    _assert_build_matches_reference(build_max_heap, reference_build_max, _max_view_at(off, n), buf)
+
+
+@pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
+def test_build_runs_sift_each_node_once_after_its_children(height):
+    with _block_height(height):
+        for hn in (*range(301), *_BLOCK_EDGES):
+            runs = core._build_runs(hn)
+            order = [j for first, last in runs for j in range(last, first - 1, -1)]
+            assert sorted(order) == list(range(1, hn // 2 + 1)), hn
+            step = {j: i for i, j in enumerate(order)}
+            for j in order:
+                for child in (2 * j, 2 * j + 1):
+                    if child in step:
+                        assert step[child] < step[j], (hn, j)
+            assert all(first <= last for first, last in runs), hn
+            # The one-exchange loop only ever gets nodes whose children are leaves.
+            assert all(first > hn // 4 or last <= hn // 4 for first, last in runs), hn
+
+
+def test_build_runs_keep_level_order_below_one_block():
+    hn = 2 ** core._BLOCK_HEIGHT - 1
+    assert core._build_runs(hn) == ((hn // 4 + 1, hn // 2), (1, hn // 4))
 
 
 # --- split rule --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -69,6 +70,38 @@ NAN = float("nan")
 def test_nan_breaks_the_total_order_contract(call):
     with pytest.raises(ValueError, match="totally ordered"):
         call()
+
+
+# Sizes on either side of one and two scan chunks.
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_prepare_buffer_guards_across_scan_chunks(n):
+    values = [(i * 7919) % n - n // 2 for i in range(n)]
+    original = list(values)
+    arr = prepare_buffer(values)
+    assert arr.buf[0] == min(values)
+    assert arr.buf[-1] == max(values)
+    assert arr.payload() == values == original
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+@pytest.mark.parametrize("where", ["first", "4096", "4097", "last"])
+def test_nan_rejected_in_every_scan_chunk(n, where):
+    values = [float(i) for i in range(n)]
+    position = {"first": 1, "4096": 4096, "4097": 4097, "last": n}[where]
+    values[position - 1] = NAN
+    with pytest.raises(ValueError, match="totally ordered"):
+        prepare_buffer(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, "a"], [*range(5000), "a"], ["a", *range(5000)]],
+    ids=["adjacent", "later_chunk", "first_element"],
+)
+def test_incomparable_elements_break_the_total_order_contract(values):
+    with pytest.raises(TypeError, match="totally ordered") as caught:
+        prepare_buffer(values)
+    assert isinstance(caught.value.__cause__, TypeError)
 
 
 # --- dh_select ---------------------------------------------------------------
@@ -264,3 +297,28 @@ def test_sort_random_cases_across_families():
 @given(st.lists(st.integers(-100, 100), max_size=120))
 def test_sort_matches_oracle(values):
     assert dh_sort(values) == sorted(values)
+
+
+# --- reference cycles --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda values: dh_select(prepare_buffer(values), 1000, SelectOptions("tree")),
+        lambda values: dh_select(prepare_buffer(values), 1000, SelectOptions("branch")),
+        lambda values: dh_select(prepare_buffer(values), 1000, SelectOptions("root")),
+        dh_sort,
+    ],
+    ids=["tree", "branch", "root", "dh_sort"],
+)
+def test_no_reference_cycles_left_behind(run):
+    # A cycle through the buffer would keep it alive until the cyclic GC ran.
+    values = generate(InputSpec(2047, "random", seed=3))
+    gc.collect()
+    gc.disable()
+    try:
+        run(values)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
