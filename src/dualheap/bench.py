@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass, fields
@@ -53,14 +54,15 @@ def generate(spec: InputSpec) -> list[int]:
     ``random`` is a Fisher-Yates shuffle of 1..n: walking i from n-1 down to
     1 (0-based), swap position i with position ``stream.below(i + 1)`` where
     the stream is splitmix64 seeded with the spec's seed. This exact recipe
-    is the reproducibility contract. The other families ignore the seed.
+    is the reproducibility contract; the n-1 draws are taken from the stream
+    in one block, which yields the same values. The other families ignore
+    the seed.
     """
     n = spec.n
     if spec.dist == "random":
         values = list(range(1, n + 1))
-        stream = SplitMix64(spec.seed)
-        for i in range(n - 1, 0, -1):
-            j = stream.below(i + 1)
+        draws = SplitMix64(spec.seed).take(n - 1)
+        for i, j in zip(range(n - 1, 0, -1), map(operator.mod, draws, range(n, 1, -1))):
             values[i], values[j] = values[j], values[i]
         return values
     if spec.dist == "sorted":
@@ -204,7 +206,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
         if not 1 <= k <= n:
             raise ValueError(f"selection index k={k} out of range 1..{n}")
         for dist in config.dists:
-            trial_seeds = [master.next_u64() for _ in range(config.trials)]
+            trial_seeds = master.take(config.trials)
             for algo in config.algos:
                 for trial in range(config.trials):
                     seed = trial_seeds[trial]
@@ -356,8 +358,7 @@ def worst_case_search_random(
     best = -1
     arg_seed = 0
     arg_perm: tuple[int, ...] = ()
-    for _ in range(samples):
-        sample_seed = master.next_u64()
+    for sample_seed in master.take(samples):
         values = generate(InputSpec(n, "random", sample_seed))
         ctx = Metrics()
         dh_select(prepare_buffer(values), k, opts, ctx)

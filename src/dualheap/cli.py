@@ -35,6 +35,7 @@ from .bench import (
 )
 from .errors import InternalInvariantError
 from .metrics import Metrics
+from .rng import MASK64
 from .select import PRESPLITS, SelectOptions, dh_sort, prepare_buffer
 from .swaps import STRATEGIES
 
@@ -53,6 +54,16 @@ def _positive(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # SplitMix64 keeps only the low 64 bits of its seed, so a seed outside
+    # that range would silently alias one inside it (-1 and 2**64 - 1 give
+    # the same input).
+    value = int(text)
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"expected a seed in 0..{MASK64}, got {text}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(_positive(part) for part in text.split(","))
 
@@ -68,7 +79,7 @@ def _dist_list(text: str) -> tuple[str, ...]:
 def _add_input_flags(sub):
     sub.add_argument("--n", type=_positive, default=1023, help="input size")
     sub.add_argument("--dist", default="random", choices=DISTS, help="input family")
-    sub.add_argument("--seed", type=int, default=0, help="input seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="input seed")
 
 
 def _add_dualheap_flags(sub):
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = subs.add_parser("bench", help="run oracle-checked trials and emit CSV")
     p_bench.add_argument("--sizes", type=_int_list, default=DEFAULT_SIZES)
     p_bench.add_argument("--dist", type=_dist_list, default=("random",), help="comma-separated input families")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--k", type=_positive, default=None, help="selection index (default: median per size)")
     p_bench.add_argument("--trials", type=_positive, default=3)
     _add_algo_flags(p_bench)
@@ -118,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_worst.add_argument("--max-n", type=_positive, default=8, help="exhaustive mode: largest size")
     p_worst.add_argument("--n", type=_int_list, default=(1023,), help="random mode: comma-separated sizes")
     p_worst.add_argument("--samples", type=_positive, default=1000, help="random mode: sample count")
-    p_worst.add_argument("--seed", type=int, default=0)
+    p_worst.add_argument("--seed", type=_seed, default=0)
     p_worst.add_argument("--k", type=_positive, default=None, help="random mode: fixed selection index (default: median)")
     _add_dualheap_flags(p_worst)
     p_worst.add_argument("--out", default=None, help="CSV destination (default: stdout)")

@@ -17,8 +17,6 @@ large-heap root; ``run_swapping_phase`` owns that guard loop.
 
 from __future__ import annotations
 
-import math
-
 from .core import DualHeap, sift_down_max, sift_down_min
 from .errors import InternalInvariantError
 from .metrics import Metrics
@@ -139,8 +137,11 @@ STRATEGIES = tuple(_STRATEGY_FUNCS)
 
 def swap_step_budget(n: int) -> int:
     """Iteration cap for the guard loop; far above anything observed, it
-    turns a latent non-termination bug into a diagnosable failure."""
-    return n * (1 + math.ceil(math.log2(n + 1)))
+    turns a latent non-termination bug into a diagnosable failure. It is
+    ``n * (1 + ceil(log2(n + 1)))``, computed exactly: for n >= 1 the
+    ceiling equals ``n.bit_length()``, which floating point misses from
+    n = 2**53 on."""
+    return n * (1 + n.bit_length())
 
 
 def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dualheap.bench as bench
 from dualheap import (
@@ -56,6 +58,35 @@ def test_splitmix_longhand_first_step():
     assert SplitMix64(981).next_u64() == z ^ (z >> 31)
 
 
+# take() packs 4,096 outputs per block; these counts sit on and around the
+# block edges.
+@pytest.mark.parametrize("count", (0, 1, 2, 4095, 4096, 4097, 8192, 8193))
+def test_take_equals_repeated_next_u64(count):
+    for seed in (0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF):
+        block = SplitMix64(seed)
+        stream = SplitMix64(seed)
+        assert block.take(count) == [stream.next_u64() for _ in range(count)]
+        assert block.state == stream.state
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10_000))
+def test_take_equals_repeated_next_u64_for_any_seed(seed, count):
+    block = SplitMix64(seed)
+    stream = SplitMix64(seed)
+    assert block.take(count) == [stream.next_u64() for _ in range(count)]
+    assert block.state == stream.state
+
+
+def test_take_and_next_u64_continue_one_stream():
+    mixed = SplitMix64(77)
+    got = []
+    for count in (3, 4096, 0, 1, 5000):
+        got += mixed.take(count)
+        got.append(mixed.next_u64())
+    reference = SplitMix64(77)
+    assert got == [reference.next_u64() for _ in range(len(got))]
+
+
 # --- generators --------------------------------------------------------------
 
 
@@ -86,6 +117,22 @@ def test_generate_random_is_seed_determined_permutation():
     assert a == b == [4, 2, 7, 3, 5, 1, 8, 6]  # frozen from the shuffle recipe
     assert sorted(a) == list(range(1, 9))
     assert generate(InputSpec(8, "random", seed=43)) != a
+
+
+def _reference_shuffle(n, seed):
+    """The documented recipe, one ``below`` draw per position."""
+    values = list(range(1, n + 1))
+    stream = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = stream.below(i + 1)
+        values[i], values[j] = values[j], values[i]
+    return values
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4095, 4096, 4097, 20000))
+def test_generate_random_follows_the_fisher_yates_recipe(n):
+    for seed in (0, 981, 2**64 - 1):
+        assert generate(InputSpec(n, "random", seed)) == _reference_shuffle(n, seed)
 
 
 def test_generate_rejects_bad_spec():

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from dualheap import CSV_HEADER, InputSpec, generate, oracle_select
 
 
@@ -122,3 +124,23 @@ def test_bench_rejects_non_positive_trials():
 
 def test_unknown_workers_flag_exits_one():
     assert run_cli("select", "--n", "15", "--workers", "2").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    (
+        ("select", "--n", "9"),
+        ("sort", "--n", "9"),
+        ("bench", "--sizes", "9", "--trials", "1"),
+        ("worstcase", "--mode", "random", "--n", "9", "--samples", "2"),
+    ),
+)
+def test_seed_outside_64_bits_exits_one(command):
+    # the generator keeps only a seed's low 64 bits, so these would alias
+    # 2**64 - 1 and 0
+    for seed in ("-1", str(2**64)):
+        result = run_cli(*command, "--seed", seed)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "--seed" in result.stderr
+    assert run_cli(*command, "--seed", str(2**64 - 1)).returncode == 0

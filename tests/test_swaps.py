@@ -196,6 +196,17 @@ def test_swap_budget_formula():
     assert swap_step_budget(1023) == 1023 * 11
 
 
+def test_swap_budget_is_exact_beyond_float_precision():
+    # budget = n * (1 + b) with b = ceil(log2(n + 1)), the least b with
+    # 2**b >= n + 1; checked in integers, including where a float log2
+    # rounds (n = 2**53).
+    for n in (*range(1, 10**5 + 1), 2**53 - 1, 2**53, 2**53 + 1, 2**60):
+        steps, rest = divmod(swap_step_budget(n), n)
+        b = steps - 1
+        assert rest == 0
+        assert 2 ** (b - 1) < n + 1 <= 2**b, n
+
+
 def test_budget_violation_is_diagnosed(monkeypatch):
     monkeypatch.setitem(swaps._STRATEGY_FUNCS, "tree", lambda dh, ctx: None)
     dh, arr = make_dualheap([9, 1, 2], shn=1)
