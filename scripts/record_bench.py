@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Record alternating parent/change benchmark runs as ``BENCH_<tag>.json``.
+
+    python3 scripts/record_bench.py --parent ../parent --workloads sort-mid \\
+        --seeds 961-967 --seconds 30 --tag mychange
+
+For each workload and seed, ``perfbench/run.py`` runs once in the parent
+checkout and once in the change checkout (this one by default); the side
+that runs first alternates from pair to pair, so a slow spell of the host
+does not land on one side only. The result line of every run (the last line
+run.py prints) is kept as it is, with the commit, interpreter and core count
+that run.py reports. A summary gives, per metric, the median of each side,
+the parent's quartiles and the number of pairs in which the change read
+lower. Nothing here changes what run.py measures or how its metrics are
+gated.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def _seeds(text: str) -> list[int]:
+    """Comma-separated seeds, each a number or an inclusive range a-b."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced run.py run: (the environment it reports, its result
+    line)."""
+    out = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True,
+        text=True,
+        cwd=checkout,
+    )
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"record_bench: {checkout} {workload} seed {seed} exited {out.returncode}:\n{out.stderr}")
+    return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
+
+
+def summarize(entries: list[dict]) -> dict:
+    """Per workload and metric: each side's median, the parent's quartiles,
+    and in how many pairs the change read lower than the parent."""
+    summary = {}
+    for workload in dict.fromkeys(entry["workload"] for entry in entries):
+        runs = {(e["pair"], e["side"]): e["result"]["metrics"] for e in entries if e["workload"] == workload}
+        pairs = sorted({pair for pair, _ in runs})
+        metrics = {}
+        for name in runs[pairs[0], "parent"]:
+            values = {side: [runs[pair, side][name]["value"] for pair in pairs] for side in SIDES}
+            metrics[name] = {
+                "parent_median": statistics.median(values["parent"]),
+                "change_median": statistics.median(values["change"]),
+                "parent_quartiles": statistics.quantiles(values["parent"], n=4) if len(pairs) > 1 else None,
+                "change_lower_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
+                "pairs": len(pairs),
+            }
+        summary[workload] = metrics
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
+    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
+    parser.add_argument("--seeds", type=_seeds, required=True, help="seeds, e.g. 961-965 or 1,4,9")
+    parser.add_argument("--seconds", type=float, default=30.0, help="measured seconds per run")
+    parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
+    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where BENCH_<tag>.json goes")
+    args = parser.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    entries = []
+    for workload in args.workloads.split(","):
+        for pair, seed in enumerate(args.seeds):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                env, result = run_once(checkouts[side], workload, seed, args.seconds)
+                entries.append(
+                    {
+                        "workload": workload,
+                        "pair": pair,
+                        "seed": seed,
+                        "side": side,
+                        "order": position,
+                        "commit": env["git_commit"],
+                        "interpreter": f"{env['implementation']} {env['python']}",
+                        "cpu_count": env["cpu_count"],
+                        "result": result,
+                    }
+                )
+                print(f"{workload} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
+    record = {
+        "tag": args.tag,
+        "platform": platform.platform(),
+        "seconds": args.seconds,
+        "entries": entries,
+        "summary": summarize(entries),
+    }
+    path = args.out_dir / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

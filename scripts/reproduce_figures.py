@@ -18,6 +18,7 @@ import statistics
 from pathlib import Path
 
 from dualheap import AlgoSpec, BenchConfig, emit_csv, run_benchmark
+from dualheap.cli import _int_list, _positive, _seed
 
 SERIES = {
     "swap_strategies": (
@@ -63,19 +64,18 @@ def summarize(name, records, metrics):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="1023,4095,16383")
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--sizes", type=_int_list, default="1023,4095,16383")
+    parser.add_argument("--trials", type=_positive, default=100)
+    parser.add_argument("--seed", type=_seed, default=1)
     parser.add_argument("--out-dir", default="results")
     args = parser.parse_args()
 
-    sizes = tuple(int(part) for part in args.sizes.split(","))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, algos in SERIES.items():
         config = BenchConfig(
-            sizes=sizes,
+            sizes=args.sizes,
             dists=("random",),
             algos=algos,
             trials=args.trials,

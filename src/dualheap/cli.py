@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from types import SimpleNamespace
 
 from .bench import (
@@ -35,7 +36,7 @@ from .bench import (
 )
 from .errors import InternalInvariantError
 from .metrics import Metrics
-from .rng import MASK64
+from .rng import check_seed
 from .select import PRESPLITS, SelectOptions, dh_sort, prepare_buffer
 from .swaps import STRATEGIES
 
@@ -55,13 +56,11 @@ def _positive(text: str) -> int:
 
 
 def _seed(text: str) -> int:
-    # SplitMix64 keeps only the low 64 bits of its seed, so a seed outside
-    # that range would silently alias one inside it (-1 and 2**64 - 1 give
-    # the same input).
     value = int(text)
-    if not 0 <= value <= MASK64:
-        raise argparse.ArgumentTypeError(f"expected a seed in 0..{MASK64}, got {text}")
-    return value
+    try:
+        return check_seed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -91,10 +90,22 @@ def _add_algo_flags(sub):
     sub.add_argument("--algo", default="dhselect", choices=ALGOS)
     _add_dualheap_flags(sub)
     sub.add_argument("--pivot", default="first", choices=PIVOTS, help="quickselect pivot rule")
+    # None marks a flag left out, so _algo can tell a flag that does not
+    # apply to --algo from a default.
+    sub.set_defaults(swap=None, presplit=None, pivot=None)
+
+
+# The flags that configure each algo; giving any other is an error.
+_ALGO_FLAGS = {"dhselect": ("--swap", "--presplit"), "quickselect": ("--pivot",), "quickselect-mom": ()}
 
 
 def _algo(args) -> AlgoSpec:
-    return AlgoSpec(name=args.algo, strategy=args.swap, presplit=args.presplit, pivot=args.pivot)
+    given = {"--swap": args.swap, "--presplit": args.presplit, "--pivot": args.pivot}
+    for flag, value in given.items():
+        if value is not None and flag not in _ALGO_FLAGS[args.algo]:
+            raise ValueError(f"{flag} does not apply to --algo {args.algo}")
+    fields = {"strategy": args.swap, "presplit": args.presplit, "pivot": args.pivot}
+    return AlgoSpec(name=args.algo, **{name: value for name, value in fields.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,9 +215,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on the first call of main and reused: parsing leaves a parser
+    # unchanged, and building one costs about a millisecond.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

@@ -44,6 +44,18 @@ def _lane_constants() -> tuple[int, int, int]:
     return ones, mask, steps
 
 
+def check_seed(seed: int) -> int:
+    """Return the seed if it is an int in 0..2**64 - 1. A seed outside that
+    range would alias the one inside it that shares its low 64 bits (-1
+    and 2**64 - 1 would give the same stream), so it raises ``ValueError``;
+    a ``bool`` raises ``TypeError``."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, not bool ({seed!r})")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"expected a seed in 0..{MASK64}, got {seed}")
+    return seed
+
+
 class SplitMix64:
     """splitmix64: the state advances by a fixed odd constant and the output
     is a finalizing avalanche mix of the state. All arithmetic mod 2**64."""
@@ -51,7 +63,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.state = check_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & MASK64

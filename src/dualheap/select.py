@@ -27,8 +27,9 @@ from .core import (
     check_index,
     split_indices,
 )
-from .metrics import Metrics
-from .swaps import STRATEGIES, run_swapping_phase
+from .errors import InternalInvariantError
+from .metrics import Metrics, PhaseTally
+from .swaps import _STRATEGY_FUNCS, STRATEGIES, run_swapping_phase, swap_step_budget
 
 PRESPLITS = (0, 1, 2)
 
@@ -96,12 +97,18 @@ def _construct(buf, off: int, n: int, k: int, presplit: int, ctx: Metrics) -> Du
     the segment's guards.
     """
     ctx.set_phase("construct")
+    shn, _ = split_indices(n, k)
+    return _build_dualheap(buf, off, n, shn, presplit, ctx)
+
+
+def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, ctx: Metrics) -> DualHeap:
+    """The heap builds of the construction phase, split after ``shn``
+    elements, counted into ``ctx.active``."""
     if presplit >= 1:
         build_min_heap(LargeHeapView(buf, off, n), ctx)
     if presplit == 2:
         build_max_heap(SmallHeapView(buf, off + n + 1, n), ctx)
-    shn, lhn = split_indices(n, k)
-    dh = DualHeap(small=SmallHeapView(buf, off + shn + 1, shn), large=LargeHeapView(buf, off + shn, lhn))
+    dh = DualHeap(small=SmallHeapView(buf, off + shn + 1, shn), large=LargeHeapView(buf, off + shn, n - shn))
     build_max_heap(dh.small, ctx)
     build_min_heap(dh.large, ctx)
     return dh
@@ -154,19 +161,156 @@ def verify_partition(arr: SentinelArray, k: int) -> bool:
     return True
 
 
-def _sort_segment(arr: SentinelArray, off: int, n: int, opts: SelectOptions, ctx: Metrics) -> None:
-    if n <= 1:
+def _select_two(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
+    """``_select_segment`` at n = 2, k = 1, written out: one compare
+    decides, and every strategy makes the same single root exchange.
+
+    Each presplit build is one sift of 2 counted compares, one of them
+    against a guard that can never win (elements are totally ordered), so
+    it is counted without being made. The min-heap orders the pair, which
+    leaves the presplit-2 max-heap nothing to move and the swap phase only
+    its guard check. Without a presplit the guard check decides, and an
+    exchange is followed by one more check.
+    """
+    a = buf[off + 1]
+    b = buf[off + 2]
+    if presplit:
+        construct.compares += 2 * presplit
+        if b < a:
+            buf[off + 1] = b
+            buf[off + 2] = a
+            construct.moves += 2
+        swap.compares += 1
+    elif b < a:
+        buf[off + 1] = b
+        buf[off + 2] = a
+        swap.compares += 2
+        swap.moves += 2
+    else:
+        swap.compares += 1
+
+
+def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
+    """``_select_segment`` at n = 3, k = 2, written out. The small heap is
+    the first element alone and the large heap the other two, so the three
+    strategies coincide: one root exchange, then a re-sink of the large
+    root.
+
+    Each sift picks the smaller child (the left one on ties), compares it
+    with its parent and counts 2 compares; a one-child sift's other compare
+    reads the high guard, which can never win, and is counted without being
+    made. With a presplit, the whole-segment min-heap puts the minimum
+    first, so the swap phase only checks its guard. The presplit-2 max-heap
+    then orders the last two elements (its compare of the first with the
+    middle one cannot win either) and leaves the split's large-heap build
+    nothing to move: presplit 2 costs 2 compares more than presplit 1 and
+    makes the same moves.
+    """
+    a = buf[off + 1]
+    b = buf[off + 2]
+    c = buf[off + 3]
+    if presplit:
+        construct.compares += 2 * presplit + 2
+        moves = 0
+        if c < b:
+            if c < a:
+                a, c = c, a
+                moves = 2
+        elif b < a:
+            a, b = b, a
+            moves = 2
+        if c < b:
+            b, c = c, b
+            moves += 2
+        if moves:
+            buf[off + 1] = a
+            buf[off + 2] = b
+            buf[off + 3] = c
+            construct.moves += moves
+        swap.compares += 1
         return
-    k = (n + 1) // 2
-    _select_segment(arr, off, n, k, opts, ctx)
-    _sort_segment(arr, off, k - 1, opts, ctx)
-    _sort_segment(arr, off + k, n - k, opts, ctx)
+    construct.compares += 2
+    if c < b:
+        b, c = c, b
+        buf[off + 2] = b
+        buf[off + 3] = c
+        construct.moves += 2
+    if b < a:
+        a, b = b, a
+        moves = 2
+        if c < b:
+            b, c = c, b
+            moves += 2
+        buf[off + 1] = a
+        buf[off + 2] = b
+        buf[off + 3] = c
+        swap.compares += 4
+        swap.moves += moves
+    else:
+        swap.compares += 1
+
+
+# Straight-line selects by segment length; longer segments take the general path.
+_SMALL_SELECTS = {2: _select_two, 3: _select_three}
+
+
+def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
+    """Select the median address of every segment, left half before right
+    half, from an explicit stack of ``(off, n)`` pairs.
+
+    A segment of 2 or 3 elements runs its straight-line select; a longer
+    one runs the construction and swapping phases of ``_select_segment``
+    with the strategy, the tallies and the split computed here instead of
+    per call. Both give the same buffer and counts as ``_select_segment``
+    at k = (n+1)//2, whose k is always in range.
+    """
+    presplit = opts.presplit
+    strategy = opts.strategy
+    step = _STRATEGY_FUNCS[strategy]
+    construct = ctx.construct
+    swap = ctx.swap
+    small_selects = _SMALL_SELECTS
+    stack = [(0, n)]
+    while stack:
+        off, n = stack.pop()
+        if n <= 3:
+            if n >= 2:
+                small_selects[n](buf, off, presplit, construct, swap)
+            continue
+        k = (n + 1) // 2
+        shn = k if k & 1 else k - 1
+        # What set_phase does, without its name check.
+        ctx.phase = "construct"
+        ctx.active = construct
+        dh = _build_dualheap(buf, off, n, shn, presplit, ctx)
+        ctx.phase = "swap"
+        ctx.active = swap
+        # The guard loop of run_swapping_phase: the small root sits at
+        # off+shn, the large root right after it.
+        budget = swap_step_budget(n)
+        steps = 0
+        while True:
+            swap.compares += 1
+            if not buf[off + shn] > buf[off + shn + 1]:
+                break
+            step(dh, ctx)
+            steps += 1
+            if steps > budget:
+                raise InternalInvariantError(
+                    f"swapping phase exceeded its step budget of {budget} "
+                    f"(strategy={strategy}, shn={shn}, lhn={n - shn})"
+                )
+        stack.append((off + k, n - k))
+        stack.append((off, k - 1))
+    ctx.set_phase("swap")
 
 
 def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> list[Element]:
     """Sort by recursive partitioning: select each segment's median address,
-    then recurse into both halves. Placed partition elements act as the
-    sub-segments' guards, so the initial sentinels are the only extras."""
+    then sort both halves. Placed partition elements act as the
+    sub-segments' guards, so the initial sentinels are the only extras. The
+    buffer and counts are those of ``_select_segment`` applied recursively
+    (see ``_sort_segments``)."""
     if opts is None:
         opts = SelectOptions()
     if ctx is None:
@@ -175,5 +319,6 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
     if not values:
         return []
     arr = prepare_buffer(values)
-    _sort_segment(arr, 0, arr.n, opts, ctx)
+    if arr.n >= 2:
+        _sort_segments(arr.buf, arr.n, opts, ctx)
     return arr.payload()

@@ -13,6 +13,7 @@ from dualheap import (
     InputSpec,
     Metrics,
     OracleMismatchError,
+    PivotRule,
     SelectOptions,
     SentinelArray,
     SplitMix64,
@@ -21,6 +22,8 @@ from dualheap import (
     fit_growth,
     generate,
     parse_csv,
+    prepare_buffer,
+    quickselect,
     records_to_csv,
     run_benchmark,
     worst_case_search_exhaustive,
@@ -85,6 +88,28 @@ def test_take_and_next_u64_continue_one_stream():
         got.append(mixed.next_u64())
     reference = SplitMix64(77)
     assert got == [reference.next_u64() for _ in range(len(got))]
+
+
+# Every library entry point that seeds a stream, called with a seed.
+SEEDED_CALLS = {
+    "InputSpec": lambda seed: generate(InputSpec(9, "random", seed)),
+    "BenchConfig": lambda seed: run_benchmark(BenchConfig(sizes=(9,), trials=1, seed=seed)),
+    "worst_case_search_random": lambda seed: worst_case_search_random(9, 2, seed),
+    "PivotRule": lambda seed: quickselect(prepare_buffer([5, 3, 9, 1, 7]), 3, PivotRule("random", seed=seed)),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS)
+def test_seed_outside_64_bits_is_rejected(call):
+    # splitmix64 keeps a seed's low 64 bits only, so -1 would alias 2**64 - 1
+    # and 2**64 would alias 0
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ValueError, match="seed"):
+            call(seed)
+    with pytest.raises(TypeError, match="bool"):
+        call(True)
+    call(0)
+    call(2**64 - 1)
 
 
 # --- generators --------------------------------------------------------------
@@ -288,8 +313,6 @@ def test_worstcase_random_deterministic_and_reproducible():
     # regenerate the witness from its seed and reproduce the count
     values = generate(InputSpec(64, "random", a.argmax_seed))
     assert tuple(values) == a.argmax_permutation
-    from dualheap import prepare_buffer
-
     ctx = Metrics()
     dh_select(prepare_buffer(values), a.argmax_k, SelectOptions(), ctx)
     assert ctx.swap.compares == a.max_compares_swap

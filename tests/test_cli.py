@@ -1,9 +1,15 @@
+import contextlib
+import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dualheap.cli as cli
 from dualheap import CSV_HEADER, InputSpec, generate, oracle_select
+
+REPRODUCE_FIGURES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
 
 def run_cli(*args):
@@ -144,3 +150,89 @@ def test_seed_outside_64_bits_exits_one(command):
         assert result.stdout == ""
         assert "--seed" in result.stderr
     assert run_cli(*command, "--seed", str(2**64 - 1)).returncode == 0
+
+
+def _in_process(*argv):
+    """(exit code, stdout, stderr) of one in-process main call; argparse's
+    own exits (--help, usage errors) count as returning their code."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+ONE_PROCESS = (
+    ("select", "--n", "101", "--seed", "7", "--swap", "root", "--presplit", "2"),
+    ("bench", "--sizes", "31,63", "--trials", "2", "--seed", "3", "--algo", "quickselect", "--pivot", "random"),
+    ("worstcase", "--mode", "random", "--n", "31", "--samples", "5", "--seed", "2", "--swap", "branch"),
+    ("select", "--n", "101", "--seed", "7"),
+    ("select", "--help"),
+    ("bench", "--trials", "0"),
+)
+
+
+def test_one_parser_serves_every_command_in_either_order(monkeypatch):
+    # main reuses one parser; what it prints, usage errors and --help
+    # included, must not depend on the commands parsed before.
+    fresh = {}
+    for argv in ONE_PROCESS:
+        cli._shared_parser.cache_clear()
+        fresh[argv] = _in_process(*argv)
+    build = cli.build_parser
+    builds = []
+
+    def counted_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    try:
+        for order in (ONE_PROCESS, ONE_PROCESS[::-1]):
+            cli._shared_parser.cache_clear()
+            for argv in order:
+                assert _in_process(*argv) == fresh[argv], argv
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 2  # once per order
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("select", "--algo", "quickselect", "--swap", "root"), "--swap"),
+        (("select", "--algo", "quickselect-mom", "--presplit", "0"), "--presplit"),
+        (("select", "--pivot", "random"), "--pivot"),
+        (("select", "--algo", "dhselect", "--swap", "tree", "--pivot", "first"), "--pivot"),
+        (("select", "--algo", "quickselect-mom", "--pivot", "random"), "--pivot"),
+        (("bench", "--sizes", "9", "--trials", "1", "--algo", "quickselect", "--presplit", "1"), "--presplit"),
+        (("bench", "--sizes", "9", "--trials", "1", "--pivot", "random"), "--pivot"),
+    ],
+)
+def test_flag_that_does_not_apply_to_the_algo_exits_one(argv, flag):
+    code, out, err = _in_process(*argv)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} does not apply to --algo" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--seed", "-1"), "expected a seed in 0.."),
+        (("--trials", "0"), "expected a positive integer"),
+        (("--sizes", "63,0"), "expected a positive integer"),
+    ],
+)
+def test_reproduce_figures_rejects_bad_arguments(flags, message, tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(REPRODUCE_FIGURES), *flags, "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode != 0
+    assert message in result.stderr
+    assert not any(tmp_path.iterdir())

@@ -1,15 +1,20 @@
 import gc
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualheap.select as select
+import dualheap.swaps as swaps
 from dualheap import (
     InputSpec,
+    InternalInvariantError,
     LargeHeapView,
     Metrics,
     SelectOptions,
+    SentinelArray,
     build_min_heap,
     construct_dualheap,
     dh_select,
@@ -256,6 +261,38 @@ def test_oracle_agreement_wide_values(values, data):
     assert verify_partition(arr, k)
 
 
+def _duplicate_heavy(kind: str, n: int, distinct: int, seed: int) -> list:
+    rng = random.Random(seed)
+    ranks = [rng.randrange(distinct) for _ in range(n)]
+    if kind == "int":
+        return ranks
+    if kind == "float":
+        return [r / 4 - 3.0 for r in ranks]
+    return [(r // 3, r % 3) for r in ranks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(st.integers(1, 64), st.integers(1, 10_000)),
+    st.sampled_from(["int", "float", "tuple"]),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+    st.data(),
+)
+@example(n=10_000, kind="tuple", distinct=40, seed=1, data=None)
+@example(n=9_999, kind="float", distinct=3, seed=2, data=None)
+def test_oracle_agreement_large_duplicate_heavy(n, kind, distinct, seed, data):
+    values = _duplicate_heavy(kind, n, distinct, seed)
+    k = data.draw(st.integers(1, n)) if data is not None else (n + 1) // 2
+    expected = oracle_select(values, k)
+    for strategy, presplit in itertools.product(("tree", "branch", "root"), (0, 1, 2)):
+        arr = prepare_buffer(values)
+        out = dh_select(arr, k, SelectOptions(strategy, presplit))
+        assert out.value == expected
+        assert verify_partition(arr, k)
+        assert same_multiset(arr.payload(), values)
+
+
 # --- verify_partition --------------------------------------------------------
 
 
@@ -297,6 +334,137 @@ def test_sort_random_cases_across_families():
 @given(st.lists(st.integers(-100, 100), max_size=120))
 def test_sort_matches_oracle(values):
     assert dh_sort(values) == sorted(values)
+
+
+class Tagged:
+    """Compares by ``key`` alone; the ``tag`` tells equal keys apart, so a
+    tie broken the other way shows in the buffer."""
+
+    __slots__ = ("key", "tag")
+
+    def __init__(self, key, tag):
+        self.key = key
+        self.tag = tag
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __gt__(self, other):
+        return self.key > other.key
+
+    def __le__(self, other):
+        return self.key <= other.key
+
+    def __ge__(self, other):
+        return self.key >= other.key
+
+    def __repr__(self):
+        return f"Tagged({self.key}, {self.tag!r})"
+
+
+def _weak_orders(n):
+    """Every ordering of n keys with ties: rank tuples using each rank in
+    0..max once or more."""
+    for ranks in itertools.product(range(n), repeat=n):
+        if set(ranks) == set(range(max(ranks) + 1)):
+            yield ranks
+
+
+def _guarded_buffer(ranks, below, above, off):
+    """A buffer holding the ranks at off+1 .. off+n, their low guard at off
+    (``below`` under the minimum) and high guard at off+n+1 (``above`` over
+    the maximum), with more elements on either side."""
+    outside = [Tagged(-10 - i, "pad") for i in range(off)]
+    low = Tagged(min(ranks) - below, "low")
+    high = Tagged(max(ranks) + above, "high")
+    segment = [Tagged(rank, i) for i, rank in enumerate(ranks)]
+    return [*outside, low, *segment, high, Tagged(99, "pad"), Tagged(100, "pad")]
+
+
+def _keys_and_tags(buf):
+    return [(x.key, x.tag) for x in buf]
+
+
+@pytest.mark.parametrize("n", sorted(select._SMALL_SELECTS))
+def test_small_selects_match_the_general_path(n):
+    # The straight-line selects are a second code path; the general
+    # _select_segment at k = (n+1)//2 is their reference, for every weak
+    # order of the segment, both kinds of guard and a nonzero offset.
+    assert n <= 5, "beyond n = 5 weak orders are too many to sweep; sample them instead"
+    small_select = select._SMALL_SELECTS[n]
+    off = 3
+    k = (n + 1) // 2
+    cases = 0
+    for ranks in _weak_orders(n):
+        for below, above in itertools.product((0, 1), repeat=2):
+            for presplit in (0, 1, 2):
+                got = _guarded_buffer(ranks, below, above, off)
+                got_ctx = Metrics()
+                small_select(got, off, presplit, got_ctx.construct, got_ctx.swap)
+                for strategy in ("tree", "branch", "root"):
+                    want = _guarded_buffer(ranks, below, above, off)
+                    want_ctx = Metrics()
+                    arr = SentinelArray(buf=want, n=len(want) - 2)
+                    select._select_segment(arr, off, n, k, SelectOptions(strategy, presplit), want_ctx)
+                    assert _keys_and_tags(got) == _keys_and_tags(want), (ranks, below, above, strategy, presplit)
+                    assert got_ctx.snapshot() == want_ctx.snapshot(), (ranks, below, above, strategy, presplit)
+                    cases += 1
+    assert cases == {2: 3, 3: 13, 4: 75, 5: 541}[n] * 4 * 9
+
+
+def _reference_sort(values, opts, ctx):
+    """dh_sort as recursion over _select_segment: the reference for the
+    stack driver and its small selects."""
+    arr = prepare_buffer(values)
+
+    def sort_segment(off, n):
+        if n <= 1:
+            return
+        k = (n + 1) // 2
+        select._select_segment(arr, off, n, k, opts, ctx)
+        sort_segment(off, k - 1)
+        sort_segment(off + k, n - k)
+
+    sort_segment(0, arr.n)
+    return arr.payload()
+
+
+def _same_sort_as_reference(values):
+    for strategy, presplit in itertools.product(("tree", "branch", "root"), (0, 1, 2)):
+        opts = SelectOptions(strategy, presplit)
+        got_ctx = Metrics()
+        want_ctx = Metrics()
+        got = dh_sort([Tagged(v, i) for i, v in enumerate(values)], opts, got_ctx)
+        want = _reference_sort([Tagged(v, i) for i, v in enumerate(values)], opts, want_ctx)
+        assert _keys_and_tags(got) == _keys_and_tags(want), (strategy, presplit)
+        assert got_ctx.snapshot() == want_ctx.snapshot(), (strategy, presplit)
+        assert got_ctx.phase == want_ctx.phase
+        assert got_ctx.active is getattr(got_ctx, got_ctx.phase)
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=100))
+def test_sort_matches_recursive_reference_with_ties(values):
+    _same_sort_as_reference(values)
+
+
+@pytest.mark.parametrize("dist", ["random", "fewvalues"])
+def test_sort_matches_recursive_reference_at_2047(dist):
+    # 2047 = 2**11 - 1 splits into segments of 2**j - 1 only, as in the
+    # benchmark; 2000 does not.
+    _same_sort_as_reference(generate(InputSpec(2047, dist, seed=9)))
+    _same_sort_as_reference(generate(InputSpec(2000, dist, seed=9)))
+
+
+@pytest.mark.parametrize("strategy", ["tree", "branch", "root"])
+def test_sort_budget_breach_reads_like_the_swapping_phase(monkeypatch, strategy):
+    values = generate(InputSpec(31, "reverse"))
+    monkeypatch.setattr(swaps, "swap_step_budget", lambda n: 0)
+    with pytest.raises(InternalInvariantError) as want:
+        dh_select(prepare_buffer(values), 16, SelectOptions(strategy, 0))
+    monkeypatch.setattr(select, "swap_step_budget", lambda n: 0)
+    with pytest.raises(InternalInvariantError) as got:
+        dh_sort(values, SelectOptions(strategy, 0))
+    assert str(got.value) == str(want.value)
 
 
 # --- reference cycles --------------------------------------------------------
