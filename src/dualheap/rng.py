@@ -48,9 +48,9 @@ def check_seed(seed: int) -> int:
     """Return the seed if it is an int in 0..2**64 - 1. A seed outside that
     range would alias the one inside it that shares its low 64 bits (-1
     and 2**64 - 1 would give the same stream), so it raises ``ValueError``;
-    a ``bool`` raises ``TypeError``."""
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, not bool ({seed!r})")
+    anything but an int, ``bool`` included, raises ``TypeError``."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, not {type(seed).__name__} ({seed!r})")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"expected a seed in 0..{MASK64}, got {seed}")
     return seed

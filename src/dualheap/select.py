@@ -27,9 +27,8 @@ from .core import (
     check_index,
     split_indices,
 )
-from .errors import InternalInvariantError
 from .metrics import Metrics, PhaseTally
-from .swaps import _STRATEGY_FUNCS, STRATEGIES, run_swapping_phase, swap_step_budget
+from .swaps import STRATEGIES, run_swapping_phase
 
 PRESPLITS = (0, 1, 2)
 
@@ -161,35 +160,6 @@ def verify_partition(arr: SentinelArray, k: int) -> bool:
     return True
 
 
-def _select_two(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
-    """``_select_segment`` at n = 2, k = 1, written out: one compare
-    decides, and every strategy makes the same single root exchange.
-
-    Each presplit build is one sift of 2 counted compares, one of them
-    against a guard that can never win (elements are totally ordered), so
-    it is counted without being made. The min-heap orders the pair, which
-    leaves the presplit-2 max-heap nothing to move and the swap phase only
-    its guard check. Without a presplit the guard check decides, and an
-    exchange is followed by one more check.
-    """
-    a = buf[off + 1]
-    b = buf[off + 2]
-    if presplit:
-        construct.compares += 2 * presplit
-        if b < a:
-            buf[off + 1] = b
-            buf[off + 2] = a
-            construct.moves += 2
-        swap.compares += 1
-    elif b < a:
-        buf[off + 1] = b
-        buf[off + 2] = a
-        swap.compares += 2
-        swap.moves += 2
-    else:
-        swap.compares += 1
-
-
 def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
     """``_select_segment`` at n = 3, k = 2, written out. The small heap is
     the first element alone and the large heap the other two, so the three
@@ -250,56 +220,38 @@ def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: Pha
         swap.compares += 1
 
 
-# Straight-line selects by segment length; longer segments take the general path.
-_SMALL_SELECTS = {2: _select_two, 3: _select_three}
+# Straight-line selects by segment length; other segments take the general path.
+_SMALL_SELECTS = {3: _select_three}
 
 
 def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
     """Select the median address of every segment, left half before right
     half, from an explicit stack of ``(off, n)`` pairs.
 
-    A segment of 2 or 3 elements runs its straight-line select; a longer
-    one runs the construction and swapping phases of ``_select_segment``
-    with the strategy, the tallies and the split computed here instead of
-    per call. Both give the same buffer and counts as ``_select_segment``
-    at k = (n+1)//2, whose k is always in range.
+    A segment of 3 elements runs its straight-line select; any other runs
+    the construction and swapping phases of ``_select_segment`` with the
+    split computed here, since k = (n+1)//2 is always in range. Both give
+    the same buffer and counts as ``_select_segment`` at that k.
     """
     presplit = opts.presplit
     strategy = opts.strategy
-    step = _STRATEGY_FUNCS[strategy]
     construct = ctx.construct
     swap = ctx.swap
     small_selects = _SMALL_SELECTS
     stack = [(0, n)]
     while stack:
         off, n = stack.pop()
-        if n <= 3:
-            if n >= 2:
-                small_selects[n](buf, off, presplit, construct, swap)
+        if n <= 1:
+            continue
+        small_select = small_selects.get(n)
+        if small_select is not None:
+            small_select(buf, off, presplit, construct, swap)
             continue
         k = (n + 1) // 2
         shn = k if k & 1 else k - 1
-        # What set_phase does, without its name check.
-        ctx.phase = "construct"
-        ctx.active = construct
+        ctx.set_phase("construct")
         dh = _build_dualheap(buf, off, n, shn, presplit, ctx)
-        ctx.phase = "swap"
-        ctx.active = swap
-        # The guard loop of run_swapping_phase: the small root sits at
-        # off+shn, the large root right after it.
-        budget = swap_step_budget(n)
-        steps = 0
-        while True:
-            swap.compares += 1
-            if not buf[off + shn] > buf[off + shn + 1]:
-                break
-            step(dh, ctx)
-            steps += 1
-            if steps > budget:
-                raise InternalInvariantError(
-                    f"swapping phase exceeded its step budget of {budget} "
-                    f"(strategy={strategy}, shn={shn}, lhn={n - shn})"
-                )
+        run_swapping_phase(dh, strategy, ctx)
         stack.append((off + k, n - k))
         stack.append((off, k - 1))
     ctx.set_phase("swap")

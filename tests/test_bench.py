@@ -108,8 +108,19 @@ def test_seed_outside_64_bits_is_rejected(call):
             call(seed)
     with pytest.raises(TypeError, match="bool"):
         call(True)
+    # a float would only fail at the first draw, if at all
+    for seed in (1.0, 5.0):
+        with pytest.raises(TypeError, match="float"):
+            call(seed)
     call(0)
     call(2**64 - 1)
+
+
+def test_non_int_seed_is_rejected_when_the_stream_is_created():
+    # stored as state, a float would only fail at the first draw
+    for seed in (1.0, 5.0, "5", None):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            SplitMix64(seed)
 
 
 # --- generators --------------------------------------------------------------

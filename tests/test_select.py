@@ -7,10 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualheap.select as select
-import dualheap.swaps as swaps
 from dualheap import (
     InputSpec,
-    InternalInvariantError,
     LargeHeapView,
     Metrics,
     SelectOptions,
@@ -453,18 +451,6 @@ def test_sort_matches_recursive_reference_at_2047(dist):
     # benchmark; 2000 does not.
     _same_sort_as_reference(generate(InputSpec(2047, dist, seed=9)))
     _same_sort_as_reference(generate(InputSpec(2000, dist, seed=9)))
-
-
-@pytest.mark.parametrize("strategy", ["tree", "branch", "root"])
-def test_sort_budget_breach_reads_like_the_swapping_phase(monkeypatch, strategy):
-    values = generate(InputSpec(31, "reverse"))
-    monkeypatch.setattr(swaps, "swap_step_budget", lambda n: 0)
-    with pytest.raises(InternalInvariantError) as want:
-        dh_select(prepare_buffer(values), 16, SelectOptions(strategy, 0))
-    monkeypatch.setattr(select, "swap_step_budget", lambda n: 0)
-    with pytest.raises(InternalInvariantError) as got:
-        dh_sort(values, SelectOptions(strategy, 0))
-    assert str(got.value) == str(want.value)
 
 
 # --- reference cycles --------------------------------------------------------
