@@ -11,8 +11,9 @@ does not land on one side only. The result line of every run (the last line
 run.py prints) is kept as it is, with the commit, interpreter and core count
 that run.py reports. A summary gives, per metric, the median of each side,
 the parent's quartiles and the number of pairs in which the change read
-lower. Nothing here changes what run.py measures or how its metrics are
-gated.
+lower; and per side, the number of runs that were not ``correct`` and the
+total of failed operations. Nothing here changes what run.py measures or
+how its metrics are gated.
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ SIDES = ("parent", "change")
 
 
 def _seeds(text: str) -> list[int]:
-    """Comma-separated seeds, each a number or an inclusive range a-b."""
+    """Comma-separated seeds, each a number or an inclusive range a-b. An
+    empty range or a seed given twice is an error, not a shorter record."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seeds given more than once: {repeated}")
     return seeds
 
 
@@ -56,12 +64,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 def summarize(entries: list[dict]) -> dict:
     """Per workload and metric: each side's median, the parent's quartiles,
-    and in how many pairs the change read lower than the parent."""
+    and in how many pairs the change read lower than the parent. Under
+    ``failures``, per side: the runs whose result is not ``correct`` and the
+    failed operations summed over all runs."""
     summary = {}
     for workload in dict.fromkeys(entry["workload"] for entry in entries):
-        runs = {(e["pair"], e["side"]): e["result"]["metrics"] for e in entries if e["workload"] == workload}
+        results = {(e["pair"], e["side"]): e["result"] for e in entries if e["workload"] == workload}
+        runs = {key: result["metrics"] for key, result in results.items()}
         pairs = sorted({pair for pair, _ in runs})
-        metrics = {}
+        metrics = {
+            "failures": {
+                side: {
+                    "incorrect_runs": sum(not results[pair, side]["correct"] for pair in pairs),
+                    "failed_ops": sum(results[pair, side]["failed"] for pair in pairs),
+                }
+                for side in SIDES
+            }
+        }
         for name in runs[pairs[0], "parent"]:
             values = {side: [runs[pair, side][name]["value"] for pair in pairs] for side in SIDES}
             metrics[name] = {

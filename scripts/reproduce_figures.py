@@ -13,12 +13,11 @@ from, as CSV files plus a per-series summary table on stdout:
 Plotting is left to downstream tools (the CSVs are tidy long-format).
 """
 
-import argparse
 import statistics
 from pathlib import Path
 
 from dualheap import AlgoSpec, BenchConfig, emit_csv, run_benchmark
-from dualheap.cli import _int_list, _positive, _seed
+from dualheap.cli import _int_list, _Parser, _positive, _seed
 
 SERIES = {
     "swap_strategies": (
@@ -63,7 +62,7 @@ def summarize(name, records, metrics):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=_int_list, default="1023,4095,16383")
     parser.add_argument("--trials", type=_positive, default=100)
     parser.add_argument("--seed", type=_seed, default=1)

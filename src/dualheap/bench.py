@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, fields
 from io import StringIO
 
-from .baselines import PivotRule, oracle_select, quickselect
+from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
 from .core import SentinelArray
 from .errors import OracleMismatchError
 from .metrics import Metrics
@@ -150,6 +150,10 @@ class AlgoSpec:
             raise ValueError(f"unknown algo {self.name!r}, expected one of {ALGOS}")
         if self.pivot not in PIVOTS:
             raise ValueError(f"pivot must be one of {PIVOTS}, got {self.pivot!r}")
+        if SelectOptions(self.strategy, self.presplit) != SelectOptions() and self.name != "dhselect":
+            raise ValueError(f"strategy and presplit apply only to dhselect, not to {self.name!r}")
+        if self.pivot != AlgoSpec.pivot and self.name != "quickselect":
+            raise ValueError(f"pivot applies only to quickselect, not to {self.name!r}")
 
     @property
     def label(self) -> str:
@@ -164,7 +168,7 @@ class AlgoSpec:
             return dh_select(arr, k, SelectOptions(self.strategy, self.presplit), ctx).value
         if self.name == "quickselect":
             return quickselect(arr, k, PivotRule(self.pivot, seed=seed), ctx)
-        return quickselect(arr, k, PivotRule("median_of_medians"), ctx)
+        return quickselect_mom(arr, k, ctx)
 
 
 @dataclass(frozen=True)

@@ -185,19 +185,17 @@ def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
     each run from ``last`` down to ``first``.
 
     Every internal node (1 .. hn//2) appears once, after both of its
-    children. A heap of ``_BLOCK_HEIGHT`` levels or fewer gets the level
-    order: the deepest internal level (nodes above hn//4, whose children are
-    leaves), then the rest. A taller heap is built one subtree of
-    ``_BLOCK_HEIGHT`` levels at a time, each bottom-up, and then the levels
-    above those subtrees, so each subtree is finished while its elements are
-    still cached. No run is empty and none straddles hn//4. Cached because
-    sorting builds heaps of the same few sizes thousands of times.
+    children. A heap of ``_BLOCK_HEIGHT`` levels or fewer is one run, in
+    level order. A taller heap is built one subtree of ``_BLOCK_HEIGHT``
+    levels at a time, each bottom-up, and then the levels above those
+    subtrees, so each subtree is finished while its elements are still
+    cached. No run is empty. Cached because sorting builds heaps of the same
+    few sizes thousands of times.
     """
     half = hn // 2
-    quarter = hn // 4
     top = hn.bit_length() - _BLOCK_HEIGHT
     if top <= 0:
-        spans = [(quarter + 1, half), (1, quarter)]
+        spans = [(1, half)]
     else:
         spans = [
             (r << i, ((r + 1) << i) - 1)
@@ -205,16 +203,7 @@ def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
             for i in range(_BLOCK_HEIGHT - 2, -1, -1)
         ]
         spans += [(1 << d, (2 << d) - 1) for d in range(top - 1, -1, -1)]
-    runs = []
-    for first, last in spans:
-        last = min(last, half)
-        if first > last:
-            continue
-        if first <= quarter < last:
-            runs.append((quarter + 1, last))
-            last = quarter
-        runs.append((first, last))
-    return tuple(runs)
+    return tuple((first, min(last, half)) for first, last in spans if first <= half)
 
 
 def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
@@ -225,34 +214,20 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
     the same buffer and counters as plain level order. The sifts of
     ``sift_down_min`` run inline on absolute buffer positions: the node at
     position p has its children at ``2p - base`` and ``2p - base + 1``.
-    Every internal node costs 2 compares, plus 2 per level it sinks below
-    its children; both tallies land in ``ctx`` once.
+    Every internal node costs 2 compares, plus 2 per level it descends below
+    its children. A node that sinks costs 2 moves for its first level (the
+    child moved up, the node written at its final place) and 1 per further
+    level. Both tallies land in ``ctx`` once.
     """
     buf = view.buf
     base = view.base
     half = view.lhn // 2
     if not half:
         return
-    quarter = view.lhn // 4
     last = base + view.lhn
     moves = 0
     descents = 0
     for lo, hi in _build_runs(view.lhn):
-        if lo > quarter:
-            # Deepest internal level: both children are leaves, so one exchange at most.
-            for p in range(base + hi, base + lo - 1, -1):
-                c = 2 * p - base
-                x = buf[c]
-                y = buf[c + 1]
-                if y < x:
-                    c += 1
-                    x = y
-                v = buf[p]
-                if x < v:
-                    buf[p] = x
-                    buf[c] = v
-                    moves += 2
-            continue
         for p in range(base + hi, base + lo - 1, -1):
             v = buf[p]
             c = 2 * p - base
@@ -262,13 +237,11 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
                 c += 1
                 x = y
             if x < v:
-                while True:
-                    buf[p] = x
-                    moves += 1
-                    p = c
-                    c = 2 * p - base
-                    if c > last:
-                        break
+                buf[p] = x
+                moves += 2
+                p = c
+                c = 2 * p - base
+                while c <= last:
                     descents += 1
                     x = buf[c]
                     y = buf[c + 1]
@@ -277,8 +250,11 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
                         x = y
                     if not x < v:
                         break
+                    buf[p] = x
+                    moves += 1
+                    p = c
+                    c = 2 * p - base
                 buf[p] = v
-                moves += 1
     tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves
@@ -292,25 +268,10 @@ def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
     half = view.shn // 2
     if not half:
         return
-    quarter = view.shn // 4
     first = base - view.shn
     moves = 0
     descents = 0
     for lo, hi in _build_runs(view.shn):
-        if lo > quarter:
-            for p in range(base - hi, base - lo + 1):
-                c = 2 * p - base
-                x = buf[c]
-                y = buf[c - 1]
-                if y > x:
-                    c -= 1
-                    x = y
-                v = buf[p]
-                if x > v:
-                    buf[p] = x
-                    buf[c] = v
-                    moves += 2
-            continue
         for p in range(base - hi, base - lo + 1):
             v = buf[p]
             c = 2 * p - base
@@ -320,13 +281,11 @@ def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
                 c -= 1
                 x = y
             if x > v:
-                while True:
-                    buf[p] = x
-                    moves += 1
-                    p = c
-                    c = 2 * p - base
-                    if c < first:
-                        break
+                buf[p] = x
+                moves += 2
+                p = c
+                c = 2 * p - base
+                while c >= first:
                     descents += 1
                     x = buf[c]
                     y = buf[c - 1]
@@ -335,8 +294,11 @@ def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
                         x = y
                     if not x > v:
                         break
+                    buf[p] = x
+                    moves += 1
+                    p = c
+                    c = 2 * p - base
                 buf[p] = v
-                moves += 1
     tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves

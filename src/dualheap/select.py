@@ -24,7 +24,6 @@ from .core import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
-    check_index,
     split_indices,
 )
 from .metrics import Metrics, PhaseTally
@@ -89,20 +88,14 @@ def prepare_buffer(values) -> SentinelArray:
     return SentinelArray(buf=buf, n=n)
 
 
-def _construct(buf, off: int, n: int, k: int, presplit: int, ctx: Metrics) -> DualHeap:
-    """Construction phase over the segment at positions off+1 .. off+n.
+def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, ctx: Metrics) -> DualHeap:
+    """Construction phase over the segment at positions off+1 .. off+n, split
+    after ``shn`` elements, counted into the construct phase of ``ctx``.
 
     Returns the two heap views. Positions off and off+n+1 must already hold
     the segment's guards.
     """
     ctx.set_phase("construct")
-    shn, _ = split_indices(n, k)
-    return _build_dualheap(buf, off, n, shn, presplit, ctx)
-
-
-def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, ctx: Metrics) -> DualHeap:
-    """The heap builds of the construction phase, split after ``shn``
-    elements, counted into ``ctx.active``."""
     if presplit >= 1:
         build_min_heap(LargeHeapView(buf, off, n), ctx)
     if presplit == 2:
@@ -114,7 +107,8 @@ def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, ctx: Metrics
 
 
 def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> DualHeap:
-    dh = _construct(arr.buf, off, n, k, opts.presplit, ctx)
+    shn, _ = split_indices(n, k)
+    dh = _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx)
     run_swapping_phase(dh, opts.strategy, ctx)
     return dh
 
@@ -124,8 +118,8 @@ def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metri
     ready for a swapping phase. Useful for inspecting the phase boundary."""
     if ctx is None:
         ctx = Metrics()
-    check_index(arr.n, k)
-    return _construct(arr.buf, 0, arr.n, k, presplit, ctx)
+    shn, _ = split_indices(arr.n, k)
+    return _build_dualheap(arr.buf, 0, arr.n, shn, presplit, ctx)
 
 
 def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
@@ -136,7 +130,6 @@ def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx
         opts = SelectOptions()
     if ctx is None:
         ctx = Metrics()
-    check_index(arr.n, k)
     dh = _select_segment(arr, 0, arr.n, k, opts, ctx)
     return SelectOutcome(value=arr.buf[k], split=dh.small.shn, metrics=ctx)
 
@@ -249,7 +242,6 @@ def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
             continue
         k = (n + 1) // 2
         shn = k if k & 1 else k - 1
-        ctx.set_phase("construct")
         dh = _build_dualheap(buf, off, n, shn, presplit, ctx)
         run_swapping_phase(dh, strategy, ctx)
         stack.append((off + k, n - k))

@@ -178,6 +178,23 @@ def test_generate_rejects_bad_spec():
         InputSpec(0, "sorted")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
+        ({"presplit": 3}, "presplit must be one of"),
+        ({"name": "quickselect", "strategy": "root", "presplit": 2}, "apply only to dhselect"),
+        ({"name": "quickselect", "presplit": 0}, "apply only to dhselect"),
+        ({"name": "quickselect-mom", "strategy": "branch"}, "apply only to dhselect"),
+        ({"name": "dhselect", "pivot": "random"}, "pivot applies only to quickselect"),
+        ({"name": "quickselect-mom", "pivot": "random"}, "pivot applies only to quickselect"),
+    ],
+)
+def test_algo_spec_rejects_fields_that_are_invalid_or_do_not_apply(fields, message):
+    with pytest.raises(ValueError, match=message):
+        AlgoSpec(**fields)
+
+
 # --- benchmark runner --------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import subprocess
 import sys
@@ -219,6 +220,18 @@ def test_flag_that_does_not_apply_to_the_algo_exits_one(argv, flag):
     assert f"{flag} does not apply to --algo" in err
 
 
+def test_reproduce_figures_series_specs_construct():
+    spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    labels = {name: [algo.label for algo in algos] for name, algos in module.SERIES.items()}
+    assert labels == {
+        "swap_strategies": ["dhselect"] * 3,
+        "presplit": ["dhselect"] * 3,
+        "selection_algorithms": ["dhselect", "quickselect-first", "quickselect-random", "quickselect-mom"],
+    }
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -233,6 +246,6 @@ def test_reproduce_figures_rejects_bad_arguments(flags, message, tmp_path):
         capture_output=True,
         text=True,
     )
-    assert result.returncode != 0
+    assert result.returncode == 1
     assert message in result.stderr
     assert not any(tmp_path.iterdir())

@@ -294,7 +294,7 @@ def test_builds_match_reference_across_block_edges(n):
     values = [rng.randrange(n // 3) for _ in range(n)]
     off = 3
     buf = [-1] * off + [-1, *values, n] + [n] * 2
-    assert core._build_runs(n) != ((n // 4 + 1, n // 2), (1, n // 4))
+    assert core._build_runs(n) != ((1, n // 2),)
     _assert_build_matches_reference(build_min_heap, reference_build_min, _min_view_at(off, n), buf)
     _assert_build_matches_reference(build_max_heap, reference_build_max, _max_view_at(off, n), buf)
 
@@ -312,13 +312,11 @@ def test_build_runs_sift_each_node_once_after_its_children(height):
                     if child in step:
                         assert step[child] < step[j], (hn, j)
             assert all(first <= last for first, last in runs), hn
-            # The one-exchange loop only ever gets nodes whose children are leaves.
-            assert all(first > hn // 4 or last <= hn // 4 for first, last in runs), hn
 
 
 def test_build_runs_keep_level_order_below_one_block():
     hn = 2 ** core._BLOCK_HEIGHT - 1
-    assert core._build_runs(hn) == ((hn // 4 + 1, hn // 2), (1, hn // 4))
+    assert core._build_runs(hn) == ((1, hn // 2),)
 
 
 # --- split rule --------------------------------------------------------------

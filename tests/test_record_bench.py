@@ -8,7 +8,8 @@ import pytest
 RECORD_BENCH = Path(__file__).resolve().parent.parent / "scripts" / "record_bench.py"
 
 # Stands in for perfbench/run.py: prints a report line and a result line
-# whose latency is the checkout's own, and logs the call order.
+# whose latency is the checkout's own, and logs the call order. A checkout
+# holding a FAIL file reports its odd seeds as incorrect, with 2 failed ops.
 FAKE_RUN = """\
 import json, sys
 from pathlib import Path
@@ -18,20 +19,30 @@ with open(here.parent / "calls.log", "a") as log:
 env = {"git_commit": here.name, "python": "3.x", "implementation": "CPython", "cpu_count": 2}
 print(json.dumps({"report": {"environment": env}}))
 value = {"parent": 0.2, "change": 0.1}[here.name] + int(sys.argv[4]) / 1000
-print(json.dumps({"correct": True, "metrics": {"latency_tail_s": {"value": value, "unit": "s"}}}))
+failed = 2 * (int(sys.argv[4]) % 2) if (here / "FAIL").exists() else 0
+metrics = {"latency_tail_s": {"value": value, "unit": "s"}}
+print(json.dumps({"correct": not failed, "attempted": 5, "failed": failed, "metrics": metrics}))
 """
 
 
-def test_record_bench_alternates_sides_and_keeps_every_result(tmp_path):
+def _fake_checkouts(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
-    result = subprocess.run(
+
+
+def _record(tmp_path, seeds):
+    return subprocess.run(
         [sys.executable, str(RECORD_BENCH), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--workloads", "sort-mid", "--seeds", "7-9", "--seconds", "0.5", "--tag", "t", "--out-dir", str(tmp_path)],
+         "--workloads", "sort-mid", "--seeds", seeds, "--seconds", "0.5", "--tag", "t", "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
+
+
+def test_record_bench_alternates_sides_and_keeps_every_result(tmp_path):
+    _fake_checkouts(tmp_path)
+    result = _record(tmp_path, "7-9")
     assert result.returncode == 0, result.stderr
     calls = (tmp_path / "calls.log").read_text().splitlines()
     assert [call.split()[0] for call in calls] == ["parent", "change", "change", "parent", "parent", "change"]
@@ -46,3 +57,31 @@ def test_record_bench_alternates_sides_and_keeps_every_result(tmp_path):
     assert summary["parent_median"] == pytest.approx(0.208)
     assert summary["change_median"] == pytest.approx(0.108)
     assert summary["change_lower_pairs"] == summary["pairs"] == 3
+    assert record["summary"]["sort-mid"]["failures"] == {
+        side: {"incorrect_runs": 0, "failed_ops": 0} for side in ("parent", "change")
+    }
+
+
+def test_record_bench_summary_shows_a_failing_side(tmp_path):
+    _fake_checkouts(tmp_path)
+    (tmp_path / "change" / "FAIL").touch()
+    result = _record(tmp_path, "7-9")
+    assert result.returncode == 0, result.stderr
+    failures = json.loads((tmp_path / "BENCH_t.json").read_text())["summary"]["sort-mid"]["failures"]
+    assert failures == {
+        "parent": {"incorrect_runs": 0, "failed_ops": 0},
+        "change": {"incorrect_runs": 2, "failed_ops": 4},
+    }
+
+
+@pytest.mark.parametrize(
+    "seeds, message",
+    [("5-3", "empty seed range '5-3'"), ("1,1", "seeds given more than once: [1]"), ("1-3,2", "[2]")],
+)
+def test_record_bench_rejects_seeds_before_any_run(tmp_path, seeds, message):
+    _fake_checkouts(tmp_path)
+    result = _record(tmp_path, seeds)
+    assert result.returncode != 0
+    assert message in result.stderr
+    assert not (tmp_path / "calls.log").exists()
+    assert not (tmp_path / "BENCH_t.json").exists()
