@@ -216,15 +216,17 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
     position p has its children at ``2p - base`` and ``2p - base + 1``.
     Every internal node costs 2 compares, plus 2 per level it descends below
     its children. A node that sinks costs 2 moves for its first level (the
-    child moved up, the node written at its final place) and 1 per further
-    level. Both tallies land in ``ctx`` once.
+    smaller child moved up, the node written once at its final slot) and 1
+    per further level. It sinks on only while its slot c is an internal node
+    (``c <= base + lhn // 2``), so a slot among the leaves costs one position
+    compare. Both tallies land in ``ctx`` once.
     """
     buf = view.buf
     base = view.base
     half = view.lhn // 2
     if not half:
         return
-    last = base + view.lhn
+    inner = base + half
     moves = 0
     descents = 0
     for lo, hi in _build_runs(view.lhn):
@@ -239,22 +241,20 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
             if x < v:
                 buf[p] = x
                 moves += 2
-                p = c
-                c = 2 * p - base
-                while c <= last:
+                while c <= inner:
                     descents += 1
-                    x = buf[c]
-                    y = buf[c + 1]
+                    j = 2 * c - base
+                    x = buf[j]
+                    y = buf[j + 1]
                     if y < x:
-                        c += 1
+                        j += 1
                         x = y
                     if not x < v:
                         break
-                    buf[p] = x
+                    buf[c] = x
                     moves += 1
-                    p = c
-                    c = 2 * p - base
-                buf[p] = v
+                    c = j
+                buf[c] = v
     tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves
@@ -262,13 +262,14 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
 
 def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
     """Mirror image of build_min_heap, in the same node order: the node at
-    position p has its children at ``2p - base`` and ``2p - base - 1``."""
+    position p has its children at ``2p - base`` and ``2p - base - 1``, and
+    slot c is an internal node when ``c >= base - shn // 2``."""
     buf = view.buf
     base = view.base
     half = view.shn // 2
     if not half:
         return
-    first = base - view.shn
+    inner = base - half
     moves = 0
     descents = 0
     for lo, hi in _build_runs(view.shn):
@@ -283,22 +284,20 @@ def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
             if x > v:
                 buf[p] = x
                 moves += 2
-                p = c
-                c = 2 * p - base
-                while c >= first:
+                while c >= inner:
                     descents += 1
-                    x = buf[c]
-                    y = buf[c - 1]
+                    j = 2 * c - base
+                    x = buf[j]
+                    y = buf[j - 1]
                     if y > x:
-                        c -= 1
+                        j -= 1
                         x = y
                     if not x > v:
                         break
-                    buf[p] = x
+                    buf[c] = x
                     moves += 1
-                    p = c
-                    c = 2 * p - base
-                buf[p] = v
+                    c = j
+                buf[c] = v
     tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves
