@@ -72,15 +72,14 @@ def summarize(entries: list[dict]) -> dict:
         results = {(e["pair"], e["side"]): e["result"] for e in entries if e["workload"] == workload}
         runs = {key: result["metrics"] for key, result in results.items()}
         pairs = sorted({pair for pair, _ in runs})
-        metrics = {
-            "failures": {
-                side: {
-                    "incorrect_runs": sum(not results[pair, side]["correct"] for pair in pairs),
-                    "failed_ops": sum(results[pair, side]["failed"] for pair in pairs),
-                }
-                for side in SIDES
+        failures = {
+            side: {
+                "incorrect_runs": sum(not results[pair, side]["correct"] for pair in pairs),
+                "failed_ops": sum(results[pair, side]["failed"] for pair in pairs),
             }
+            for side in SIDES
         }
+        metrics = {}
         for name in runs[pairs[0], "parent"]:
             values = {side: [runs[pair, side][name]["value"] for pair in pairs] for side in SIDES}
             metrics[name] = {
@@ -90,7 +89,7 @@ def summarize(entries: list[dict]) -> dict:
                 "change_lower_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
                 "pairs": len(pairs),
             }
-        summary[workload] = metrics
+        summary[workload] = {"failures": failures, **metrics}
     return summary
 
 
