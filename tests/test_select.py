@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import dualheap.select as select
 from dualheap import (
+    STRATEGIES,
     InputSpec,
     LargeHeapView,
     Metrics,
@@ -197,30 +198,49 @@ def test_determinism_identical_counters():
 
 
 # Exact construct/swap counts (compares, moves, compares, moves) of dh_select
-# at n = 65535, k = median, tree swap, keyed by (input seed, presplit). Any
-# change here changes what the benchmark's figures report.
+# at n = 65535, k = median, keyed by (swap strategy, input seed, presplit).
+# Any change here changes what the benchmark's figures report.
 PINNED_COUNTS_65535 = {
-    (1, 0): (123484, 74660, 251171, 148728),
-    (1, 1): (242030, 134029, 115167, 57649),
-    (1, 2): (349672, 160214, 85302, 41790),
-    (2, 0): (123358, 74401, 252476, 149251),
-    (2, 1): (242356, 133899, 114599, 57291),
-    (2, 2): (349694, 159561, 87263, 42789),
-    (3, 0): (123170, 74557, 252478, 149340),
-    (3, 1): (242442, 134243, 113712, 56932),
-    (3, 2): (350158, 160429, 84313, 41301),
+    ("tree", 1, 0): (123484, 74660, 251171, 148728),
+    ("tree", 1, 1): (242030, 134029, 115167, 57649),
+    ("tree", 1, 2): (349672, 160214, 85302, 41790),
+    ("tree", 2, 0): (123358, 74401, 252476, 149251),
+    ("tree", 2, 1): (242356, 133899, 114599, 57291),
+    ("tree", 2, 2): (349694, 159561, 87263, 42789),
+    ("tree", 3, 0): (123170, 74557, 252478, 149340),
+    ("tree", 3, 1): (242442, 134243, 113712, 56932),
+    ("tree", 3, 2): (350158, 160429, 84313, 41301),
+    ("branch", 1, 0): (123484, 74660, 550697, 299245),
+    ("branch", 1, 1): (242030, 134029, 184322, 95717),
+    ("branch", 1, 2): (349672, 160214, 130495, 67033),
+    ("branch", 2, 0): (123358, 74401, 551777, 299730),
+    ("branch", 2, 1): (242356, 133899, 181945, 94509),
+    ("branch", 2, 2): (349694, 159561, 132362, 68003),
+    ("branch", 3, 0): (123170, 74557, 550738, 299378),
+    ("branch", 3, 1): (242442, 134243, 181958, 94465),
+    ("branch", 3, 2): (350158, 160429, 129540, 66562),
+    ("root", 1, 0): (123484, 74660, 897507, 489590),
+    ("root", 1, 1): (242030, 134029, 280250, 149729),
+    ("root", 1, 2): (349672, 160214, 195977, 104174),
+    ("root", 2, 0): (123358, 74401, 900311, 490984),
+    ("root", 2, 1): (242356, 133899, 278069, 148563),
+    ("root", 2, 2): (349694, 159561, 199142, 105863),
+    ("root", 3, 0): (123170, 74557, 900131, 491073),
+    ("root", 3, 1): (242442, 134243, 276920, 147875),
+    ("root", 3, 2): (350158, 160429, 194650, 103456),
 }
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pinned_counts_n65535(seed):
     values = generate(InputSpec(65535, "random", seed))
-    for presplit in (0, 1, 2):
-        ctx = Metrics()
-        out = dh_select(prepare_buffer(values), 32768, SelectOptions("tree", presplit), ctx)
-        assert out.value == 32768
-        got = (ctx.construct.compares, ctx.construct.moves, ctx.swap.compares, ctx.swap.moves)
-        assert got == PINNED_COUNTS_65535[seed, presplit]
+    for strategy in STRATEGIES:
+        for presplit in (0, 1, 2):
+            ctx = Metrics()
+            out = dh_select(prepare_buffer(values), 32768, SelectOptions(strategy, presplit), ctx)
+            assert out.value == 32768
+            got = (ctx.construct.compares, ctx.construct.moves, ctx.swap.compares, ctx.swap.moves)
+            assert got == PINNED_COUNTS_65535[strategy, seed, presplit], (strategy, presplit)
 
 
 def test_oracle_agreement_exhaustive_small():
