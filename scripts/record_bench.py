@@ -30,6 +30,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error; like the dualheap CLI, this script
+    # exits 1 on one. It runs other checkouts, so it does not import the
+    # package for the CLI's parser.
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _seeds(text: str) -> list[int]:
     """Comma-separated seeds, each a number or an inclusive range a-b. An
     empty range or a seed given twice is an error, not a shorter record."""
@@ -94,7 +102,7 @@ def summarize(entries: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")

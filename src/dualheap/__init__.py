@@ -60,11 +60,4 @@ from .select import (
     prepare_buffer,
     verify_partition,
 )
-from .swaps import (
-    STRATEGIES,
-    branch_swap,
-    root_swap,
-    run_swapping_phase,
-    swap_step_budget,
-    tree_swap,
-)
+from .swaps import STRATEGIES, run_swapping_phase, swap_step, swap_step_budget

@@ -15,6 +15,7 @@ import argparse
 import csv
 import sys
 from functools import cache
+from itertools import chain
 from types import SimpleNamespace
 
 from .bench import (
@@ -95,15 +96,21 @@ def _add_algo_flags(sub):
     sub.set_defaults(swap=None, presplit=None, pivot=None)
 
 
-# The flags that configure each algo; giving any other is an error.
+# The flags that configure each choice of --algo and of worstcase --mode;
+# giving any other is an error. A flag left out parses to None.
 _ALGO_FLAGS = {"dhselect": ("--swap", "--presplit"), "quickselect": ("--pivot",), "quickselect-mom": ()}
+_MODE_FLAGS = {"exhaustive": ("--max-n",), "random": ("--n", "--samples", "--seed", "--k")}
+
+
+def _check_flags(args, option: str, table: dict[str, tuple[str, ...]]) -> None:
+    choice = getattr(args, option[2:])
+    for flag in chain.from_iterable(table.values()):
+        if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in table[choice]:
+            raise ValueError(f"{flag} does not apply to {option} {choice}")
 
 
 def _algo(args) -> AlgoSpec:
-    given = {"--swap": args.swap, "--presplit": args.presplit, "--pivot": args.pivot}
-    for flag, value in given.items():
-        if value is not None and flag not in _ALGO_FLAGS[args.algo]:
-            raise ValueError(f"{flag} does not apply to --algo {args.algo}")
+    _check_flags(args, "--algo", _ALGO_FLAGS)
     fields = {"strategy": args.swap, "presplit": args.presplit, "pivot": args.pivot}
     return AlgoSpec(name=args.algo, **{name: value for name, value in fields.items() if value is not None})
 
@@ -137,10 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worst = subs.add_parser("worstcase", help="search for swapping-phase worst cases")
     p_worst.add_argument("--mode", default="exhaustive", choices=("exhaustive", "random"))
-    p_worst.add_argument("--max-n", type=_positive, default=8, help="exhaustive mode: largest size")
-    p_worst.add_argument("--n", type=_int_list, default=(1023,), help="random mode: comma-separated sizes")
-    p_worst.add_argument("--samples", type=_positive, default=1000, help="random mode: sample count")
-    p_worst.add_argument("--seed", type=_seed, default=0)
+    # Mode flags parse to None when left out; cmd_worstcase fills in defaults.
+    p_worst.add_argument("--max-n", type=_positive, help="exhaustive mode: largest size")
+    p_worst.add_argument("--n", type=_int_list, help="random mode: comma-separated sizes")
+    p_worst.add_argument("--samples", type=_positive, help="random mode: sample count")
+    p_worst.add_argument("--seed", type=_seed)
     p_worst.add_argument("--k", type=_positive, default=None, help="random mode: fixed selection index (default: median)")
     _add_dualheap_flags(p_worst)
     p_worst.add_argument("--out", default=None, help="CSV destination (default: stdout)")
@@ -189,11 +197,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_worstcase(args) -> int:
+    _check_flags(args, "--mode", _MODE_FLAGS)
     opts = SelectOptions(args.swap, args.presplit)
     if args.mode == "exhaustive":
-        reports = worst_case_search_exhaustive(args.max_n, opts)
+        reports = worst_case_search_exhaustive(args.max_n or 8, opts)
     else:
-        reports = [worst_case_search_random(n, args.samples, args.seed, args.k, opts) for n in args.n]
+        samples = args.samples or 1000
+        seed = args.seed or 0
+        reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in args.n or (1023,)]
     emit_worstcase_csv(reports, args.out or sys.stdout)
     return 0
 

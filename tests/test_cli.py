@@ -220,6 +220,23 @@ def test_flag_that_does_not_apply_to_the_algo_exits_one(argv, flag):
     assert f"{flag} does not apply to --algo" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--mode", "exhaustive", "--max-n", "3", "--samples", "5", "--n", "9", "--seed", "4", "--k", "2"), "--n"),
+        (("--mode", "exhaustive", "--max-n", "3", "--samples", "5"), "--samples"),
+        (("--max-n", "3", "--seed", "0"), "--seed"),
+        (("--mode", "exhaustive", "--k", "2"), "--k"),
+        (("--mode", "random", "--n", "15", "--samples", "3", "--max-n", "4"), "--max-n"),
+    ],
+)
+def test_flag_that_does_not_apply_to_the_worstcase_mode_exits_one(argv, flag):
+    code, out, err = _in_process("worstcase", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} does not apply to --mode" in err
+
+
 def test_reproduce_figures_series_specs_construct():
     spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
     module = importlib.util.module_from_spec(spec)

@@ -81,7 +81,7 @@ def test_record_bench_summary_shows_a_failing_side(tmp_path):
 def test_record_bench_rejects_seeds_before_any_run(tmp_path, seeds, message):
     _fake_checkouts(tmp_path)
     result = _record(tmp_path, seeds)
-    assert result.returncode != 0
+    assert result.returncode == 1
     assert message in result.stderr
     assert not (tmp_path / "calls.log").exists()
     assert not (tmp_path / "BENCH_t.json").exists()

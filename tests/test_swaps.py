@@ -10,17 +10,15 @@ from dualheap import (
     Metrics,
     SelectOptions,
     SmallHeapView,
-    branch_swap,
     build_max_heap,
     build_min_heap,
     check_heap_condition,
     construct_dualheap,
     dh_select,
     prepare_buffer,
-    root_swap,
     run_swapping_phase,
+    swap_step,
     swap_step_budget,
-    tree_swap,
     verify_partition,
 )
 from conftest import same_multiset
@@ -55,12 +53,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
     # small side [3], large side [1, 2]: one exchange then one sift
     dh, arr = make_dualheap([3, 1, 2], shn=1)
     ctx = Metrics()
-    if exchange == "tree":
-        tree_swap(dh, 1, 1, ctx)
-    elif exchange == "branch":
-        branch_swap(dh, ctx)
-    else:
-        root_swap(dh, ctx)
+    swap_step(dh, exchange, ctx)
     assert arr.payload() == [1, 2, 3]
     assert check_heap_condition(dh.small)
     assert check_heap_condition(dh.large)
@@ -70,7 +63,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
 def test_root_swap_both_singletons():
     dh, arr = make_dualheap([5, 2], shn=1)
     ctx = Metrics()
-    root_swap(dh, ctx)
+    swap_step(dh, "root", ctx)
     assert arr.payload() == [2, 5]
     assert ctx.moves_total == 2
 
@@ -148,12 +141,7 @@ def test_progress_inversions_strictly_decrease():
             inv = cross_inversions(arr, 7)
             guard = lambda: arr.buf[dh.small.base - 1] > arr.buf[dh.large.base + 1]
             while guard():
-                if strategy == "tree":
-                    tree_swap(dh, 1, 1, ctx)
-                elif strategy == "branch":
-                    branch_swap(dh, ctx)
-                else:
-                    root_swap(dh, ctx)
+                swap_step(dh, strategy, ctx)
                 now = cross_inversions(arr, 7)
                 assert now < inv
                 inv = now
@@ -208,7 +196,7 @@ def test_swap_budget_is_exact_beyond_float_precision():
 
 
 def test_budget_violation_is_diagnosed(monkeypatch):
-    monkeypatch.setitem(swaps._STRATEGY_FUNCS, "tree", lambda dh, ctx: None)
+    monkeypatch.setattr(swaps, "swap_step", lambda dh, strategy, ctx: None)
     dh, arr = make_dualheap([9, 1, 2], shn=1)
     with pytest.raises(InternalInvariantError):
         run_swapping_phase(dh, "tree", Metrics())
