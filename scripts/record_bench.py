@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _once_each(items: list, what: str) -> list:
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"{what} given more than once: {repeated}")
+    return items
+
+
 def _seeds(text: str) -> list[int]:
     """Comma-separated seeds, each a number or an inclusive range a-b. An
     empty range or a seed given twice is an error, not a shorter record."""
@@ -48,10 +55,18 @@ def _seeds(text: str) -> list[int]:
         if not span:
             raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
         seeds += span
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"seeds given more than once: {repeated}")
-    return seeds
+    return _once_each(seeds, "seeds")
+
+
+def _workloads(text: str) -> list[str]:
+    """Comma-separated workload names, each declared once in BENCHMARK.json,
+    so a typo fails before any run, not after the pairs before it."""
+    known = [workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    names = text.split(",")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workloads {unknown}, expected some of {known}")
+    return _once_each(names, "workloads")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -105,7 +120,7 @@ def main(argv=None) -> int:
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
-    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
+    parser.add_argument("--workloads", type=_workloads, required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", type=_seeds, required=True, help="seeds, e.g. 961-965 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=30.0, help="measured seconds per run")
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
@@ -114,7 +129,7 @@ def main(argv=None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     entries = []
-    for workload in args.workloads.split(","):
+    for workload in args.workloads:
         for pair, seed in enumerate(args.seeds):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):

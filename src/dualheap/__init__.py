@@ -60,4 +60,4 @@ from .select import (
     prepare_buffer,
     verify_partition,
 )
-from .swaps import STRATEGIES, run_swapping_phase, swap_step, swap_step_budget
+from .swaps import STRATEGIES, run_swapping_phase, swap_step_budget

@@ -14,7 +14,6 @@ import csv
 import itertools
 import math
 import operator
-import statistics
 import time
 from dataclasses import dataclass, fields
 from io import StringIO
@@ -181,6 +180,10 @@ class BenchConfig:
     k: int | None = None  # None selects the median address ceil(n/2)
     timing: bool = False  # real elapsed_ns breaks byte-reproducibility, so opt-in
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
+
 
 def median_index(n: int) -> int:
     return (n + 1) // 2
@@ -302,6 +305,27 @@ EXHAUSTIVE_MAX_N = 9
 _WITNESS_PRINT_LIMIT = 64
 
 
+def _worst_case(n: int, instances, opts: SelectOptions | None) -> WorstCaseReport:
+    """Run dh_select on each ``(buffer, k, seed, permutation)`` instance and
+    report the first one with the most swapping-phase comparisons."""
+    best = -1
+    for count, (arr, k, seed, perm) in enumerate(instances, 1):
+        ctx = Metrics()
+        dh_select(arr, k, opts, ctx)
+        if ctx.swap.compares > best:
+            best = ctx.swap.compares
+            witness = k, seed, perm
+    k, seed, perm = witness
+    return WorstCaseReport(
+        n=n,
+        instances_tested=count,
+        max_compares_swap=best,
+        argmax_k=k,
+        argmax_seed=seed,
+        argmax_permutation=perm,
+    )
+
+
 def worst_case_search_exhaustive(max_n: int, opts: SelectOptions | None = None) -> list[WorstCaseReport]:
     """For each n up to max_n, run every (permutation of 1..n, k) pair and
     report the maximum swapping-phase comparison count with its witness.
@@ -309,34 +333,15 @@ def worst_case_search_exhaustive(max_n: int, opts: SelectOptions | None = None) 
     maximum kept) makes the witness deterministic."""
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive mode is bounded to 1..{EXHAUSTIVE_MAX_N}, got {max_n}")
-    if opts is None:
-        opts = SelectOptions()
     reports = []
     for n in range(1, max_n + 1):
-        best = -1
-        arg_perm: tuple[int, ...] = ()
-        arg_k = 1
-        count = 0
-        for perm in itertools.permutations(range(1, n + 1)):
-            for k in range(1, n + 1):
-                # permutations of 1..n have known extremes; skip the min/max scan
-                arr = SentinelArray(buf=[1, *perm, n], n=n)
-                ctx = Metrics()
-                dh_select(arr, k, opts, ctx)
-                count += 1
-                if ctx.swap.compares > best:
-                    best = ctx.swap.compares
-                    arg_perm = perm
-                    arg_k = k
-        reports.append(
-            WorstCaseReport(
-                n=n,
-                instances_tested=count,
-                max_compares_swap=best,
-                argmax_permutation=arg_perm,
-                argmax_k=arg_k,
-            )
+        # permutations of 1..n have known extremes; skip prepare_buffer's scans
+        instances = (
+            (SentinelArray(buf=[1, *perm, n], n=n), k, None, perm)
+            for perm in itertools.permutations(range(1, n + 1))
+            for k in range(1, n + 1)
         )
+        reports.append(_worst_case(n, instances, opts))
     return reports
 
 
@@ -352,32 +357,16 @@ def worst_case_search_random(
     median address."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if opts is None:
-        opts = SelectOptions()
     if k is None:
         k = median_index(n)
     if not 1 <= k <= n:
         raise ValueError(f"selection index k={k} out of range 1..{n}")
-    master = SplitMix64(seed)
-    best = -1
-    arg_seed = 0
-    arg_perm: tuple[int, ...] = ()
-    for sample_seed in master.take(samples):
-        values = generate(InputSpec(n, "random", sample_seed))
-        ctx = Metrics()
-        dh_select(prepare_buffer(values), k, opts, ctx)
-        if ctx.swap.compares > best:
-            best = ctx.swap.compares
-            arg_seed = sample_seed
-            arg_perm = tuple(values) if n <= _WITNESS_PRINT_LIMIT else ()
-    return WorstCaseReport(
-        n=n,
-        instances_tested=samples,
-        max_compares_swap=best,
-        argmax_permutation=arg_perm,
-        argmax_k=k,
-        argmax_seed=arg_seed,
+    instances = (
+        (prepare_buffer(values), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
+        for sample_seed in SplitMix64(seed).take(samples)
+        for values in [generate(InputSpec(n, "random", sample_seed))]
     )
+    return _worst_case(n, instances, opts)
 
 
 def emit_worstcase_csv(reports, dest) -> None:
@@ -388,6 +377,7 @@ def fit_growth(records, metric: str, agg: str = "mean") -> float:
     """Least-squares slope of log(metric) against log(n) over per-size
     aggregates (means, or maxima for worst-case style data). Needs at least
     three distinct sizes."""
+    import statistics  # only fitting needs it, and it is slow to import
     if agg not in ("mean", "max"):
         raise ValueError(f"agg must be 'mean' or 'max', got {agg!r}")
     groups: dict[int, list[float]] = {}

@@ -13,8 +13,11 @@ bottom-up, back toward the roots. The reach of each strategy:
 * ``branch`` (1): walks the greedy pair only, a single path;
 * ``root`` (0): never descends, exchanging just the two roots.
 
-A step must only be taken while the small-heap root exceeds the large-heap
-root; ``run_swapping_phase`` owns that guard loop.
+``run_swapping_phase`` is the whole phase in one function. A walk is taken
+only while the small-heap root exceeds the large-heap root, so the phase
+compares the roots first and returns at once if they are in order; many of
+``dh_sort``'s small segments end there. Otherwise it builds the walk once
+and repeats walk and guard until the roots are in order.
 """
 
 from __future__ import annotations
@@ -28,26 +31,42 @@ _REACH = {"tree": 2, "branch": 1, "root": 0}
 STRATEGIES = tuple(_REACH)
 
 
-def swap_step(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
-    """One exchange walk from the roots, reaching as far as the strategy
-    allows.
+def swap_step_budget(n: int) -> int:
+    """The most steps the guard loop may take; far above anything observed,
+    it turns a latent non-termination bug into a diagnosable failure. It is
+    ``n * (1 + ceil(log2(n + 1)))``, computed exactly: for n >= 1 the
+    ceiling equals ``n.bit_length()``, which floating point misses from
+    n = 2**53 on."""
+    return n * (1 + n.bit_length())
 
-    Both heaps must satisfy their heap condition, and the caller must have
-    seen the small-heap root exceed the large-heap root. The sibling-pair
-    guard may read one slot past the large heap; that slot is the high guard
-    and can never look inverted.
+
+def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
+    """Walk from the roots, reaching as far as the strategy allows, until the
+    small-heap root no longer exceeds the large-heap root. Counts accrue to
+    the swap phase, guard included.
+
+    Both heaps must satisfy their heap condition. The sibling-pair guard may
+    read one slot past the large heap; that slot is the high guard and can
+    never look inverted.
     """
-    reach = _REACH[strategy]
+    if strategy not in _REACH:
+        raise ValueError(f"unknown swap strategy {strategy!r}, expected one of {STRATEGIES}")
+    ctx.set_phase("swap")
+    tally = ctx.active
     small = dh.small
     large = dh.large
     buf = small.buf
     ps = small.base
-    shn = small.shn
     pl = large.base
+    tally.compares += 1
+    if not buf[ps - 1] > buf[pl + 1]:
+        return
+    reach = _REACH[strategy]
+    shn = small.shn
     lhn = large.lhn
     sh2 = shn // 2
     lh2 = lhn // 2
-    tally = ctx.active
+    budget = swap_step_budget(shn + lhn)
 
     def walk(ks: int, kl: int) -> None:
         js = 2 * ks
@@ -73,42 +92,16 @@ def swap_step(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
             sift_down_min(large, kl, ctx)
 
     try:
-        walk(1, 1)
+        for _ in range(budget):
+            walk(1, 1)
+            tally.compares += 1
+            if not buf[ps - 1] > buf[pl + 1]:
+                return
     finally:
         # walk refers to itself through its closure cell; without this the
         # cycle keeps the whole buffer alive until the cyclic GC runs.
         del walk
-
-
-def swap_step_budget(n: int) -> int:
-    """Iteration cap for the guard loop; far above anything observed, it
-    turns a latent non-termination bug into a diagnosable failure. It is
-    ``n * (1 + ceil(log2(n + 1)))``, computed exactly: for n >= 1 the
-    ceiling equals ``n.bit_length()``, which floating point misses from
-    n = 2**53 on."""
-    return n * (1 + n.bit_length())
-
-
-def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
-    """Apply the chosen strategy until the small-heap root no longer exceeds
-    the large-heap root. Counts accrue to the swap phase, guard included."""
-    if strategy not in _REACH:
-        raise ValueError(f"unknown swap strategy {strategy!r}, expected one of {STRATEGIES}")
-    ctx.set_phase("swap")
-    tally = ctx.active
-    buf = dh.small.buf
-    rs = dh.small.base - 1
-    rl = dh.large.base + 1
-    budget = swap_step_budget(dh.small.shn + dh.large.lhn)
-    steps = 0
-    while True:
-        tally.compares += 1
-        if not buf[rs] > buf[rl]:
-            return
-        swap_step(dh, strategy, ctx)
-        steps += 1
-        if steps > budget:
-            raise InternalInvariantError(
-                f"swapping phase exceeded its step budget of {budget} "
-                f"(strategy={strategy}, shn={dh.small.shn}, lhn={dh.large.lhn})"
-            )
+    raise InternalInvariantError(
+        f"swapping phase exceeded its step budget of {budget} "
+        f"(strategy={strategy}, shn={shn}, lhn={lhn})"
+    )

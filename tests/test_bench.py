@@ -207,10 +207,11 @@ def test_run_benchmark_three_trials():
     assert [r.trial for r in records] == [0, 1, 2]
 
 
-def test_run_benchmark_zero_trials_is_empty():
-    records = run_benchmark(BenchConfig(sizes=(63,), trials=0))
-    assert records == []
-    assert records_to_csv(records) == CSV_HEADER + "\n"
+def test_bench_config_rejects_fewer_than_one_trial():
+    # like `bench --trials 0`, which exits 1, not an empty CSV
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
+            BenchConfig(sizes=(31,), trials=trials)
 
 
 def test_run_benchmark_deterministic():

@@ -266,3 +266,14 @@ def test_reproduce_figures_rejects_bad_arguments(flags, message, tmp_path):
     assert result.returncode == 1
     assert message in result.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_import_does_not_load_statistics():
+    # statistics takes milliseconds to import and only `fit` needs it
+    code = (
+        "import sys; bare = set(sys.modules); import dualheap, dualheap.cli; "
+        "print(sorted({'statistics'} & (set(sys.modules) - bare)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -31,10 +31,10 @@ def _fake_checkouts(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
 
-def _record(tmp_path, seeds):
+def _record(tmp_path, seeds, workloads="sort-mid"):
     return subprocess.run(
         [sys.executable, str(RECORD_BENCH), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--workloads", "sort-mid", "--seeds", seeds, "--seconds", "0.5", "--tag", "t", "--out-dir", str(tmp_path)],
+         "--workloads", workloads, "--seeds", seeds, "--seconds", "0.5", "--tag", "t", "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
@@ -81,6 +81,22 @@ def test_record_bench_summary_shows_a_failing_side(tmp_path):
 def test_record_bench_rejects_seeds_before_any_run(tmp_path, seeds, message):
     _fake_checkouts(tmp_path)
     result = _record(tmp_path, seeds)
+    assert result.returncode == 1
+    assert message in result.stderr
+    assert not (tmp_path / "calls.log").exists()
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "workloads, message",
+    [
+        ("sort-mid,typo", "unknown workloads ['typo'], expected some of ['select-large', 'sort-mid', 'figures']"),
+        ("sort-mid,figures,sort-mid", "workloads given more than once: ['sort-mid']"),
+    ],
+)
+def test_record_bench_rejects_workloads_before_any_run(tmp_path, workloads, message):
+    _fake_checkouts(tmp_path)
+    result = _record(tmp_path, "7-9", workloads)
     assert result.returncode == 1
     assert message in result.stderr
     assert not (tmp_path / "calls.log").exists()

@@ -17,7 +17,6 @@ from dualheap import (
     dh_select,
     prepare_buffer,
     run_swapping_phase,
-    swap_step,
     swap_step_budget,
     verify_partition,
 )
@@ -53,7 +52,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
     # small side [3], large side [1, 2]: one exchange then one sift
     dh, arr = make_dualheap([3, 1, 2], shn=1)
     ctx = Metrics()
-    swap_step(dh, exchange, ctx)
+    run_swapping_phase(dh, exchange, ctx)
     assert arr.payload() == [1, 2, 3]
     assert check_heap_condition(dh.small)
     assert check_heap_condition(dh.large)
@@ -63,7 +62,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
 def test_root_swap_both_singletons():
     dh, arr = make_dualheap([5, 2], shn=1)
     ctx = Metrics()
-    swap_step(dh, "root", ctx)
+    run_swapping_phase(dh, "root", ctx)
     assert arr.payload() == [2, 5]
     assert ctx.moves_total == 2
 
@@ -127,7 +126,8 @@ def test_strategy_outcomes_share_side_multisets():
     assert results["tree"] == results["branch"] == results["root"]
 
 
-def test_progress_inversions_strictly_decrease():
+def test_progress_inversions_strictly_decrease(monkeypatch):
+    # a budget of t stops the phase after its t-th step
     def cross_inversions(arr, shn):
         left = arr.buf[1 : shn + 1]
         right = arr.buf[shn + 1 : arr.n + 1]
@@ -136,12 +136,17 @@ def test_progress_inversions_strictly_decrease():
     for strategy in ("tree", "branch", "root"):
         for seed in range(20):
             values = [((seed + 3) * (i + 7) * 2654435761) % 97 for i in range(15)]
-            dh, arr = make_dualheap(values, shn=7)
-            ctx = Metrics()
+            _, arr = make_dualheap(values, shn=7)
             inv = cross_inversions(arr, 7)
-            guard = lambda: arr.buf[dh.small.base - 1] > arr.buf[dh.large.base + 1]
-            while guard():
-                swap_step(dh, strategy, ctx)
+            t = 0
+            while not sides_partitioned(arr, 7):
+                t += 1
+                dh, arr = make_dualheap(values, shn=7)
+                monkeypatch.setattr(swaps, "swap_step_budget", lambda n: t)
+                try:
+                    run_swapping_phase(dh, strategy, Metrics())
+                except InternalInvariantError:
+                    pass
                 now = cross_inversions(arr, 7)
                 assert now < inv
                 inv = now
@@ -196,7 +201,7 @@ def test_swap_budget_is_exact_beyond_float_precision():
 
 
 def test_budget_violation_is_diagnosed(monkeypatch):
-    monkeypatch.setattr(swaps, "swap_step", lambda dh, strategy, ctx: None)
+    monkeypatch.setattr(swaps, "swap_step_budget", lambda n: 0)
     dh, arr = make_dualheap([9, 1, 2], shn=1)
     with pytest.raises(InternalInvariantError):
         run_swapping_phase(dh, "tree", Metrics())
