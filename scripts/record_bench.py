@@ -9,11 +9,12 @@ checkout and once in the change checkout (this one by default); the side
 that runs first alternates from pair to pair, so a slow spell of the host
 does not land on one side only. The result line of every run (the last line
 run.py prints) is kept as it is, with the commit, interpreter and core count
-that run.py reports. A summary gives, per metric, the median of each side,
-the parent's quartiles and the number of pairs in which the change read
-lower; and per side, the number of runs that were not ``correct`` and the
-total of failed operations. Nothing here changes what run.py measures or
-how its metrics are gated.
+that run.py reports. The record's platform block says whether bytecode
+writing was off. A summary gives, per metric, the median of each side, the
+parent's quartiles and the number of pairs in which the change read lower;
+and per side, the number of runs that were not ``correct`` and the total of
+failed operations. Nothing here changes what run.py measures or how its
+metrics are gated.
 """
 
 from __future__ import annotations
@@ -150,7 +151,12 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
     record = {
         "tag": args.tag,
-        "platform": platform.platform(),
+        "platform": {
+            "system": platform.platform(),
+            # set by PYTHONDONTWRITEBYTECODE, which the runs inherit: each of
+            # their imports then compiles from source, and setup_s about doubles
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+        },
         "seconds": args.seconds,
         "entries": entries,
         "summary": summarize(entries),

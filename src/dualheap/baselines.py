@@ -7,7 +7,7 @@ is never counted; it exists to check everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Element, SentinelArray, check_index
 from .metrics import Metrics
@@ -21,18 +21,18 @@ _MOM_DIRECT_LIMIT = 25
 _MOM_GROUP = 5
 
 
-@dataclass(frozen=True)
-class PivotRule:
+class PivotRule(namedtuple("PivotRule", ("tag", "seed"), defaults=("first", 0))):
     """How quickselect picks its pivot: the segment's first element
     (deterministic, quadratic on sorted input), a seeded uniform choice, or
     the median-of-medians estimate (linear worst case, slower on average)."""
 
-    tag: str = "first"
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tag not in PIVOT_RULES:
             raise ValueError(f"unknown pivot rule {self.tag!r}, expected one of {PIVOT_RULES}")
+        return self
 
 
 def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, ctx: Metrics) -> int:

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from io import StringIO
 
 from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
@@ -32,19 +32,18 @@ PIVOTS = ("first", "random")  # the pivot rules a "quickselect" series can name
 DEFAULT_SIZES = (1023, 4095, 16383)
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
     """One generated input: size, shape family, and the seed that pins it."""
 
-    n: int
-    dist: str
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"input size must be >= 1, got {self.n}")
         if self.dist not in DISTS:
             raise ValueError(f"unknown dist {self.dist!r}, expected one of {DISTS}")
+        return self
 
 
 def generate(spec: InputSpec) -> list[int]:
@@ -86,73 +85,76 @@ def _cell(value) -> str:
 
 
 def _to_row(record) -> list[str]:
-    """The record's CSV cells, one per dataclass field, in field order."""
-    return [_cell(getattr(record, field.name)) for field in fields(record)]
+    """The record's CSV cells, one per field, in column order."""
+    return [_cell(value) for value in record]
 
 
-# Parsers for the annotations of ExperimentRecord's fields.
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "int | None": lambda text: int(text) if text else None,
-    "bool": "true".__eq__,
-}
+def _optional_int(text: str) -> int | None:
+    return int(text) if text else None
 
 
-@dataclass
-class ExperimentRecord:
+def _record_base(typename: str, columns: tuple, defaults: tuple = ()) -> type:
+    """The namedtuple base of a CSV record whose one field table is
+    ``columns``: ``(name, parser)`` pairs, in column order, for ``from_row``."""
+    base = namedtuple(typename, [name for name, _ in columns], defaults=defaults)
+    base.to_row = _to_row
+    base.from_row = classmethod(lambda cls, row: cls._make(parse(row[name]) for name, parse in columns))
+    return base
+
+
+_EXPERIMENT_COLUMNS = (
+    ("algo", str),
+    ("swap_strategy", str),
+    ("presplit", _optional_int),
+    ("n", int),
+    ("k", int),
+    ("dist", str),
+    ("seed", int),
+    ("trial", int),
+    ("compares_construct", int),
+    ("moves_construct", int),
+    ("compares_swap", int),
+    ("moves_swap", int),
+    ("compares_total", int),
+    ("moves_total", int),
+    ("elapsed_ns", int),
+    ("correct", "true".__eq__),
+)
+
+
+class ExperimentRecord(_record_base("ExperimentRecord", _EXPERIMENT_COLUMNS)):
     """One benchmark trial row; its fields, in order, are the CSV columns.
     The runner oracle-checks every trial, so ``correct`` is true in every
     record that ever reaches a CSV."""
 
-    algo: str
-    swap_strategy: str
-    presplit: int | None
-    n: int
-    k: int
-    dist: str
-    seed: int
-    trial: int
-    compares_construct: int
-    moves_construct: int
-    compares_swap: int
-    moves_swap: int
-    compares_total: int
-    moves_total: int
-    elapsed_ns: int
-    correct: bool
-
-    to_row = _to_row
-
-    @classmethod
-    def from_row(cls, row: dict) -> "ExperimentRecord":
-        return cls(**{field.name: _PARSERS[field.type](row[field.name]) for field in fields(cls)})
+    __slots__ = ()
 
 
-CSV_FIELDS = tuple(field.name for field in fields(ExperimentRecord))
+CSV_FIELDS = ExperimentRecord._fields
 CSV_HEADER = ",".join(CSV_FIELDS)
 
 
-@dataclass(frozen=True)
-class AlgoSpec:
+class AlgoSpec(
+    namedtuple("AlgoSpec", ("name", "strategy", "presplit", "pivot"), defaults=("dhselect", "tree", 1, "first"))
+):
     """One algorithm configuration under test. The ``label`` qualifies
     quickselect with its pivot rule so series stay distinguishable in a
     single CSV."""
 
-    name: str = "dhselect"
-    strategy: str = "tree"
-    presplit: int = 1
-    pivot: str = "first"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.name not in ALGOS:
             raise ValueError(f"unknown algo {self.name!r}, expected one of {ALGOS}")
         if self.pivot not in PIVOTS:
             raise ValueError(f"pivot must be one of {PIVOTS}, got {self.pivot!r}")
         if SelectOptions(self.strategy, self.presplit) != SelectOptions() and self.name != "dhselect":
             raise ValueError(f"strategy and presplit apply only to dhselect, not to {self.name!r}")
-        if self.pivot != AlgoSpec.pivot and self.name != "quickselect":
+        # AlgoSpec.pivot is the field's accessor; the default is in _field_defaults
+        if self.pivot != self._field_defaults["pivot"] and self.name != "quickselect":
             raise ValueError(f"pivot applies only to quickselect, not to {self.name!r}")
+        return self
 
     @property
     def label(self) -> str:
@@ -170,19 +172,24 @@ class AlgoSpec:
         return quickselect_mom(arr, k, ctx)
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    sizes: tuple[int, ...] = DEFAULT_SIZES
-    dists: tuple[str, ...] = ("random",)
-    algos: tuple[AlgoSpec, ...] = (AlgoSpec(),)
-    trials: int = 3
-    seed: int = 0
-    k: int | None = None  # None selects the median address ceil(n/2)
-    timing: bool = False  # real elapsed_ns breaks byte-reproducibility, so opt-in
+class BenchConfig(
+    namedtuple(
+        "BenchConfig",
+        ("sizes", "dists", "algos", "trials", "seed", "k", "timing"),
+        defaults=(DEFAULT_SIZES, ("random",), (AlgoSpec(),), 3, 0, None, False),
+    )
+):
+    """Sizes x dists x algos x trials from one master seed. ``k`` None
+    selects the median address ceil(n/2); ``timing`` is opt-in, because a
+    real elapsed_ns breaks byte-reproducibility."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        return self
 
 
 def median_index(n: int) -> int:
@@ -277,25 +284,27 @@ def parse_csv(source) -> list[ExperimentRecord]:
     return [ExperimentRecord.from_row(row) for row in csv.DictReader(source)]
 
 
-@dataclass
-class WorstCaseReport:
+_WORSTCASE_COLUMNS = (
+    ("n", int),
+    ("instances_tested", int),
+    ("max_compares_swap", int),
+    ("argmax_k", int),
+    ("argmax_seed", _optional_int),
+    ("argmax_permutation", lambda text: tuple(map(int, text.split()))),
+)
+
+
+class WorstCaseReport(_record_base("WorstCaseReport", _WORSTCASE_COLUMNS, defaults=(None, ()))):
     """Maximum swapping-phase comparisons observed for one size, with a
     witness; its fields, in order, are the CSV columns. Exhaustive mode
     records the witness permutation itself; random mode records the seed
     that regenerates it (plus the permutation when it is small enough to
     print)."""
 
-    n: int
-    instances_tested: int
-    max_compares_swap: int
-    argmax_k: int
-    argmax_seed: int | None = None
-    argmax_permutation: tuple[int, ...] = ()
-
-    to_row = _to_row
+    __slots__ = ()
 
 
-WORSTCASE_FIELDS = tuple(field.name for field in fields(WorstCaseReport))
+WORSTCASE_FIELDS = WorstCaseReport._fields
 
 
 EXHAUSTIVE_MAX_N = 9
@@ -361,8 +370,9 @@ def worst_case_search_random(
         k = median_index(n)
     if not 1 <= k <= n:
         raise ValueError(f"selection index k={k} out of range 1..{n}")
+    # each sample is a permutation of 1..n, as in exhaustive mode
     instances = (
-        (prepare_buffer(values), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
+        (SentinelArray(buf=[1, *values, n], n=n), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
         for sample_seed in SplitMix64(seed).take(samples)
         for values in [generate(InputSpec(n, "random", sample_seed))]
     )

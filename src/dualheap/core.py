@@ -24,7 +24,7 @@ bit-for-bit across implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .metrics import Metrics
@@ -32,12 +32,18 @@ from .metrics import Metrics
 Element = int
 
 
-@dataclass
 class SentinelArray:
-    """``n`` payload elements at positions 1..n plus the two guard slots."""
+    """``n`` payload elements at positions 1..n plus the two guard slots.
+    Mutable: ``buf`` may be replaced, say by an instrumented sequence."""
 
-    buf: list[Element]
-    n: int
+    __slots__ = ("buf", "n")
+
+    def __init__(self, buf: list[Element], n: int):
+        self.buf = buf
+        self.n = n
+
+    def __eq__(self, other):
+        return type(other) is SentinelArray and (self.buf, self.n) == (other.buf, other.n)
 
     def payload(self) -> list[Element]:
         return self.buf[1 : self.n + 1]
@@ -80,13 +86,11 @@ class SmallHeapView:
         return out
 
 
-@dataclass
-class DualHeap:
-    """Split view over one buffer: a mirrored max-rooted heap on the low
-    segment and a min-rooted heap on the high segment, roots adjacent."""
+class DualHeap(namedtuple("DualHeap", ("small", "large"))):
+    """Split view over one buffer: a mirrored max-rooted heap ``small`` on the
+    low segment and a min-rooted heap ``large`` on the high one, roots adjacent."""
 
-    small: SmallHeapView
-    large: LargeHeapView
+    __slots__ = ()
 
 
 def check_index(n: int, k: int) -> None:

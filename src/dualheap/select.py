@@ -14,7 +14,7 @@ want their input untouched.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     DualHeap,
@@ -32,27 +32,23 @@ from .swaps import STRATEGIES, run_swapping_phase
 PRESPLITS = (0, 1, 2)
 
 
-@dataclass(frozen=True)
-class SelectOptions:
+class SelectOptions(namedtuple("SelectOptions", ("strategy", "presplit"), defaults=("tree", 1))):
     """Knobs for the dualheap algorithm: which swap strategy runs the
     swapping phase, and how many whole-array heap constructions precede the
     split (one is the default and empirically the sweet spot)."""
 
-    strategy: str = "tree"
-    presplit: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown swap strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.presplit not in PRESPLITS:
             raise ValueError(f"presplit must be one of {PRESPLITS}, got {self.presplit!r}")
+        return self
 
 
-@dataclass
-class SelectOutcome:
-    value: Element
-    split: int
-    metrics: Metrics
+SelectOutcome = namedtuple("SelectOutcome", ("value", "split", "metrics"))
 
 
 # Elements per chunk of the input scan: small enough that a chunk's element

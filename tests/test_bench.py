@@ -298,6 +298,96 @@ def test_csv_round_trip(tmp_path):
 def test_timing_defaults_to_zero_for_reproducibility():
     records = run_benchmark(BenchConfig(sizes=(31,), trials=1))
     assert records[0].elapsed_ns == 0
+
+
+# --- specs and records -------------------------------------------------------
+
+# Each frozen spec: every field given positionally, the same value given by
+# keywords that leave defaulted fields out, and a keyword that changes it.
+FROZEN_SPECS = {
+    "InputSpec": (InputSpec, (7, "sorted", 0), {"dist": "sorted", "n": 7}, {"n": 8}),
+    "AlgoSpec": (AlgoSpec, ("quickselect", "tree", 1, "random"), {"pivot": "random", "name": "quickselect"}, {"pivot": "first"}),
+    "BenchConfig": (BenchConfig, ((1023, 4095, 16383), ("random",), (AlgoSpec(),), 3, 0, None, False), {}, {"trials": 4}),
+    "PivotRule": (PivotRule, ("first", 0), {}, {"seed": 1}),
+    "SelectOptions": (SelectOptions, ("tree", 1), {}, {"presplit": 2}),
+}
+
+
+@pytest.mark.parametrize("cls, args, kwargs, change", FROZEN_SPECS.values(), ids=FROZEN_SPECS)
+def test_frozen_spec_is_an_immutable_hashable_value(cls, args, kwargs, change):
+    spec = cls(*args)
+    assert spec == cls(**kwargs) and hash(spec) == hash(cls(**kwargs))
+    assert len({spec, cls(*args), cls(**kwargs)}) == 1
+    assert spec != cls(**{**kwargs, **change})
+    for name, value in change.items():
+        with pytest.raises(AttributeError):
+            setattr(spec, name, value)
+        assert getattr(spec, name) != value
+
+
+def test_frozen_spec_defaults():
+    assert InputSpec(5, "random") == InputSpec(n=5, dist="random", seed=0)
+    assert AlgoSpec() == AlgoSpec("dhselect", "tree", 1, "first")
+    assert AlgoSpec("quickselect-mom") == AlgoSpec(name="quickselect-mom", pivot="first")
+    assert BenchConfig(trials=1).sizes == bench.DEFAULT_SIZES
+    assert PivotRule() == PivotRule(tag="first", seed=0)
+    assert SelectOptions() == SelectOptions(strategy="tree", presplit=1)
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    [
+        (InputSpec, (0, "sorted"), {}, "input size must be >= 1, got 0"),
+        (InputSpec, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
+        (AlgoSpec, ("heapselect",), {}, "unknown algo 'heapselect', expected one of " + repr(bench.ALGOS)),
+        (AlgoSpec, ("quickselect",), {"pivot": "last"}, "pivot must be one of ('first', 'random'), got 'last'"),
+        (AlgoSpec, ("quickselect",), {"presplit": 0}, "strategy and presplit apply only to dhselect, not to 'quickselect'"),
+        (AlgoSpec, ("dhselect",), {"pivot": "random"}, "pivot applies only to quickselect, not to 'dhselect'"),
+        (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of ('tree', 'branch', 'root')"),
+        (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
+        (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of ('first', 'random', 'median_of_medians')"),
+        (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
+    ],
+)
+def test_spec_validation_messages(cls, args, kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        cls(*args, **kwargs)
+    assert str(caught.value) == message
+
+
+def test_experiment_record_round_trips_through_a_row():
+    records = run_benchmark(BenchConfig(sizes=(31,), algos=(AlgoSpec(), AlgoSpec("quickselect")), trials=1, seed=5))
+    assert [r.presplit for r in records] == [1, None]
+    failed = ExperimentRecord(
+        algo="quickselect-first", swap_strategy="", presplit=None, n=3, k=2, dist="sorted", seed=7, trial=0,
+        compares_construct=0, moves_construct=0, compares_swap=0, moves_swap=0, compares_total=5, moves_total=2,
+        elapsed_ns=0, correct=False,
+    )
+    assert failed.to_row() == ["quickselect-first", "", "", "3", "2", "sorted", "7", "0"] + ["0"] * 4 + ["5", "2", "0", "false"]
+    for record in (*records, failed):
+        assert ExperimentRecord.from_row(dict(zip(bench.CSV_FIELDS, record.to_row()))) == record
+
+
+def test_worstcase_report_defaults_and_row():
+    report = bench.WorstCaseReport(3, 18, 4, 2)
+    assert report == bench.WorstCaseReport(n=3, instances_tested=18, max_compares_swap=4, argmax_k=2, argmax_seed=None)
+    assert report.argmax_permutation == ()
+    assert report.to_row() == ["3", "18", "4", "2", "", ""]
+
+
+def test_worstcase_report_round_trips_through_a_row():
+    # one field table gives both the columns and their parsers
+    reports = [worst_case_search_exhaustive(3)[-1], worst_case_search_random(15, 20, 3), worst_case_search_random(127, 2, 3)]
+    for report in reports:
+        assert bench.WorstCaseReport.from_row(dict(zip(bench.WORSTCASE_FIELDS, report.to_row()))) == report
+
+
+def test_sentinel_array_stays_mutable_and_compares_by_value():
+    arr = SentinelArray([0, 2, 1, 3], 2)
+    arr.buf = [0, 1, 2, 3]
+    arr.n = 2
+    assert arr == SentinelArray(buf=[0, 1, 2, 3], n=2)
+    assert arr != SentinelArray([0, 1, 2, 3], 3)
     timed = run_benchmark(BenchConfig(sizes=(31,), trials=1, timing=True))
     assert timed[0].elapsed_ns > 0
 

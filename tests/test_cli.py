@@ -269,10 +269,10 @@ def test_reproduce_figures_rejects_bad_arguments(flags, message, tmp_path):
 
 
 def test_import_does_not_load_statistics():
-    # statistics takes milliseconds to import and only `fit` needs it
+    # each takes milliseconds to import; only `fit` needs statistics
     code = (
         "import sys; bare = set(sys.modules); import dualheap, dualheap.cli; "
-        "print(sorted({'statistics'} & (set(sys.modules) - bare)))"
+        "print(sorted({'statistics', 'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -74,6 +74,21 @@ def test_record_bench_summary_shows_a_failing_side(tmp_path):
     }
 
 
+@pytest.mark.parametrize("flag, off", [("1", True), (None, False)])
+def test_record_bench_records_whether_bytecode_writing_was_off(tmp_path, monkeypatch, flag, off):
+    # with PYTHONDONTWRITEBYTECODE every import of a run compiles from source
+    _fake_checkouts(tmp_path)
+    if flag is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    result = _record(tmp_path, "7")
+    assert result.returncode == 0, result.stderr
+    platform = json.loads((tmp_path / "BENCH_t.json").read_text())["platform"]
+    assert platform["dont_write_bytecode"] is off
+    assert platform["system"]
+
+
 @pytest.mark.parametrize(
     "seeds, message",
     [("5-3", "empty seed range '5-3'"), ("1,1", "seeds given more than once: [1]"), ("1-3,2", "[2]")],
