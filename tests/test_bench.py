@@ -306,8 +306,12 @@ def test_timing_defaults_to_zero_for_reproducibility():
 # keywords that leave defaulted fields out, and a keyword that changes it.
 FROZEN_SPECS = {
     "InputSpec": (InputSpec, (7, "sorted", 0), {"dist": "sorted", "n": 7}, {"n": 8}),
-    "AlgoSpec": (AlgoSpec, ("quickselect", "tree", 1, "random"), {"pivot": "random", "name": "quickselect"}, {"pivot": "first"}),
-    "BenchConfig": (BenchConfig, ((1023, 4095, 16383), ("random",), (AlgoSpec(),), 3, 0, None, False), {}, {"trials": 4}),
+    "AlgoSpec": (
+        AlgoSpec, ("quickselect", "tree", 1, "random"), {"pivot": "random", "name": "quickselect"}, {"pivot": "first"}
+    ),
+    "BenchConfig": (
+        BenchConfig, ((1023, 4095, 16383), ("random",), (AlgoSpec(),), 3, 0, None, False), {}, {"trials": 4}
+    ),
     "PivotRule": (PivotRule, ("first", 0), {}, {"seed": 1}),
     "SelectOptions": (SelectOptions, ("tree", 1), {}, {"presplit": 2}),
 }
@@ -341,11 +345,14 @@ def test_frozen_spec_defaults():
         (InputSpec, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
         (AlgoSpec, ("heapselect",), {}, "unknown algo 'heapselect', expected one of " + repr(bench.ALGOS)),
         (AlgoSpec, ("quickselect",), {"pivot": "last"}, "pivot must be one of ('first', 'random'), got 'last'"),
-        (AlgoSpec, ("quickselect",), {"presplit": 0}, "strategy and presplit apply only to dhselect, not to 'quickselect'"),
+        (AlgoSpec, ("quickselect",), {"presplit": 0}, "strategy and presplit apply only to dhselect, not to "
+         "'quickselect'"),
         (AlgoSpec, ("dhselect",), {"pivot": "random"}, "pivot applies only to quickselect, not to 'dhselect'"),
-        (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of ('tree', 'branch', 'root')"),
+        (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of "
+         "('tree', 'branch', 'root')"),
         (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
-        (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of ('first', 'random', 'median_of_medians')"),
+        (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of "
+         "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
     ],
 )
@@ -363,7 +370,8 @@ def test_experiment_record_round_trips_through_a_row():
         compares_construct=0, moves_construct=0, compares_swap=0, moves_swap=0, compares_total=5, moves_total=2,
         elapsed_ns=0, correct=False,
     )
-    assert failed.to_row() == ["quickselect-first", "", "", "3", "2", "sorted", "7", "0"] + ["0"] * 4 + ["5", "2", "0", "false"]
+    cells = ["quickselect-first", "", "", "3", "2", "sorted", "7", "0", "0", "0", "0", "0", "5", "2", "0", "false"]
+    assert failed.to_row() == cells
     for record in (*records, failed):
         assert ExperimentRecord.from_row(dict(zip(bench.CSV_FIELDS, record.to_row()))) == record
 
@@ -377,8 +385,8 @@ def test_worstcase_report_defaults_and_row():
 
 def test_worstcase_report_round_trips_through_a_row():
     # one field table gives both the columns and their parsers
-    reports = [worst_case_search_exhaustive(3)[-1], worst_case_search_random(15, 20, 3), worst_case_search_random(127, 2, 3)]
-    for report in reports:
+    reports = [worst_case_search_random(15, 20, 3), worst_case_search_random(127, 2, 3)]
+    for report in (worst_case_search_exhaustive(3)[-1], *reports):
         assert bench.WorstCaseReport.from_row(dict(zip(bench.WORSTCASE_FIELDS, report.to_row()))) == report
 
 
