@@ -1,7 +1,8 @@
 """Selection baselines: quickselect over a Hoare crossing-scan partition,
 a median-of-medians pivot estimator, and the brute-force sort oracle.
 
-All baselines count their work into the ``other`` phase bucket. The oracle
+Quickselect counts its work in the ``other`` tally of its ``Metrics``; the
+partition and pivot kernels count in the tally they are handed. The oracle
 is never counted; it exists to check everything else.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .core import Element, SentinelArray, check_index
-from .metrics import Metrics
+from .metrics import Metrics, PhaseTally
 from .rng import SplitMix64
 
 PIVOT_RULES = ("first", "random", "median_of_medians")
@@ -27,6 +28,7 @@ class PivotRule(namedtuple("PivotRule", ("tag", "seed"), defaults=("first", 0)))
     the median-of-medians estimate (linear worst case, slower on average)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -35,7 +37,7 @@ class PivotRule(namedtuple("PivotRule", ("tag", "seed"), defaults=("first", 0)))
         return self
 
 
-def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, ctx: Metrics) -> int:
+def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, tally: PhaseTally) -> int:
     """Classic crossing scan over buf[lo..hi] around a pivot value that
     occurs in the segment. Returns j with values <= pivot-class at
     positions lo..j and >= pivot-class at j+1..hi.
@@ -43,7 +45,6 @@ def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, ctx: Metrics) -
     The scans stop on the pivot's own occurrences, so they never leave the
     segment; no sentinel is consulted.
     """
-    tally = ctx.active
     i = lo - 1
     j = hi + 1
     c = 0
@@ -67,7 +68,7 @@ def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, ctx: Metrics) -
         m += 2
 
 
-def _median_by_insertion(values: list[Element], tally) -> Element:
+def _median_by_insertion(values: list[Element], tally: PhaseTally) -> Element:
     """Lower median of a short list via counted insertion sort on a scratch
     copy (scratch writes are temporary traffic, not buffer moves)."""
     vals = list(values)
@@ -85,7 +86,7 @@ def _median_by_insertion(values: list[Element], tally) -> Element:
     return vals[(len(vals) + 1) // 2 - 1]
 
 
-def _mom(values: list[Element], tally) -> Element:
+def _mom(values: list[Element], tally: PhaseTally) -> Element:
     if len(values) <= _MOM_DIRECT_LIMIT:
         return _median_by_insertion(values, tally)
     medians = [
@@ -95,28 +96,27 @@ def _mom(values: list[Element], tally) -> Element:
     return _mom(medians, tally)
 
 
-def median_of_medians(buf, lo: int, hi: int, ctx: Metrics) -> Element:
+def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
     """Median estimate for buf[lo..hi]: medians of groups of five (tail
     group may be shorter), then recursively the median of those medians.
     The returned value always occurs in the segment and its rank is
     centrally bounded, which is what caps quickselect's recursion depth."""
     if hi < lo:
         raise ValueError("median_of_medians needs a non-empty segment")
-    return _mom(buf[lo : hi + 1], ctx.active)
+    return _mom(buf[lo : hi + 1], tally)
 
 
-def _anchor_pivot(buf, lo: int, hi: int, rule: PivotRule, stream: SplitMix64 | None, ctx: Metrics) -> Element:
+def _anchor_pivot(buf, lo: int, hi: int, rule: PivotRule, stream: SplitMix64 | None, tally: PhaseTally) -> Element:
     """Choose the pivot per the rule and move one occurrence of it to
     position lo, which guarantees the crossing scan's boundary lands
     strictly left of hi (so both recursion sides are non-empty)."""
-    tally = ctx.active
     if rule.tag == "random":
         r = lo + stream.below(hi - lo + 1)
         if r != lo:
             buf[lo], buf[r] = buf[r], buf[lo]
             tally.moves += 2
     elif rule.tag == "median_of_medians":
-        v = median_of_medians(buf, lo, hi, ctx)
+        v = median_of_medians(buf, lo, hi, tally)
         r = lo
         while True:
             tally.compares += 1
@@ -137,13 +137,13 @@ def quickselect(arr: SentinelArray, k: int, rule: PivotRule | None = None, ctx: 
     if ctx is None:
         ctx = Metrics()
     check_index(arr.n, k)
-    ctx.set_phase("other")
+    tally = ctx.other
     buf = arr.buf
     stream = SplitMix64(rule.seed) if rule.tag == "random" else None
     lo, hi = 1, arr.n
     while lo < hi:
-        pivot = _anchor_pivot(buf, lo, hi, rule, stream, ctx)
-        b = hoare_partition(buf, lo, hi, pivot, ctx)
+        pivot = _anchor_pivot(buf, lo, hi, rule, stream, tally)
+        b = hoare_partition(buf, lo, hi, pivot, tally)
         if k <= b:
             hi = b
         else:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from io import StringIO
 
 from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
-from .core import SentinelArray
+from .core import SentinelArray, check_index
 from .errors import OracleMismatchError
 from .metrics import Metrics
 from .rng import SplitMix64
@@ -36,6 +36,7 @@ class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
     """One generated input: size, shape family, and the seed that pins it."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -142,6 +143,7 @@ class AlgoSpec(
     single CSV."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -184,6 +186,7 @@ class BenchConfig(
     real elapsed_ns breaks byte-reproducibility."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -217,8 +220,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
     records = []
     for n in config.sizes:
         k = config.k if config.k is not None else median_index(n)
-        if not 1 <= k <= n:
-            raise ValueError(f"selection index k={k} out of range 1..{n}")
+        check_index(n, k)
         for dist in config.dists:
             trial_seeds = master.take(config.trials)
             for algo in config.algos:
@@ -368,8 +370,7 @@ def worst_case_search_random(
         raise ValueError(f"need at least one sample, got {samples}")
     if k is None:
         k = median_index(n)
-    if not 1 <= k <= n:
-        raise ValueError(f"selection index k={k} out of range 1..{n}")
+    check_index(n, k)
     # each sample is a permutation of 1..n, as in exhaustive mode
     instances = (
         (SentinelArray(buf=[1, *values, n], n=n), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())

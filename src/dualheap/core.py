@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .metrics import Metrics
+from .metrics import PhaseTally
 
 Element = int
 
@@ -109,7 +109,7 @@ def split_indices(n: int, k: int) -> tuple[int, int]:
     return shn, n - shn
 
 
-def sift_down_min(view: LargeHeapView, k: int, ctx: Metrics) -> None:
+def sift_down_min(view: LargeHeapView, k: int, tally: PhaseTally) -> None:
     """Sink node k until the min-heap condition holds on its subtree.
 
     Requires the condition to already hold below node k, and the slot one
@@ -122,7 +122,6 @@ def sift_down_min(view: LargeHeapView, k: int, ctx: Metrics) -> None:
     j = 2 * k
     if j > hn:
         return
-    tally = ctx.active
     v = buf[base + k]
     c = 2
     if buf[base + j + 1] < buf[base + j]:
@@ -146,7 +145,7 @@ def sift_down_min(view: LargeHeapView, k: int, ctx: Metrics) -> None:
     tally.compares += c
 
 
-def sift_down_max(view: SmallHeapView, k: int, ctx: Metrics) -> None:
+def sift_down_max(view: SmallHeapView, k: int, tally: PhaseTally) -> None:
     """Mirror image of sift_down_min: sink node k in the max-rooted heap."""
     buf = view.buf
     base = view.base
@@ -154,7 +153,6 @@ def sift_down_max(view: SmallHeapView, k: int, ctx: Metrics) -> None:
     j = 2 * k
     if j > hn:
         return
-    tally = ctx.active
     v = buf[base - k]
     c = 2
     if buf[base - j - 1] > buf[base - j]:
@@ -210,7 +208,7 @@ def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
     return tuple((first, min(last, half)) for first, last in spans if first <= half)
 
 
-def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
+def build_min_heap(view: LargeHeapView, tally: PhaseTally) -> None:
     """Bottom-up construction: sift every internal node after both of its
     children, one subtree at a time (see ``_build_runs``).
 
@@ -223,7 +221,7 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
     smaller child moved up, the node written once at its final slot) and 1
     per further level. It sinks on only while its slot c is an internal node
     (``c <= base + lhn // 2``), so a slot among the leaves costs one position
-    compare. Both tallies land in ``ctx`` once.
+    compare. Both counts land in ``tally`` once.
     """
     buf = view.buf
     base = view.base
@@ -259,12 +257,11 @@ def build_min_heap(view: LargeHeapView, ctx: Metrics) -> None:
                     moves += 1
                     c = j
                 buf[c] = v
-    tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves
 
 
-def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
+def build_max_heap(view: SmallHeapView, tally: PhaseTally) -> None:
     """Mirror image of build_min_heap, in the same node order: the node at
     position p has its children at ``2p - base`` and ``2p - base - 1``, and
     slot c is an internal node when ``c >= base - shn // 2``."""
@@ -302,7 +299,6 @@ def build_max_heap(view: SmallHeapView, ctx: Metrics) -> None:
                     moves += 1
                     c = j
                 buf[c] = v
-    tally = ctx.active
     tally.compares += 2 * (half + descents)
     tally.moves += moves
 

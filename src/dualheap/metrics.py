@@ -7,8 +7,11 @@ Counting convention, applied uniformly by every instrumented operation:
 * a move is one write of an element value into a buffer slot, so an exchange
   of two slots costs 2 moves; traffic through temporaries is not counted.
 
-Counters live in an explicit context object threaded through every call (no
-global state), so concurrent runs never share a tally.
+Counters live in an explicit context object (no global state), so
+concurrent runs never share a tally. Entry points take a ``Metrics`` and
+hand each phase its own ``PhaseTally``; every counted kernel takes the one
+tally it writes, so a kernel called on its own counts wherever its caller
+points it.
 """
 
 from __future__ import annotations
@@ -30,26 +33,15 @@ class PhaseTally:
 
 
 class Metrics:
-    """Counter context for one algorithm run.
+    """Counter context for one algorithm run: one tally per phase. The
+    construct and swap tallies serve the dualheap algorithm's two phases;
+    baselines put all their work in ``other``."""
 
-    ``active`` always aliases the tally of the current phase; hot loops bump
-    ``ctx.active.compares``/``ctx.active.moves`` directly. The construct and
-    swap buckets serve the dualheap algorithm's two phases; baselines put all
-    their work in the ``other`` bucket.
-    """
-
-    __slots__ = (*PHASES, "phase", "active")
+    __slots__ = PHASES
 
     def __init__(self):
         for phase in PHASES:
             setattr(self, phase, PhaseTally())
-        self.set_phase("other")
-
-    def set_phase(self, phase: str) -> None:
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}, expected one of {PHASES}")
-        self.phase = phase
-        self.active = getattr(self, phase)
 
     @property
     def compares_total(self) -> int:
@@ -68,7 +60,4 @@ class Metrics:
         }
 
     def __repr__(self):
-        return (
-            f"Metrics(construct={self.construct!r}, swap={self.swap!r}, "
-            f"other={self.other!r}, phase={self.phase!r})"
-        )
+        return f"Metrics(construct={self.construct!r}, swap={self.swap!r}, other={self.other!r})"

@@ -38,6 +38,7 @@ class SelectOptions(namedtuple("SelectOptions", ("strategy", "presplit"), defaul
     split (one is the default and empirically the sweet spot)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -84,28 +85,27 @@ def prepare_buffer(values) -> SentinelArray:
     return SentinelArray(buf=buf, n=n)
 
 
-def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, ctx: Metrics) -> DualHeap:
+def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, tally: PhaseTally) -> DualHeap:
     """Construction phase over the segment at positions off+1 .. off+n, split
-    after ``shn`` elements, counted into the construct phase of ``ctx``.
+    after ``shn`` elements, counted in ``tally``.
 
     Returns the two heap views. Positions off and off+n+1 must already hold
     the segment's guards.
     """
-    ctx.set_phase("construct")
     if presplit >= 1:
-        build_min_heap(LargeHeapView(buf, off, n), ctx)
+        build_min_heap(LargeHeapView(buf, off, n), tally)
     if presplit == 2:
-        build_max_heap(SmallHeapView(buf, off + n + 1, n), ctx)
+        build_max_heap(SmallHeapView(buf, off + n + 1, n), tally)
     dh = DualHeap(small=SmallHeapView(buf, off + shn + 1, shn), large=LargeHeapView(buf, off + shn, n - shn))
-    build_max_heap(dh.small, ctx)
-    build_min_heap(dh.large, ctx)
+    build_max_heap(dh.small, tally)
+    build_min_heap(dh.large, tally)
     return dh
 
 
 def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> DualHeap:
     shn, _ = split_indices(n, k)
-    dh = _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx)
-    run_swapping_phase(dh, opts.strategy, ctx)
+    dh = _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx.construct)
+    run_swapping_phase(dh, opts.strategy, ctx.swap)
     return dh
 
 
@@ -115,7 +115,7 @@ def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metri
     if ctx is None:
         ctx = Metrics()
     shn, _ = split_indices(arr.n, k)
-    return _build_dualheap(arr.buf, 0, arr.n, shn, presplit, ctx)
+    return _build_dualheap(arr.buf, 0, arr.n, shn, presplit, ctx.construct)
 
 
 def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
@@ -238,11 +238,10 @@ def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
             continue
         k = (n + 1) // 2
         shn = k if k & 1 else k - 1
-        dh = _build_dualheap(buf, off, n, shn, presplit, ctx)
-        run_swapping_phase(dh, strategy, ctx)
+        dh = _build_dualheap(buf, off, n, shn, presplit, construct)
+        run_swapping_phase(dh, strategy, swap)
         stack.append((off + k, n - k))
         stack.append((off, k - 1))
-    ctx.set_phase("swap")
 
 
 def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> list[Element]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .core import DualHeap, sift_down_max, sift_down_min
 from .errors import InternalInvariantError
-from .metrics import Metrics
+from .metrics import PhaseTally
 
 _REACH = {"tree": 2, "branch": 1, "root": 0}
 
@@ -40,10 +40,10 @@ def swap_step_budget(n: int) -> int:
     return n * (1 + n.bit_length())
 
 
-def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
+def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
     """Walk from the roots, reaching as far as the strategy allows, until the
-    small-heap root no longer exceeds the large-heap root. Counts accrue to
-    the swap phase, guard included.
+    small-heap root no longer exceeds the large-heap root. Every compare and
+    move, guard included, is counted in ``tally``.
 
     Both heaps must satisfy their heap condition. The sibling-pair guard may
     read one slot past the large heap; that slot is the high guard and can
@@ -51,8 +51,6 @@ def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
     """
     if strategy not in _REACH:
         raise ValueError(f"unknown swap strategy {strategy!r}, expected one of {STRATEGIES}")
-    ctx.set_phase("swap")
-    tally = ctx.active
     small = dh.small
     large = dh.large
     buf = small.buf
@@ -87,9 +85,9 @@ def run_swapping_phase(dh: DualHeap, strategy: str, ctx: Metrics) -> None:
         buf[ps - ks], buf[pl + kl] = buf[pl + kl], buf[ps - ks]
         tally.moves += 2
         if ks <= sh2:
-            sift_down_max(small, ks, ctx)
+            sift_down_max(small, ks, tally)
         if kl <= lh2:
-            sift_down_min(large, kl, ctx)
+            sift_down_min(large, kl, tally)
 
     try:
         for _ in range(budget):

@@ -14,13 +14,13 @@ def same_multiset(a, b) -> bool:
     return Counter(a) == Counter(b)
 
 
-def reference_build_min(view, ctx) -> None:
+def reference_build_min(view, tally) -> None:
     """Per-node bottom-up build: the reference the inlined builder must match
     in buffer and counters."""
     for i in range(view.lhn // 2, 0, -1):
-        sift_down_min(view, i, ctx)
+        sift_down_min(view, i, tally)
 
 
-def reference_build_max(view, ctx) -> None:
+def reference_build_max(view, tally) -> None:
     for i in range(view.shn // 2, 0, -1):
-        sift_down_max(view, i, ctx)
+        sift_down_max(view, i, tally)

@@ -132,7 +132,7 @@ def criterion_03(instances_per_size=1000):
             dh = construct_dualheap(arr, k, presplit=1, ctx=ctx)
             if not (check_heap_condition(dh.small) and check_heap_condition(dh.large)):
                 return False, f"heap condition broken after serial construction (n={n}, seed={seed})"
-            run_swapping_phase(dh, "tree", ctx)
+            run_swapping_phase(dh, "tree", ctx.swap)
             if not (check_heap_condition(dh.small) and check_heap_condition(dh.large)):
                 return False, f"heap condition broken after swapping phase (n={n}, seed={seed})"
             if dh.small.node(1) > dh.large.node(1):
@@ -336,7 +336,6 @@ def _construction_sequence_ok(values, k, presplit):
     n = len(values)
     arr = prepare_buffer(values)
     ctx = Metrics()
-    ctx.set_phase("construct")
     built = 0
     marks = []
 
@@ -348,21 +347,21 @@ def _construction_sequence_ok(values, k, presplit):
         return step
 
     if presplit >= 1:
-        build_min_heap(LargeHeapView(arr.buf, 0, n), ctx)
+        build_min_heap(LargeHeapView(arr.buf, 0, n), ctx.construct)
         built += n
         if delta() > 3 * n:
             return False, f"whole-array min build exceeded 3n (n={n})"
     if presplit == 2:
-        build_max_heap(SmallHeapView(arr.buf, n + 1, n), ctx)
+        build_max_heap(SmallHeapView(arr.buf, n + 1, n), ctx.construct)
         built += n
         if delta() > 3 * n:
             return False, f"whole-array max build exceeded 3n (n={n})"
     shn, lhn = split_indices(n, k)
-    build_max_heap(SmallHeapView(arr.buf, shn + 1, shn), ctx)
+    build_max_heap(SmallHeapView(arr.buf, shn + 1, shn), ctx.construct)
     built += shn
     if delta() > 3 * shn:
         return False, f"small-side build exceeded 3*shn (n={n}, k={k})"
-    build_min_heap(LargeHeapView(arr.buf, shn, lhn), ctx)
+    build_min_heap(LargeHeapView(arr.buf, shn, lhn), ctx.construct)
     built += lhn
     if delta() > 3 * lhn:
         return False, f"large-side build exceeded 3*lhn (n={n}, k={k})"
@@ -445,14 +444,13 @@ def _reference_construct(values, k, presplit):
     n = len(values)
     arr = prepare_buffer(values)
     ctx = Metrics()
-    ctx.set_phase("construct")
     if presplit >= 1:
-        reference_build_min(LargeHeapView(arr.buf, 0, n), ctx)
+        reference_build_min(LargeHeapView(arr.buf, 0, n), ctx.construct)
     if presplit == 2:
-        reference_build_max(SmallHeapView(arr.buf, n + 1, n), ctx)
+        reference_build_max(SmallHeapView(arr.buf, n + 1, n), ctx.construct)
     shn, lhn = split_indices(n, k)
-    reference_build_max(SmallHeapView(arr.buf, shn + 1, shn), ctx)
-    reference_build_min(LargeHeapView(arr.buf, shn, lhn), ctx)
+    reference_build_max(SmallHeapView(arr.buf, shn + 1, shn), ctx.construct)
+    reference_build_min(LargeHeapView(arr.buf, shn, lhn), ctx.construct)
     return arr.buf, ctx.snapshot()
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dualheap import (
     InputSpec,
     Metrics,
+    PhaseTally,
     PivotRule,
     generate,
     hoare_partition,
@@ -54,7 +55,7 @@ def test_hoare_all_orderings_all_pivots():
         for pivot in (1, 2, 3):
             buf = [0, *perm, 4]
             before = sorted(buf)
-            b = hoare_partition(buf, 1, 3, pivot, Metrics())
+            b = hoare_partition(buf, 1, 3, pivot, PhaseTally())
             assert 1 <= b <= 3
             assert partition_sides_ok(buf, 1, 3, b, pivot)
             assert sorted(buf) == before
@@ -62,26 +63,26 @@ def test_hoare_all_orderings_all_pivots():
 
 def test_hoare_specific_example():
     buf = [1, 3, 1, 2, 3]
-    b = hoare_partition(buf, 1, 3, 2, Metrics())
+    b = hoare_partition(buf, 1, 3, 2, PhaseTally())
     assert partition_sides_ok(buf, 1, 3, b, 2)
     assert 3 in buf[b + 1 : 4]  # the 3 ends up on the large side
 
 
 def test_hoare_all_equal_lands_strictly_inside():
     buf = [4, 4, 4, 4, 4]
-    b = hoare_partition(buf, 1, 3, 4, Metrics())
+    b = hoare_partition(buf, 1, 3, 4, PhaseTally())
     assert 1 <= b < 3
 
 
 def test_hoare_singleton_segment():
     buf = [5, 5, 5]
-    assert hoare_partition(buf, 1, 1, 5, Metrics()) == 1
+    assert hoare_partition(buf, 1, 1, 5, PhaseTally()) == 1
 
 
 def test_hoare_stays_inside_segment_plus_sentinels():
     values = generate(InputSpec(63, "random", seed=11))
     buf = RangeTracker([min(values), *values, max(values)])
-    hoare_partition(buf, 1, 63, buf[1], Metrics())
+    hoare_partition(buf, 1, 63, buf[1], PhaseTally())
     assert buf.lo >= 0
     assert buf.hi <= 64
 
@@ -156,19 +157,19 @@ def test_random_rule_is_seed_deterministic():
 
 def test_mom_ordered_25():
     buf = [0, *range(1, 26), 99]
-    assert median_of_medians(buf, 1, 25, Metrics()) == 13
+    assert median_of_medians(buf, 1, 25, PhaseTally()) == 13
 
 
 def test_mom_grouped_beyond_direct_limit():
     # 30 ordered values: group medians 3,8,13,18,23,28 -> median 13 or 18
     buf = [0, *range(1, 31), 99]
-    value = median_of_medians(buf, 1, 30, Metrics())
+    value = median_of_medians(buf, 1, 30, PhaseTally())
     assert value in range(1, 31)
     assert 0.2 * 30 <= sorted(range(1, 31)).index(value) + 1 <= 0.8 * 30
 
 
 def test_mom_singleton():
-    assert median_of_medians([0, 9, 9], 1, 1, Metrics()) == 9
+    assert median_of_medians([0, 9, 9], 1, 1, PhaseTally()) == 9
 
 
 def test_mom_rank_bounds_random():
@@ -176,14 +177,14 @@ def test_mom_rank_bounds_random():
         n = 50 + 7 * seed
         values = generate(InputSpec(n, "random", seed=seed))
         buf = [0, *values, n + 1]
-        value = median_of_medians(buf, 1, n, Metrics())
+        value = median_of_medians(buf, 1, n, PhaseTally())
         rank = sorted(values).index(value) + 1
         assert 0.2 * n <= rank <= 0.8 * n
 
 
 def test_mom_empty_segment_rejected():
     with pytest.raises(ValueError):
-        median_of_medians([0, 1], 1, 0, Metrics())
+        median_of_medians([0, 1], 1, 0, PhaseTally())
 
 
 # --- quickselect_mom ---------------------------------------------------------

@@ -195,6 +195,25 @@ def test_algo_spec_rejects_fields_that_are_invalid_or_do_not_apply(fields, messa
         AlgoSpec(**fields)
 
 
+@pytest.mark.parametrize(
+    "spec, good, bad, message",
+    [
+        (InputSpec(5, "random"), {"seed": 3}, {"dist": "zipf"}, "unknown dist 'zipf'"),
+        (AlgoSpec(), {"strategy": "root"}, {"pivot": "random"}, "pivot applies only to quickselect"),
+        (BenchConfig(), {"trials": 1}, {"trials": 0}, "need at least one trial, got 0"),
+        (PivotRule(), {"tag": "random", "seed": 4}, {"tag": "middle"}, "unknown pivot rule 'middle'"),
+        (SelectOptions(), {"presplit": 2}, {"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
+    ],
+    ids=lambda value: type(value).__name__ if hasattr(value, "_fields") else None,
+)
+def test_spec_replace_runs_the_constructor_checks(spec, good, bad, message):
+    with pytest.raises(ValueError, match=message):
+        spec._replace(**bad)
+    replaced = spec._replace(**good)
+    assert type(replaced) is type(spec)
+    assert replaced._asdict() == {**spec._asdict(), **good}
+
+
 # --- benchmark runner --------------------------------------------------------
 
 
@@ -260,8 +279,22 @@ def test_run_benchmark_phase_buckets_for_baselines():
 
 
 def test_run_benchmark_rejects_bad_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(IndexError, match=r"selection index k=32 out of range 1\.\.31"):
         run_benchmark(BenchConfig(sizes=(31,), k=32))
+
+
+def _no_input_expected(spec):
+    raise AssertionError(f"an input was generated for {spec}")
+
+
+@pytest.mark.parametrize("k, error", [(0, IndexError), (32, IndexError), (True, TypeError)])
+def test_bad_k_rejected_before_any_trial_or_sample(k, error, monkeypatch):
+    # the check dh_select and quickselect make, before a single input exists
+    monkeypatch.setattr(bench, "generate", _no_input_expected)
+    with pytest.raises(error):
+        run_benchmark(BenchConfig(sizes=(31,), k=k))
+    with pytest.raises(error):
+        worst_case_search_random(31, samples=3, seed=1, k=k)
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -122,6 +122,18 @@ def test_usage_errors_exit_one():
     assert run_cli().returncode == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--mode", "random", "--n", "100", "--k", "101")],
+    ids=["bench", "worstcase"],
+)
+def test_out_of_range_k_exits_one_with_the_index_message(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "dualheap: error: selection index k=101 out of range 1..100\n"
+
+
 def test_bench_rejects_non_positive_trials():
     for trials in ("0", "-2"):
         result = run_cli("bench", "--sizes", "63", "--trials", trials)

@@ -11,6 +11,7 @@ import dualheap.core as core
 from dualheap import (
     LargeHeapView,
     Metrics,
+    PhaseTally,
     SmallHeapView,
     build_max_heap,
     build_min_heap,
@@ -40,14 +41,14 @@ def max_view(values):
 
 def test_sift_min_root_violation():
     view, arr = min_view([5, 2, 9])
-    sift_down_min(view, 1, Metrics())
+    sift_down_min(view, 1, PhaseTally())
     assert arr.payload() == [2, 5, 9]
 
 
 def test_sift_min_already_heap():
     view, arr = min_view([1, 2, 3])
     ctx = Metrics()
-    sift_down_min(view, 1, ctx)
+    sift_down_min(view, 1, ctx.construct)
     assert arr.payload() == [1, 2, 3]
     assert ctx.moves_total == 0
 
@@ -55,7 +56,7 @@ def test_sift_min_already_heap():
 def test_sift_min_single_node():
     view, arr = min_view([7])
     ctx = Metrics()
-    sift_down_min(view, 1, ctx)
+    sift_down_min(view, 1, ctx.construct)
     assert arr.payload() == [7]
     assert ctx.moves_total == 0
     assert ctx.compares_total == 0
@@ -65,7 +66,7 @@ def test_sift_min_all_orderings_of_three():
     # children are leaves, so the subtree precondition holds for any order
     for perm in itertools.permutations([5, 2, 9]):
         view, arr = min_view(list(perm))
-        sift_down_min(view, 1, Metrics())
+        sift_down_min(view, 1, PhaseTally())
         assert check_heap_condition(view)
         assert same_multiset(arr.payload(), perm)
 
@@ -77,7 +78,7 @@ def test_sift_max_root_violation_mirrored():
     # region [9, 2, 5]: node 1 is position 3 (value 5), nodes 2,3 are 2 and 9
     view, arr = max_view([9, 2, 5])
     assert view.node(1) == 5 and view.node(2) == 2 and view.node(3) == 9
-    sift_down_max(view, 1, Metrics())
+    sift_down_max(view, 1, PhaseTally())
     assert view.node(1) == 9
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), [9, 2, 5])
@@ -86,7 +87,7 @@ def test_sift_max_root_violation_mirrored():
 def test_sift_max_all_orderings_of_three():
     for perm in itertools.permutations([9, 2, 5]):
         view, arr = max_view(list(perm))
-        sift_down_max(view, 1, Metrics())
+        sift_down_max(view, 1, PhaseTally())
         assert check_heap_condition(view)
         assert same_multiset(arr.payload(), perm)
 
@@ -94,7 +95,7 @@ def test_sift_max_all_orderings_of_three():
 def test_sift_max_already_max_rooted():
     view, arr = max_view([1, 2, 3])  # node values 3, 2, 1: already max-rooted
     ctx = Metrics()
-    sift_down_max(view, 1, ctx)
+    sift_down_max(view, 1, ctx.construct)
     assert arr.payload() == [1, 2, 3]
     assert ctx.moves_total == 0
 
@@ -102,7 +103,7 @@ def test_sift_max_already_max_rooted():
 def test_sift_max_single_node():
     view, arr = max_view([4])
     ctx = Metrics()
-    sift_down_max(view, 1, ctx)
+    sift_down_max(view, 1, ctx.construct)
     assert arr.payload() == [4]
     assert ctx.compares_total == 0
 
@@ -112,7 +113,7 @@ def test_sift_max_single_node():
 
 def test_build_min_reverse_input():
     view, arr = min_view([9, 8, 7, 6, 5])
-    build_min_heap(view, Metrics())
+    build_min_heap(view, PhaseTally())
     assert check_heap_condition(view)
     assert view.node(1) == 5
     assert same_multiset(arr.payload(), [9, 8, 7, 6, 5])
@@ -121,20 +122,20 @@ def test_build_min_reverse_input():
 def test_build_min_already_heap_unchanged():
     view, arr = min_view([1, 2, 3, 4, 5])
     ctx = Metrics()
-    build_min_heap(view, ctx)
+    build_min_heap(view, ctx.construct)
     assert arr.payload() == [1, 2, 3, 4, 5]
     assert ctx.moves_total == 0
 
 
 def test_build_min_all_equal_unchanged():
     view, arr = min_view([4, 4, 4])
-    build_min_heap(view, Metrics())
+    build_min_heap(view, PhaseTally())
     assert arr.payload() == [4, 4, 4]
 
 
 def test_build_max_sorted_region():
     view, arr = max_view([1, 2, 3, 4, 5])
-    build_max_heap(view, Metrics())
+    build_max_heap(view, PhaseTally())
     assert check_heap_condition(view)
     assert view.node(1) == 5
 
@@ -142,7 +143,7 @@ def test_build_max_sorted_region():
 def test_build_max_single_element():
     view, arr = max_view([3])
     ctx = Metrics()
-    build_max_heap(view, ctx)
+    build_max_heap(view, ctx.construct)
     assert arr.payload() == [3]
     assert ctx.compares_total == 0
 
@@ -153,7 +154,7 @@ def test_builds_exhaustive_small_n():
         for perm in itertools.permutations(range(1, n + 1)):
             view, arr = min_view(list(perm))
             ctx = Metrics()
-            build_min_heap(view, ctx)
+            build_min_heap(view, ctx.construct)
             assert check_heap_condition(view)
             assert same_multiset(arr.payload(), perm)
             assert view.node(1) == 1
@@ -161,7 +162,7 @@ def test_builds_exhaustive_small_n():
 
             mview, marr = max_view(list(perm))
             mctx = Metrics()
-            build_max_heap(mview, mctx)
+            build_max_heap(mview, mctx.construct)
             assert check_heap_condition(mview)
             assert same_multiset(marr.payload(), perm)
             assert mview.node(1) == n
@@ -172,7 +173,7 @@ def test_builds_exhaustive_small_n():
 def test_build_min_invariants_random(values):
     view, arr = min_view(values)
     ctx = Metrics()
-    build_min_heap(view, ctx)
+    build_min_heap(view, ctx.construct)
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), values)
     assert view.node(1) == min(values)
@@ -182,7 +183,7 @@ def test_build_min_invariants_random(values):
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
 def test_build_max_invariants_random(values):
     view, arr = max_view(values)
-    build_max_heap(view, Metrics())
+    build_max_heap(view, PhaseTally())
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), values)
     assert view.node(1) == max(values)
@@ -194,12 +195,12 @@ def test_mirrored_symmetry(values):
     # mirror of building the min heap, counters included
     view, arr = min_view(values)
     ctx = Metrics()
-    build_min_heap(view, ctx)
+    build_min_heap(view, ctx.construct)
 
     mirrored = [-v for v in reversed(values)]
     mview, marr = max_view(mirrored)
     mctx = Metrics()
-    build_max_heap(mview, mctx)
+    build_max_heap(mview, mctx.construct)
 
     assert marr.payload() == [-v for v in reversed(arr.payload())]
     assert ctx.compares_total == mctx.compares_total
@@ -258,8 +259,8 @@ def _assert_build_matches_reference(build, reference, view, buf):
         got, ref_buf = list(buf), list(buf)
         ctx, ref_ctx = Metrics(), Metrics()
         with _block_height(height):
-            build(view(got), ctx)
-        reference(view(ref_buf), ref_ctx)
+            build(view(got), ctx.construct)
+        reference(view(ref_buf), ref_ctx.construct)
         assert got == ref_buf, height
         assert ctx.snapshot() == ref_ctx.snapshot(), height
 

@@ -1,17 +1,34 @@
-"""Golden outputs: the CLI's stdout and CSV bytes, pinned by sha256.
+"""Golden outputs: the CLI's stdout and CSV bytes, and the library's
+buffers and per-phase counts, pinned by sha256.
 
-Every digest was recorded before the schema, dispatch and flag
+Every CLI digest was recorded before the schema, dispatch and flag
 declarations were folded into single definitions; a refactor that changes
 one byte of what ``select``, ``sort``, ``bench``, ``worstcase`` or ``fit``
-prints fails here.
+prints fails here. The library digest was recorded before the counted
+kernels were handed their phase's tally in place of the whole ``Metrics``.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 
 import pytest
 
+from dualheap import (
+    PRESPLITS,
+    STRATEGIES,
+    Metrics,
+    PivotRule,
+    SelectOptions,
+    SentinelArray,
+    SplitMix64,
+    construct_dualheap,
+    dh_select,
+    dh_sort,
+    prepare_buffer,
+    quickselect,
+)
 from dualheap.cli import main
 
 
@@ -90,3 +107,36 @@ def test_fit_stdout_bytes(argv, metric, agg, expected, tmp_path):
     assert main([*argv, "--out", str(path)]) == 0
     text = _stdout("fit", "--in", str(path), "--metric", metric, "--agg", agg)
     assert text == expected
+
+
+def test_library_counts_digest():
+    """Buffer, value, split and every per-phase counter of dh_select on every
+    permutation for n <= 6 at every k, strategy and presplit, plus tie-heavy
+    dh_sort, quickselect and construct_dualheap runs."""
+    digest = hashlib.sha256()
+    options = [SelectOptions(strategy, presplit) for strategy in STRATEGIES for presplit in PRESPLITS]
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for k in range(1, n + 1):
+                for opts in options:
+                    ctx = Metrics()
+                    arr = SentinelArray([0, *perm, n + 1], n)
+                    out = dh_select(arr, k, opts, ctx)
+                    digest.update(repr((arr.buf, out.value, out.split, ctx.snapshot())).encode())
+    stream = SplitMix64(13)
+    for n in (7, 30, 255, 1000):
+        values = [1 + v % 4 for v in stream.take(n)]
+        for opts in options:
+            ctx = Metrics()
+            digest.update(repr((dh_sort(values, opts, ctx), ctx.snapshot())).encode())
+        for k in (1, (n + 1) // 2, n):
+            for rule in (PivotRule("first"), PivotRule("random", 3), PivotRule("median_of_medians")):
+                ctx = Metrics()
+                arr = prepare_buffer(values)
+                value = quickselect(arr, k, rule, ctx)
+                digest.update(repr((arr.buf, value, ctx.snapshot())).encode())
+            ctx = Metrics()
+            arr = prepare_buffer(values)
+            dh = construct_dualheap(arr, k, 2, ctx)
+            digest.update(repr((arr.buf, dh.small.shn, ctx.snapshot())).encode())
+    assert digest.hexdigest() == "1a1d16e51df1a296cf26206425e2f425830f5b9ad5855c619fd392aba72d5957"

@@ -1,6 +1,20 @@
 import pytest
 
-from dualheap import Metrics
+from dualheap import (
+    DualHeap,
+    LargeHeapView,
+    Metrics,
+    SmallHeapView,
+    build_max_heap,
+    build_min_heap,
+    hoare_partition,
+    median_of_medians,
+    prepare_buffer,
+    run_swapping_phase,
+    sift_down_max,
+    sift_down_min,
+)
+from dualheap.metrics import PHASES
 
 
 def test_fresh_context_is_all_zeros():
@@ -17,32 +31,42 @@ def test_fresh_context_is_all_zeros():
     assert ctx.moves_total == 0
 
 
-def test_set_phase_routes_counts():
-    ctx = Metrics()
-    ctx.set_phase("construct")
-    ctx.active.compares += 1
-    ctx.active.moves += 1
-    ctx.set_phase("swap")
-    ctx.active.compares += 2
-    assert ctx.construct.compares == 1
-    assert ctx.construct.moves == 1
-    assert ctx.swap.compares == 2
-    assert ctx.swap.moves == 0
-    assert ctx.compares_total == 3
-
-
-def test_unknown_phase_rejected():
-    with pytest.raises(ValueError):
-        Metrics().set_phase("warmup")
-
-
 def test_phase_additivity():
     ctx = Metrics()
-    for phase, reps in (("construct", 3), ("swap", 2), ("other", 4)):
-        ctx.set_phase(phase)
+    for tally, reps in ((ctx.construct, 3), (ctx.swap, 2), (ctx.other, 4)):
         for _ in range(reps):
-            ctx.active.compares += 1
-            ctx.active.moves += 2
+            tally.compares += 1
+            tally.moves += 2
     assert ctx.compares_total == ctx.construct.compares + ctx.swap.compares + ctx.other.compares == 9
     assert ctx.moves_total == 18
     assert ctx.snapshot()["moves_other"] == 8
+
+
+def _run_swap_phase(tally):
+    arr = prepare_buffer([3, 1, 2])
+    run_swapping_phase(DualHeap(SmallHeapView(arr.buf, 2, 1), LargeHeapView(arr.buf, 1, 2)), "tree", tally)
+
+
+# Each public counted kernel on an input that makes it compare and move.
+KERNELS = {
+    "sift_down_min": lambda tally: sift_down_min(LargeHeapView(prepare_buffer([5, 2, 9]).buf, 0, 3), 1, tally),
+    "sift_down_max": lambda tally: sift_down_max(SmallHeapView(prepare_buffer([9, 2, 5]).buf, 4, 3), 1, tally),
+    "build_min_heap": lambda tally: build_min_heap(LargeHeapView(prepare_buffer([9, 8, 7, 6, 5]).buf, 0, 5), tally),
+    "build_max_heap": lambda tally: build_max_heap(SmallHeapView(prepare_buffer([1, 2, 3, 4, 5]).buf, 6, 5), tally),
+    "run_swapping_phase": _run_swap_phase,
+    "hoare_partition": lambda tally: hoare_partition([0, 3, 2, 1, 4], 1, 3, 2, tally),
+    "median_of_medians": lambda tally: median_of_medians(list(range(31, -1, -1)), 1, 30, tally),
+}
+
+
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_counts_only_in_the_tally_it_is_handed(kernel, phase):
+    ctx = Metrics()
+    KERNELS[kernel](getattr(ctx, phase))
+    for other in PHASES:
+        tally = getattr(ctx, other)
+        if other == phase:
+            assert tally.compares > 0
+        else:
+            assert (tally.compares, tally.moves) == (0, 0), other

@@ -115,8 +115,7 @@ def test_select_traced_example():
     # [3,1,2], k=2: whole-array min heap first, then split at 1
     arr = prepare_buffer([3, 1, 2])
     ctx = Metrics()
-    ctx.set_phase("construct")
-    build_min_heap(LargeHeapView(arr.buf, 0, 3), ctx)
+    build_min_heap(LargeHeapView(arr.buf, 0, 3), ctx.construct)
     assert arr.payload() == [1, 3, 2]
 
     arr = prepare_buffer([3, 1, 2])
@@ -456,8 +455,6 @@ def _same_sort_as_reference(values):
         want = _reference_sort([Tagged(v, i) for i, v in enumerate(values)], opts, want_ctx)
         assert _keys_and_tags(got) == _keys_and_tags(want), (strategy, presplit)
         assert got_ctx.snapshot() == want_ctx.snapshot(), (strategy, presplit)
-        assert got_ctx.phase == want_ctx.phase
-        assert got_ctx.active is getattr(got_ctx, got_ctx.phase)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=100))

@@ -8,6 +8,7 @@ from dualheap import (
     InternalInvariantError,
     LargeHeapView,
     Metrics,
+    PhaseTally,
     SelectOptions,
     SmallHeapView,
     build_max_heap,
@@ -33,8 +34,8 @@ def make_dualheap(values, shn, heapify=True):
     )
     if heapify:
         ctx = Metrics()
-        build_max_heap(dh.small, ctx)
-        build_min_heap(dh.large, ctx)
+        build_max_heap(dh.small, ctx.construct)
+        build_min_heap(dh.large, ctx.construct)
     return dh, arr
 
 
@@ -52,7 +53,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
     # small side [3], large side [1, 2]: one exchange then one sift
     dh, arr = make_dualheap([3, 1, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(dh, exchange, ctx)
+    run_swapping_phase(dh, exchange, ctx.swap)
     assert arr.payload() == [1, 2, 3]
     assert check_heap_condition(dh.small)
     assert check_heap_condition(dh.large)
@@ -62,7 +63,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
 def test_root_swap_both_singletons():
     dh, arr = make_dualheap([5, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(dh, "root", ctx)
+    run_swapping_phase(dh, "root", ctx.swap)
     assert arr.payload() == [2, 5]
     assert ctx.moves_total == 2
 
@@ -72,7 +73,7 @@ def test_guard_false_means_no_invocation():
     dh, arr = make_dualheap([1, 2, 3, 4, 5], shn=3)
     before = arr.buf[:]
     ctx = Metrics()
-    run_swapping_phase(dh, "tree", ctx)
+    run_swapping_phase(dh, "tree", ctx.swap)
     assert arr.buf == before
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
@@ -81,7 +82,7 @@ def test_guard_false_means_no_invocation():
 def test_all_equal_values_never_swap():
     dh, arr = make_dualheap([4, 4, 4, 4], shn=3)
     ctx = Metrics()
-    run_swapping_phase(dh, "branch", ctx)
+    run_swapping_phase(dh, "branch", ctx.swap)
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
 
@@ -108,7 +109,7 @@ def test_exhaustive_partition_property(strategy):
                 arr = prepare_buffer(perm)
                 ctx = Metrics()
                 dh = construct_dualheap(arr, k, presplit=1, ctx=ctx)
-                run_swapping_phase(dh, strategy, ctx)
+                run_swapping_phase(dh, strategy, ctx.swap)
                 assert check_heap_condition(dh.small)
                 assert check_heap_condition(dh.large)
                 assert sides_partitioned(arr, dh.small.shn)
@@ -121,7 +122,7 @@ def test_strategy_outcomes_share_side_multisets():
     results = {}
     for strategy in ("tree", "branch", "root"):
         dh, arr = make_dualheap(list(values), shn=5)
-        run_swapping_phase(dh, strategy, Metrics())
+        run_swapping_phase(dh, strategy, PhaseTally())
         results[strategy] = (sorted(arr.buf[1:6]), sorted(arr.buf[6 : arr.n + 1]))
     assert results["tree"] == results["branch"] == results["root"]
 
@@ -144,7 +145,7 @@ def test_progress_inversions_strictly_decrease(monkeypatch):
                 dh, arr = make_dualheap(values, shn=7)
                 monkeypatch.setattr(swaps, "swap_step_budget", lambda n: t)
                 try:
-                    run_swapping_phase(dh, strategy, Metrics())
+                    run_swapping_phase(dh, strategy, PhaseTally())
                 except InternalInvariantError:
                     pass
                 now = cross_inversions(arr, 7)
@@ -155,7 +156,7 @@ def test_progress_inversions_strictly_decrease(monkeypatch):
 def test_costs_positive_when_anything_swapped():
     dh, arr = make_dualheap([9, 8, 7, 1, 2, 3], shn=3)
     ctx = Metrics()
-    run_swapping_phase(dh, "tree", ctx)
+    run_swapping_phase(dh, "tree", ctx.swap)
     assert ctx.swap.compares > 0
     assert ctx.swap.moves > 0
 
@@ -204,10 +205,10 @@ def test_budget_violation_is_diagnosed(monkeypatch):
     monkeypatch.setattr(swaps, "swap_step_budget", lambda n: 0)
     dh, arr = make_dualheap([9, 1, 2], shn=1)
     with pytest.raises(InternalInvariantError):
-        run_swapping_phase(dh, "tree", Metrics())
+        run_swapping_phase(dh, "tree", PhaseTally())
 
 
 def test_unknown_strategy_rejected():
     dh, arr = make_dualheap([3, 1, 2], shn=1)
     with pytest.raises(ValueError):
-        run_swapping_phase(dh, "spiral", Metrics())
+        run_swapping_phase(dh, "spiral", PhaseTally())
