@@ -216,11 +216,12 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
     trial. Trial input seeds are drawn from a master splitmix64 stream per
     (size, dist, trial) so that every algorithm sees the same inputs; any
     oracle mismatch aborts the whole run with a reproduction line."""
+    ks = [config.k if config.k is not None else median_index(n) for n in config.sizes]
+    for n, k in zip(config.sizes, ks):
+        check_index(n, k)
     master = SplitMix64(config.seed)
     records = []
-    for n in config.sizes:
-        k = config.k if config.k is not None else median_index(n)
-        check_index(n, k)
+    for n, k in zip(config.sizes, ks):
         for dist in config.dists:
             trial_seeds = master.take(config.trials)
             for algo in config.algos:

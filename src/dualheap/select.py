@@ -44,6 +44,8 @@ class SelectOptions(namedtuple("SelectOptions", ("strategy", "presplit"), defaul
         self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown swap strategy {self.strategy!r}, expected one of {STRATEGIES}")
+        if isinstance(self.presplit, bool) or not isinstance(self.presplit, int):
+            raise TypeError(f"presplit must be an int, not {type(self.presplit).__name__} ({self.presplit!r})")
         if self.presplit not in PRESPLITS:
             raise ValueError(f"presplit must be one of {PRESPLITS}, got {self.presplit!r}")
         return self
@@ -150,91 +152,64 @@ def verify_partition(arr: SentinelArray, k: int) -> bool:
 
 
 def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
-    """``_select_segment`` at n = 3, k = 2, written out. The small heap is
-    the first element alone and the large heap the other two, so the three
-    strategies coincide: one root exchange, then a re-sink of the large
-    root.
+    """``_select_segment`` at n = 3, k = 2, for presplit 1 or 2, written
+    out. The small heap is the first element alone and the large heap the
+    other two, so the three strategies coincide.
 
     Each sift picks the smaller child (the left one on ties), compares it
     with its parent and counts 2 compares; a one-child sift's other compare
     reads the high guard, which can never win, and is counted without being
-    made. With a presplit, the whole-segment min-heap puts the minimum
-    first, so the swap phase only checks its guard. The presplit-2 max-heap
-    then orders the last two elements (its compare of the first with the
-    middle one cannot win either) and leaves the split's large-heap build
-    nothing to move: presplit 2 costs 2 compares more than presplit 1 and
-    makes the same moves.
+    made. The whole-segment min-heap puts the minimum first, so the swap
+    phase only checks its guard. The presplit-2 max-heap then orders the
+    last two elements (its compare of the first with the middle one cannot
+    win either) and leaves the split's large-heap build nothing to move:
+    presplit 2 costs 2 compares more than presplit 1 and makes the same
+    moves.
     """
     a = buf[off + 1]
     b = buf[off + 2]
     c = buf[off + 3]
-    if presplit:
-        construct.compares += 2 * presplit + 2
-        moves = 0
-        if c < b:
-            if c < a:
-                a, c = c, a
-                moves = 2
-        elif b < a:
-            a, b = b, a
-            moves = 2
-        if c < b:
-            b, c = c, b
-            moves += 2
-        if moves:
-            buf[off + 1] = a
-            buf[off + 2] = b
-            buf[off + 3] = c
-            construct.moves += moves
-        swap.compares += 1
-        return
-    construct.compares += 2
+    construct.compares += 2 * presplit + 2
+    moves = 0
     if c < b:
-        b, c = c, b
-        buf[off + 2] = b
-        buf[off + 3] = c
-        construct.moves += 2
-    if b < a:
+        if c < a:
+            a, c = c, a
+            moves = 2
+    elif b < a:
         a, b = b, a
         moves = 2
-        if c < b:
-            b, c = c, b
-            moves += 2
+    if c < b:
+        b, c = c, b
+        moves += 2
+    if moves:
         buf[off + 1] = a
         buf[off + 2] = b
         buf[off + 3] = c
-        swap.compares += 4
-        swap.moves += moves
-    else:
-        swap.compares += 1
-
-
-# Straight-line selects by segment length; other segments take the general path.
-_SMALL_SELECTS = {3: _select_three}
+        construct.moves += moves
+    swap.compares += 1
 
 
 def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
     """Select the median address of every segment, left half before right
     half, from an explicit stack of ``(off, n)`` pairs.
 
-    A segment of 3 elements runs its straight-line select; any other runs
-    the construction and swapping phases of ``_select_segment`` with the
-    split computed here, since k = (n+1)//2 is always in range. Both give
-    the same buffer and counts as ``_select_segment`` at that k.
+    With a presplit, a segment of 3 elements runs its straight-line select;
+    any other segment runs the construction and swapping phases of
+    ``_select_segment`` with the split computed here, since k = (n+1)//2 is
+    always in range. Both give the same buffer and counts as
+    ``_select_segment`` at that k.
     """
     presplit = opts.presplit
     strategy = opts.strategy
     construct = ctx.construct
     swap = ctx.swap
-    small_selects = _SMALL_SELECTS
     stack = [(0, n)]
     while stack:
         off, n = stack.pop()
         if n <= 1:
             continue
-        small_select = small_selects.get(n)
-        if small_select is not None:
-            small_select(buf, off, presplit, construct, swap)
+        if n == 3 and presplit:
+            _select_three(buf, off, presplit, construct, swap)
             continue
         k = (n + 1) // 2
         shn = k if k & 1 else k - 1
@@ -258,6 +233,5 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
     if not values:
         return []
     arr = prepare_buffer(values)
-    if arr.n >= 2:
-        _sort_segments(arr.buf, arr.n, opts, ctx)
+    _sort_segments(arr.buf, arr.n, opts, ctx)
     return arr.payload()

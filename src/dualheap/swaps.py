@@ -66,7 +66,9 @@ def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
     lh2 = lhn // 2
     budget = swap_step_budget(shn + lhn)
 
-    def walk(ks: int, kl: int) -> None:
+    # walk is handed itself, so its closure holds no cell that refers back
+    # to it: no reference cycle keeps the buffer alive after the phase.
+    def walk(ks: int, kl: int, walk) -> None:
         js = 2 * ks
         jl = 2 * kl
         if reach and js <= shn and jl <= lhn:
@@ -76,11 +78,11 @@ def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
             if buf[pl + jl + 1] < buf[pl + jl]:
                 jl += 1
             if buf[ps - js] > buf[pl + jl]:
-                walk(js, jl)
+                walk(js, jl, walk)
                 if reach > 1:
                     c += 1
                     if buf[ps - (js ^ 1)] > buf[pl + (jl ^ 1)]:
-                        walk(js ^ 1, jl ^ 1)
+                        walk(js ^ 1, jl ^ 1, walk)
             tally.compares += c
         buf[ps - ks], buf[pl + kl] = buf[pl + kl], buf[ps - ks]
         tally.moves += 2
@@ -89,16 +91,11 @@ def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
         if kl <= lh2:
             sift_down_min(large, kl, tally)
 
-    try:
-        for _ in range(budget):
-            walk(1, 1)
-            tally.compares += 1
-            if not buf[ps - 1] > buf[pl + 1]:
-                return
-    finally:
-        # walk refers to itself through its closure cell; without this the
-        # cycle keeps the whole buffer alive until the cyclic GC runs.
-        del walk
+    for _ in range(budget):
+        walk(1, 1, walk)
+        tally.compares += 1
+        if not buf[ps - 1] > buf[pl + 1]:
+            return
     raise InternalInvariantError(
         f"swapping phase exceeded its step budget of {budget} "
         f"(strategy={strategy}, shn={shn}, lhn={lhn})"

@@ -287,14 +287,16 @@ def _no_input_expected(spec):
     raise AssertionError(f"an input was generated for {spec}")
 
 
-@pytest.mark.parametrize("k, error", [(0, IndexError), (32, IndexError), (True, TypeError)])
+@pytest.mark.parametrize("k, error", [(0, IndexError), (32, IndexError), (True, TypeError), (20, IndexError)])
 def test_bad_k_rejected_before_any_trial_or_sample(k, error, monkeypatch):
-    # the check dh_select and quickselect make, before a single input exists
+    # the check dh_select and quickselect make, before a single input exists;
+    # k = 20 fits the first size and not the second, so every size is checked
+    # before the first trial
     monkeypatch.setattr(bench, "generate", _no_input_expected)
     with pytest.raises(error):
-        run_benchmark(BenchConfig(sizes=(31,), k=k))
+        run_benchmark(BenchConfig(sizes=(31, 15), k=k))
     with pytest.raises(error):
-        worst_case_search_random(31, samples=3, seed=1, k=k)
+        worst_case_search_random(15, samples=3, seed=1, k=k)
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -391,6 +393,21 @@ def test_frozen_spec_defaults():
 )
 def test_spec_validation_messages(cls, args, kwargs, message):
     with pytest.raises(ValueError) as caught:
+        cls(*args, **kwargs)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    [
+        # presplit counts heap builds; a bool or float would leak into the counts and the CSV
+        (SelectOptions, (), {"presplit": True}, "presplit must be an int, not bool (True)"),
+        (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
+        (AlgoSpec, ("dhselect",), {"presplit": 2.0}, "presplit must be an int, not float (2.0)"),
+    ],
+)
+def test_spec_type_messages(cls, args, kwargs, message):
+    with pytest.raises(TypeError) as caught:
         cls(*args, **kwargs)
     assert str(caught.value) == message
 

@@ -402,36 +402,34 @@ def _keys_and_tags(buf):
     return [(x.key, x.tag) for x in buf]
 
 
-@pytest.mark.parametrize("n", sorted(select._SMALL_SELECTS))
-def test_small_selects_match_the_general_path(n):
-    # The straight-line selects are a second code path; the general
-    # _select_segment at k = (n+1)//2 is their reference, for every weak
-    # order of the segment, both kinds of guard and a nonzero offset.
-    assert n <= 5, "beyond n = 5 weak orders are too many to sweep; sample them instead"
-    small_select = select._SMALL_SELECTS[n]
+def test_select_three_matches_the_general_path():
+    # The straight-line select is a second code path; the general
+    # _select_segment at k = 2 is its reference, for every weak order of the
+    # segment, both kinds of guard, a nonzero offset and every presplit
+    # dh_sort sends it (presplit-0 segments take the general path).
+    n = 3
     off = 3
-    k = (n + 1) // 2
     cases = 0
     for ranks in _weak_orders(n):
         for below, above in itertools.product((0, 1), repeat=2):
-            for presplit in (0, 1, 2):
+            for presplit in (1, 2):
                 got = _guarded_buffer(ranks, below, above, off)
                 got_ctx = Metrics()
-                small_select(got, off, presplit, got_ctx.construct, got_ctx.swap)
+                select._select_three(got, off, presplit, got_ctx.construct, got_ctx.swap)
                 for strategy in ("tree", "branch", "root"):
                     want = _guarded_buffer(ranks, below, above, off)
                     want_ctx = Metrics()
                     arr = SentinelArray(buf=want, n=len(want) - 2)
-                    select._select_segment(arr, off, n, k, SelectOptions(strategy, presplit), want_ctx)
+                    select._select_segment(arr, off, n, 2, SelectOptions(strategy, presplit), want_ctx)
                     assert _keys_and_tags(got) == _keys_and_tags(want), (ranks, below, above, strategy, presplit)
                     assert got_ctx.snapshot() == want_ctx.snapshot(), (ranks, below, above, strategy, presplit)
                     cases += 1
-    assert cases == {2: 3, 3: 13, 4: 75, 5: 541}[n] * 4 * 9
+    assert cases == 13 * 4 * 6
 
 
 def _reference_sort(values, opts, ctx):
     """dh_sort as recursion over _select_segment: the reference for the
-    stack driver and its small selects."""
+    stack driver and its n = 3 select."""
     arr = prepare_buffer(values)
 
     def sort_segment(off, n):
