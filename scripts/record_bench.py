@@ -11,7 +11,8 @@ does not land on one side only. The result line of every run (the last line
 run.py prints) is kept as it is, with the commit, interpreter and core count
 that run.py reports. The record's platform block says whether bytecode
 writing was off. A summary gives, per metric, the median of each side, the
-parent's quartiles and the number of pairs in which the change read lower;
+parent's quartiles, the number of pairs in which the change read lower and
+whether the pairs show a gain by the claim rule (``gain_shown``);
 and per side, the number of runs that were not ``correct`` and the total of
 failed operations. Nothing here changes what run.py measures or how its
 metrics are gated.
@@ -59,10 +60,14 @@ def _seeds(text: str) -> list[int]:
     return _once_each(seeds, "seeds")
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _workloads(text: str) -> list[str]:
     """Comma-separated workload names, each declared once in BENCHMARK.json,
     so a typo fails before any run, not after the pairs before it."""
-    known = [workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    known = [workload["name"] for workload in _benchmark()["workloads"]]
     names = text.split(",")
     unknown = [name for name in names if name not in known]
     if unknown:
@@ -86,11 +91,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
 
 
+def gain_shown(parent: list[float], change: list[float], better: str) -> bool:
+    """Whether the pairs carry a claimed gain: the change reads better
+    (``better`` is "lower" or "higher") in at least nine tenths of the pairs,
+    ties counting for neither, and its median is better than the parent's by
+    more than the distance between the parent's quartiles."""
+    if len(parent) < 2:
+        return False
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = sign * (statistics.median(parent) - statistics.median(change))
+    return 10 * wins >= 9 * len(parent) and gain > q3 - q1
+
+
 def summarize(entries: list[dict]) -> dict:
     """Per workload and metric: each side's median, the parent's quartiles,
-    and in how many pairs the change read lower than the parent. Under
-    ``failures``, per side: the runs whose result is not ``correct`` and the
-    failed operations summed over all runs."""
+    in how many pairs the change read lower than the parent, and
+    ``gain_shown`` by the metric's ``better`` in BENCHMARK.json (None for a
+    metric it does not declare). Under ``failures``, per side: the runs
+    whose result is not ``correct`` and the failed operations summed over
+    all runs."""
+    spec = _benchmark()
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"] + spec["per_layer"]}
     summary = {}
     for workload in dict.fromkeys(entry["workload"] for entry in entries):
         results = {(e["pair"], e["side"]): e["result"] for e in entries if e["workload"] == workload}
@@ -112,6 +135,7 @@ def summarize(entries: list[dict]) -> dict:
                 "parent_quartiles": statistics.quantiles(values["parent"], n=4) if len(pairs) > 1 else None,
                 "change_lower_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
                 "pairs": len(pairs),
+                "gain_shown": gain_shown(values["parent"], values["change"], better[name]) if name in better else None,
             }
         summary[workload] = {"failures": failures, **metrics}
     return summary

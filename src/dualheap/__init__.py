@@ -1,38 +1,13 @@
 """Dualheap selection: address-pivoted partitioning built from two opposing
 bottom-up heaps, with instrumented quickselect baselines and a benchmark
-harness for comparing them."""
+harness for comparing them.
 
-from .baselines import (
-    PIVOT_RULES,
-    PivotRule,
-    hoare_partition,
-    median_of_medians,
-    oracle_select,
-    quickselect,
-    quickselect_mom,
-)
-from .bench import (
-    ALGOS,
-    AlgoSpec,
-    BenchConfig,
-    CSV_FIELDS,
-    CSV_HEADER,
-    DEFAULT_SIZES,
-    DISTS,
-    ExperimentRecord,
-    InputSpec,
-    WorstCaseReport,
-    emit_csv,
-    emit_worstcase_csv,
-    fit_growth,
-    generate,
-    median_index,
-    parse_csv,
-    records_to_csv,
-    run_benchmark,
-    worst_case_search_exhaustive,
-    worst_case_search_random,
-)
+``import dualheap`` loads only the selection algorithm. The harness names
+(the baselines, the bench runner and its CSV records, the seeded stream)
+load from their submodules on first use."""
+
+from importlib import import_module
+
 from .core import (
     DualHeap,
     Element,
@@ -48,7 +23,6 @@ from .core import (
 )
 from .errors import InternalInvariantError, OracleMismatchError
 from .metrics import Metrics, PhaseTally
-from .rng import SplitMix64
 from .select import (
     PRESPLITS,
     SelectOptions,
@@ -61,3 +35,57 @@ from .select import (
     verify_partition,
 )
 from .swaps import STRATEGIES, run_swapping_phase, swap_step_budget
+
+# Name -> the submodule that defines it. Compiling these submodules takes
+# about half of a fresh import, and the selection algorithm uses none of them.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PIVOT_RULES",
+            "PivotRule",
+            "hoare_partition",
+            "median_of_medians",
+            "oracle_select",
+            "quickselect",
+            "quickselect_mom",
+        ),
+        "baselines",
+    ),
+    **dict.fromkeys(
+        (
+            "ALGOS",
+            "AlgoSpec",
+            "BenchConfig",
+            "CSV_FIELDS",
+            "CSV_HEADER",
+            "DEFAULT_SIZES",
+            "DISTS",
+            "ExperimentRecord",
+            "InputSpec",
+            "WorstCaseReport",
+            "emit_csv",
+            "emit_worstcase_csv",
+            "fit_growth",
+            "generate",
+            "median_index",
+            "parse_csv",
+            "records_to_csv",
+            "run_benchmark",
+            "worst_case_search_exhaustive",
+            "worst_case_search_random",
+        ),
+        "bench",
+    ),
+    "SplitMix64": "rng",
+}
+
+
+def __getattr__(name):
+    # Resolved on every access and never stored here: a stored copy would
+    # outlive a later patch of the submodule's attribute (a tracer's wrapper,
+    # its removal, a test's monkeypatch).
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)

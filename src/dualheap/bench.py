@@ -19,7 +19,7 @@ from collections import namedtuple
 from io import StringIO
 
 from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
-from .core import SentinelArray, check_index
+from .core import SentinelArray, check_index, check_int
 from .errors import OracleMismatchError
 from .metrics import Metrics
 from .rng import SplitMix64
@@ -32,6 +32,12 @@ PIVOTS = ("first", "random")  # the pivot rules a "quickselect" series can name
 DEFAULT_SIZES = (1023, 4095, 16383)
 
 
+def _check_size(n: int) -> None:
+    check_int("input size", n)
+    if n < 1:
+        raise ValueError(f"input size must be >= 1, got {n}")
+
+
 class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
     """One generated input: size, shape family, and the seed that pins it."""
 
@@ -40,8 +46,7 @@ class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1:
-            raise ValueError(f"input size must be >= 1, got {self.n}")
+        _check_size(self.n)
         if self.dist not in DISTS:
             raise ValueError(f"unknown dist {self.dist!r}, expected one of {DISTS}")
         return self
@@ -190,6 +195,9 @@ class BenchConfig(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for n in self.sizes:
+            _check_size(n)
+        check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         return self

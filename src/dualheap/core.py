@@ -93,6 +93,13 @@ class DualHeap(namedtuple("DualHeap", ("small", "large"))):
     __slots__ = ()
 
 
+def check_int(what: str, value) -> None:
+    """Reject anything but an int with ``TypeError``, a bool posing as one
+    included: it would pass a range check and leak into counts and CSV."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, not {type(value).__name__} ({value!r})")
+
+
 def check_index(n: int, k: int) -> None:
     """Reject a selection index outside 1..n, and a bool posing as one."""
     if isinstance(k, bool):

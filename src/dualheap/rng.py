@@ -17,6 +17,8 @@ The low 64 bits of each lane are the outputs, in stream order.
 import sys
 from functools import cache
 
+from .core import check_int
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -49,8 +51,7 @@ def check_seed(seed: int) -> int:
     range would alias the one inside it that shares its low 64 bits (-1
     and 2**64 - 1 would give the same stream), so it raises ``ValueError``;
     anything but an int, ``bool`` included, raises ``TypeError``."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, not {type(seed).__name__} ({seed!r})")
+    check_int("seed", seed)
     if not 0 <= seed <= MASK64:
         raise ValueError(f"expected a seed in 0..{MASK64}, got {seed}")
     return seed

@@ -24,6 +24,8 @@ from .core import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
+    check_index,
+    check_int,
     split_indices,
 )
 from .metrics import Metrics, PhaseTally
@@ -44,11 +46,17 @@ class SelectOptions(namedtuple("SelectOptions", ("strategy", "presplit"), defaul
         self = super().__new__(cls, *args, **kwargs)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown swap strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if isinstance(self.presplit, bool) or not isinstance(self.presplit, int):
-            raise TypeError(f"presplit must be an int, not {type(self.presplit).__name__} ({self.presplit!r})")
-        if self.presplit not in PRESPLITS:
-            raise ValueError(f"presplit must be one of {PRESPLITS}, got {self.presplit!r}")
+        _check_presplit(self.presplit)
         return self
+
+
+def _check_presplit(presplit: int) -> None:
+    """Reject a presplit outside ``PRESPLITS`` with ``ValueError``, and
+    anything but an int with ``TypeError``: ``True`` or ``1.0`` would run
+    as presplit 1 but print as another value."""
+    check_int("presplit", presplit)
+    if presplit not in PRESPLITS:
+        raise ValueError(f"presplit must be one of {PRESPLITS}, got {presplit!r}")
 
 
 SelectOutcome = namedtuple("SelectOutcome", ("value", "split", "metrics"))
@@ -114,6 +122,7 @@ def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOp
 def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None) -> DualHeap:
     """Run only the construction phase and hand back the two heap views,
     ready for a swapping phase. Useful for inspecting the phase boundary."""
+    _check_presplit(presplit)
     if ctx is None:
         ctx = Metrics()
     shn, _ = split_indices(arr.n, k)
@@ -139,7 +148,9 @@ def dh_select_copy(values, k: int, opts: SelectOptions | None = None, ctx: Metri
 
 def verify_partition(arr: SentinelArray, k: int) -> bool:
     """True iff positions 1..k-1 hold values <= buf[k] and positions
-    k+1..n hold values >= buf[k]."""
+    k+1..n hold values >= buf[k]. A k outside 1..n raises ``IndexError``,
+    as it does for ``dh_select``: positions 0 and n+1 hold the guards."""
+    check_index(arr.n, k)
     buf = arr.buf
     v = buf[k]
     for i in range(1, k):

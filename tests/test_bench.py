@@ -386,6 +386,7 @@ def test_frozen_spec_defaults():
         (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of "
          "('tree', 'branch', 'root')"),
         (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
+        (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
         (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of "
          "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
@@ -404,6 +405,13 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (SelectOptions, (), {"presplit": True}, "presplit must be an int, not bool (True)"),
         (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
         (AlgoSpec, ("dhselect",), {"presplit": 2.0}, "presplit must be an int, not float (2.0)"),
+        # a bool size was written to the CSV as "true", which parse_csv cannot read back
+        (InputSpec, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
+        (InputSpec, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
+        (BenchConfig, (), {"sizes": (31, True)}, "input size must be an int, not bool (True)"),
+        (BenchConfig, (), {"sizes": (31.0,)}, "input size must be an int, not float (31.0)"),
+        (BenchConfig, (), {"trials": True}, "trials must be an int, not bool (True)"),
+        (BenchConfig, (), {"trials": 3.0}, "trials must be an int, not float (3.0)"),
     ],
 )
 def test_spec_type_messages(cls, args, kwargs, message):

@@ -289,3 +289,44 @@ def test_import_does_not_load_statistics():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_import_loads_only_the_selection_algorithm():
+    # the harness modules take about half of a fresh import to compile; the
+    # selection algorithm uses none of them
+    code = (
+        "import sys; bare = set(sys.modules); import dualheap; "
+        "print(sorted(name for name in set(sys.modules) - bare if name.split('.')[0] in ('dualheap', 'csv')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = ["dualheap", "dualheap.core", "dualheap.errors", "dualheap.metrics", "dualheap.select", "dualheap.swaps"]
+    assert result.stdout == f"{loaded}\n"
+
+
+def test_lazy_names_resolve_to_their_submodule_on_every_access(monkeypatch):
+    import dualheap
+
+    assert dualheap._LAZY
+    for name, module in dualheap._LAZY.items():
+        defined = getattr(importlib.import_module(f"dualheap.{module}"), name)
+        assert getattr(dualheap, name) is defined
+        exec(f"from dualheap import {name} as imported", scope := {})
+        assert scope["imported"] is defined
+        assert name not in vars(dualheap)
+    # nothing is stored in the package, so a patch of the submodule shows
+    # through it and goes away with the patch
+    original = dualheap.bench.generate
+    monkeypatch.setattr(dualheap.bench, "generate", len)
+    assert dualheap.generate is len
+    monkeypatch.undo()
+    assert dualheap.generate is original
+
+
+def test_unknown_package_name_raises():
+    import dualheap
+
+    with pytest.raises(AttributeError, match="module 'dualheap' has no attribute 'no_such_name'"):
+        dualheap.no_such_name
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+        from dualheap import no_such_name  # noqa: F401

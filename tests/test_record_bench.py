@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -116,3 +117,37 @@ def test_record_bench_rejects_workloads_before_any_run(tmp_path, workloads, mess
     assert message in result.stderr
     assert not (tmp_path / "calls.log").exists()
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def _summarize(parent, change):
+    spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    entries = [
+        {"workload": "select-large", "pair": pair, "side": side,
+         "result": {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": value}}}}
+        for pair, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+    return module.summarize(entries)["select-large"]["setup_s"]
+
+
+PARENT = [0.020, 0.021, 0.022, 0.023, 0.024, 0.025, 0.026, 0.027, 0.028, 0.029]  # quartiles 0.02175, 0.02725
+
+
+@pytest.mark.parametrize(
+    "change, lower, shown",
+    [
+        # 9 lower and a tie, and the median falls by 0.008 against a quartile distance of 0.0055
+        ([0.012, 0.013, 0.014, 0.015, 0.016, 0.017, 0.018, 0.019, 0.020, 0.029], 9, True),
+        # the same medians, but 8 lower, a tie and one higher: too few pairs
+        ([0.012, 0.013, 0.014, 0.015, 0.016, 0.017, 0.018, 0.019, 0.030, 0.029], 8, False),
+        # lower in every pair, by less than the parent's quartile distance
+        ([value - 0.005 for value in PARENT], 10, False),
+    ],
+)
+def test_gain_shown_follows_the_claim_rule(change, lower, shown):
+    # the rule that refused a sort-mid latency_tail_s claim at 0.1866 -> 0.1523 s
+    summary = _summarize(PARENT, change)
+    assert summary["change_lower_pairs"] == lower
+    assert summary["gain_shown"] is shown

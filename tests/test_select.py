@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -152,6 +153,26 @@ def test_select_bounds_errors():
         dh_select(arr, 0)
     with pytest.raises(IndexError):
         dh_select(arr, 4)
+
+
+@pytest.mark.parametrize(
+    "presplit, error, message",
+    [
+        (5, ValueError, "presplit must be one of (0, 1, 2), got 5"),
+        (-1, ValueError, "presplit must be one of (0, 1, 2), got -1"),
+        (True, TypeError, "presplit must be an int, not bool (True)"),
+        (1.0, TypeError, "presplit must be an int, not float (1.0)"),
+    ],
+)
+def test_construct_dualheap_checks_presplit_as_select_options_does(presplit, error, message):
+    # these ran as presplit 1 (or 0 for -1) with no error
+    arr = prepare_buffer([3, 1, 2])
+    with pytest.raises(error) as caught:
+        construct_dualheap(arr, 2, presplit)
+    assert str(caught.value) == message
+    with pytest.raises(error, match=re.escape(message)):
+        SelectOptions(presplit=presplit)
+    assert arr.buf == [1, 3, 1, 2, 3]
 
 
 def test_select_rejects_bool_k():
@@ -316,6 +337,13 @@ def test_oracle_agreement_large_duplicate_heavy(n, kind, distinct, seed, data):
 def test_verify_partition_examples():
     assert verify_partition(prepare_buffer([1, 2, 3]), 2)
     assert not verify_partition(prepare_buffer([3, 1, 2]), 2)
+
+
+@pytest.mark.parametrize("k, error", [(0, IndexError), (4, IndexError), (5, IndexError), (True, TypeError)])
+def test_verify_partition_rejects_k_as_dh_select_does(k, error):
+    # k = 0 and k = n + 1 would read a guard and pass; k = n + 2 ran off the buffer
+    with pytest.raises(error):
+        verify_partition(prepare_buffer([1, 2, 3]), k)
 
 
 # --- dh_sort -----------------------------------------------------------------
