@@ -311,7 +311,8 @@ def test_lazy_names_resolve_to_their_submodule_on_every_access(monkeypatch):
     for name, module in dualheap._LAZY.items():
         defined = getattr(importlib.import_module(f"dualheap.{module}"), name)
         assert getattr(dualheap, name) is defined
-        exec(f"from dualheap import {name} as imported", scope := {})
+        scope = {}
+        exec(f"from dualheap import {name} as imported", scope)
         assert scope["imported"] is defined
         assert name not in vars(dualheap)
     # nothing is stored in the package, so a patch of the submodule shows
