@@ -386,10 +386,10 @@ def test_frozen_spec_defaults():
         (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of "
          "('tree', 'branch', 'root')"),
         (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
-        (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
         (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of "
          "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
+        (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
     ],
 )
 def test_spec_validation_messages(cls, args, kwargs, message):
