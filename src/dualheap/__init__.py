@@ -16,9 +16,6 @@ from .core import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
-    check_heap_condition,
-    sift_down_max,
-    sift_down_min,
     split_indices,
 )
 from .errors import InternalInvariantError, OracleMismatchError

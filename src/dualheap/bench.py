@@ -351,6 +351,7 @@ def worst_case_search_exhaustive(max_n: int, opts: SelectOptions | None = None) 
     report the maximum swapping-phase comparison count with its witness.
     The enumeration order (lexicographic permutations, k ascending, first
     maximum kept) makes the witness deterministic."""
+    check_int("max_n", max_n)
     if not 1 <= max_n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive mode is bounded to 1..{EXHAUSTIVE_MAX_N}, got {max_n}")
     reports = []
@@ -375,6 +376,8 @@ def worst_case_search_random(
     """Sample random permutations (seeds drawn from a master stream) and
     report the worst swapping-phase comparison count. k defaults to the
     median address."""
+    _check_size(n)
+    check_int("samples", samples)
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if k is None:

@@ -59,12 +59,6 @@ class LargeHeapView:
         self.base = base
         self.lhn = lhn
 
-    def node(self, j: int) -> Element:
-        return self.buf[self.base + j]
-
-    def nodes(self) -> list[Element]:
-        return self.buf[self.base + 1 : self.base + self.lhn + 1]
-
 
 class SmallHeapView:
     """Max-rooted heap mirrored over buffer positions ``base-shn .. base-1``."""
@@ -75,15 +69,6 @@ class SmallHeapView:
         self.buf = buf
         self.base = base
         self.shn = shn
-
-    def node(self, k: int) -> Element:
-        return self.buf[self.base - k]
-
-    def nodes(self) -> list[Element]:
-        """Node values in node-index order (root first)."""
-        out = self.buf[self.base - self.shn : self.base]
-        out.reverse()
-        return out
 
 
 class DualHeap(namedtuple("DualHeap", ("small", "large"))):
@@ -101,9 +86,9 @@ def check_int(what: str, value) -> None:
 
 
 def check_index(n: int, k: int) -> None:
-    """Reject a selection index outside 1..n, and a bool posing as one."""
-    if isinstance(k, bool):
-        raise TypeError(f"selection index k must be an int, not bool ({k!r})")
+    """Reject a selection index that is not an int (``TypeError``) or lies
+    outside 1..n (``IndexError``)."""
+    check_int("selection index k", k)
     if not 1 <= k <= n:
         raise IndexError(f"selection index k={k} out of range 1..{n}")
 
@@ -114,73 +99,6 @@ def split_indices(n: int, k: int) -> tuple[int, int]:
     check_index(n, k)
     shn = k if k & 1 else k - 1
     return shn, n - shn
-
-
-def sift_down_min(view: LargeHeapView, k: int, tally: PhaseTally) -> None:
-    """Sink node k until the min-heap condition holds on its subtree.
-
-    Requires the condition to already hold below node k, and the slot one
-    past the heap to read as a high guard. A node without children is left
-    untouched at zero cost.
-    """
-    buf = view.buf
-    base = view.base
-    hn = view.lhn
-    j = 2 * k
-    if j > hn:
-        return
-    v = buf[base + k]
-    c = 2
-    if buf[base + j + 1] < buf[base + j]:
-        j += 1
-    if buf[base + j] < v:
-        m = 0
-        while True:
-            buf[base + k] = buf[base + j]
-            m += 1
-            k = j
-            j = 2 * k
-            if j > hn:
-                break
-            c += 2
-            if buf[base + j + 1] < buf[base + j]:
-                j += 1
-            if not buf[base + j] < v:
-                break
-        buf[base + k] = v
-        tally.moves += m + 1
-    tally.compares += c
-
-
-def sift_down_max(view: SmallHeapView, k: int, tally: PhaseTally) -> None:
-    """Mirror image of sift_down_min: sink node k in the max-rooted heap."""
-    buf = view.buf
-    base = view.base
-    hn = view.shn
-    j = 2 * k
-    if j > hn:
-        return
-    v = buf[base - k]
-    c = 2
-    if buf[base - j - 1] > buf[base - j]:
-        j += 1
-    if buf[base - j] > v:
-        m = 0
-        while True:
-            buf[base - k] = buf[base - j]
-            m += 1
-            k = j
-            j = 2 * k
-            if j > hn:
-                break
-            c += 2
-            if buf[base - j - 1] > buf[base - j]:
-                j += 1
-            if not buf[base - j] > v:
-                break
-        buf[base - k] = v
-        tally.moves += m + 1
-    tally.compares += c
 
 
 # Levels per subtree of the blocked build order, leaves included: 1,023
@@ -220,10 +138,10 @@ def build_min_heap(view: LargeHeapView, tally: PhaseTally) -> None:
     children, one subtree at a time (see ``_build_runs``).
 
     Each sift reads and writes only its own subtree, so any such order gives
-    the same buffer and counters as plain level order. The sifts of
-    ``sift_down_min`` run inline on absolute buffer positions: the node at
-    position p has its children at ``2p - base`` and ``2p - base + 1``.
-    Every internal node costs 2 compares, plus 2 per level it descends below
+    the same buffer and counters as plain level order. Each sift is Floyd's
+    sink (CACM Algorithm 245), inline on absolute buffer positions: the
+    node at position p has its children at ``2p - base`` and
+    ``2p - base + 1``. Every internal node costs 2 compares, plus 2 per level it descends below
     its children. A node that sinks costs 2 moves for its first level (the
     smaller child moved up, the node written once at its final slot) and 1
     per further level. It sinks on only while its slot c is an internal node
@@ -309,24 +227,3 @@ def build_max_heap(view: SmallHeapView, tally: PhaseTally) -> None:
     tally.compares += 2 * (half + descents)
     tally.moves += moves
 
-
-def check_heap_condition(view) -> bool:
-    """True iff every parent dominates both children per the view's
-    orientation. A validator, so it is deliberately uncounted."""
-    if isinstance(view, SmallHeapView):
-        buf, base, hn = view.buf, view.base, view.shn
-        for i in range(1, hn // 2 + 1):
-            j = 2 * i
-            if buf[base - i] < buf[base - j]:
-                return False
-            if j + 1 <= hn and buf[base - i] < buf[base - j - 1]:
-                return False
-        return True
-    buf, base, hn = view.buf, view.base, view.lhn
-    for i in range(1, hn // 2 + 1):
-        j = 2 * i
-        if buf[base + j] < buf[base + i]:
-            return False
-        if j + 1 <= hn and buf[base + j + 1] < buf[base + i]:
-            return False
-    return True

@@ -2,7 +2,8 @@ from collections import Counter
 
 from hypothesis import settings
 
-from dualheap import sift_down_max, sift_down_min
+from dualheap import InternalInvariantError, SmallHeapView
+from dualheap.swaps import _REACH, swap_step_budget
 
 # Keep test runs reproducible; the library's own determinism is asserted
 # elsewhere, no need for shrink-seed noise here.
@@ -12,6 +13,130 @@ settings.load_profile("deterministic")
 
 def same_multiset(a, b) -> bool:
     return Counter(a) == Counter(b)
+
+
+class Tagged:
+    """Compares by ``key`` alone; the ``tag`` tells equal keys apart, so a
+    tie broken the other way shows in the buffer."""
+
+    __slots__ = ("key", "tag")
+
+    def __init__(self, key, tag):
+        self.key = key
+        self.tag = tag
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __gt__(self, other):
+        return self.key > other.key
+
+    def __le__(self, other):
+        return self.key <= other.key
+
+    def __ge__(self, other):
+        return self.key >= other.key
+
+    def __repr__(self):
+        return f"Tagged({self.key}, {self.tag!r})"
+
+
+def node(view, j):
+    """Value of node j (1-based) of either heap orientation."""
+    if isinstance(view, SmallHeapView):
+        return view.buf[view.base - j]
+    return view.buf[view.base + j]
+
+
+def check_heap_condition(view) -> bool:
+    """True iff every parent dominates both children per the view's
+    orientation. A validator, so it is deliberately uncounted."""
+    if isinstance(view, SmallHeapView):
+        buf, base, hn = view.buf, view.base, view.shn
+        for i in range(1, hn // 2 + 1):
+            j = 2 * i
+            if buf[base - i] < buf[base - j]:
+                return False
+            if j + 1 <= hn and buf[base - i] < buf[base - j - 1]:
+                return False
+        return True
+    buf, base, hn = view.buf, view.base, view.lhn
+    for i in range(1, hn // 2 + 1):
+        j = 2 * i
+        if buf[base + j] < buf[base + i]:
+            return False
+        if j + 1 <= hn and buf[base + j + 1] < buf[base + i]:
+            return False
+    return True
+
+
+def sift_down_min(view, k, tally) -> None:
+    """Sink node k until the min-heap condition holds on its subtree (Floyd,
+    CACM Algorithm 245): the per-node reference of the builders' and the
+    swap phase's inline sinks.
+
+    Requires the condition to already hold below node k, and the slot one
+    past the heap to read as a high guard. A node without children is left
+    untouched at zero cost.
+    """
+    buf = view.buf
+    base = view.base
+    hn = view.lhn
+    j = 2 * k
+    if j > hn:
+        return
+    v = buf[base + k]
+    c = 2
+    if buf[base + j + 1] < buf[base + j]:
+        j += 1
+    if buf[base + j] < v:
+        m = 0
+        while True:
+            buf[base + k] = buf[base + j]
+            m += 1
+            k = j
+            j = 2 * k
+            if j > hn:
+                break
+            c += 2
+            if buf[base + j + 1] < buf[base + j]:
+                j += 1
+            if not buf[base + j] < v:
+                break
+        buf[base + k] = v
+        tally.moves += m + 1
+    tally.compares += c
+
+
+def sift_down_max(view, k, tally) -> None:
+    """Mirror image of sift_down_min: sink node k in the max-rooted heap."""
+    buf = view.buf
+    base = view.base
+    hn = view.shn
+    j = 2 * k
+    if j > hn:
+        return
+    v = buf[base - k]
+    c = 2
+    if buf[base - j - 1] > buf[base - j]:
+        j += 1
+    if buf[base - j] > v:
+        m = 0
+        while True:
+            buf[base - k] = buf[base - j]
+            m += 1
+            k = j
+            j = 2 * k
+            if j > hn:
+                break
+            c += 2
+            if buf[base - j - 1] > buf[base - j]:
+                j += 1
+            if not buf[base - j] > v:
+                break
+        buf[base - k] = v
+        tally.moves += m + 1
+    tally.compares += c
 
 
 def reference_build_min(view, tally) -> None:
@@ -24,3 +149,53 @@ def reference_build_min(view, tally) -> None:
 def reference_build_max(view, tally) -> None:
     for i in range(view.shn // 2, 0, -1):
         sift_down_max(view, i, tally)
+
+
+def reference_swapping_phase(dh, strategy, tally) -> None:
+    """The swapping phase as a recursive walk with per-node re-sinks: the
+    reference ``run_swapping_phase`` must match in buffer and counters.
+
+    At a node pair the walk picks the greedy children and walks that pair
+    first if its values are inverted, then (reach 2) the sibling pair if
+    inverted; it then exchanges its own pair and re-sinks both values.
+    """
+    small = dh.small
+    large = dh.large
+    buf = small.buf
+    ps = small.base
+    pl = large.base
+    reach = _REACH[strategy]
+    shn = small.shn
+    lhn = large.lhn
+
+    def walk(ks, kl):
+        js = 2 * ks
+        jl = 2 * kl
+        if reach and js <= shn and jl <= lhn:
+            c = 3
+            if buf[ps - js - 1] > buf[ps - js]:
+                js += 1
+            if buf[pl + jl + 1] < buf[pl + jl]:
+                jl += 1
+            if buf[ps - js] > buf[pl + jl]:
+                walk(js, jl)
+                if reach > 1:
+                    c += 1
+                    if buf[ps - (js ^ 1)] > buf[pl + (jl ^ 1)]:
+                        walk(js ^ 1, jl ^ 1)
+            tally.compares += c
+        buf[ps - ks], buf[pl + kl] = buf[pl + kl], buf[ps - ks]
+        tally.moves += 2
+        sift_down_max(small, ks, tally)
+        sift_down_min(large, kl, tally)
+
+    tally.compares += 1
+    if not buf[ps - 1] > buf[pl + 1]:
+        return
+    budget = swap_step_budget(shn + lhn)
+    for _ in range(budget):
+        walk(1, 1)
+        tally.compares += 1
+        if not buf[ps - 1] > buf[pl + 1]:
+            return
+    raise InternalInvariantError(f"swapping phase exceeded its step budget of {budget}")

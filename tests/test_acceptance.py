@@ -24,7 +24,6 @@ from dualheap import (
     SplitMix64,
     build_max_heap,
     build_min_heap,
-    check_heap_condition,
     construct_dualheap,
     dh_select,
     fit_growth,
@@ -40,7 +39,7 @@ from dualheap import (
     worst_case_search_exhaustive,
 )
 from dualheap.baselines import PivotRule
-from conftest import reference_build_max, reference_build_min
+from conftest import check_heap_condition, node, reference_build_max, reference_build_min
 
 SIZES = (1023, 4095, 16383)
 STRATEGIES = ("tree", "branch", "root")
@@ -135,7 +134,7 @@ def criterion_03(instances_per_size=1000):
             run_swapping_phase(dh, "tree", ctx.swap)
             if not (check_heap_condition(dh.small) and check_heap_condition(dh.large)):
                 return False, f"heap condition broken after swapping phase (n={n}, seed={seed})"
-            if dh.small.node(1) > dh.large.node(1):
+            if node(dh.small, 1) > node(dh.large, 1):
                 return False, f"root guard violated after swapping phase (n={n}, seed={seed})"
             checked += 1
     return True, f"{checked} instances: heaps valid after construction and swapping"

@@ -232,10 +232,11 @@ def test_oracle_bounds():
 
 
 def test_bool_index_rejected_like_dh_select():
-    with pytest.raises(TypeError):
-        quickselect(prepare_buffer([5, 3, 9]), True)
-    with pytest.raises(TypeError):
-        oracle_select([5, 3, 9], True)
+    for k in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            quickselect(prepare_buffer([5, 3, 9]), k)
+        with pytest.raises(TypeError):
+            oracle_select([5, 3, 9], k)
 
 
 def test_oracle_does_not_mutate():

@@ -390,6 +390,8 @@ def test_frozen_spec_defaults():
          "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
         (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
+        # n = 0 reported a k error
+        (worst_case_search_random, (0, 5, 0), {}, "input size must be >= 1, got 0"),
     ],
 )
 def test_spec_validation_messages(cls, args, kwargs, message):
@@ -412,6 +414,11 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (BenchConfig, (), {"sizes": (31.0,)}, "input size must be an int, not float (31.0)"),
         (BenchConfig, (), {"trials": True}, "trials must be an int, not bool (True)"),
         (BenchConfig, (), {"trials": 3.0}, "trials must be an int, not float (3.0)"),
+        # True ran as max_n = 1 and as one sample; 2.5 samples failed with Python's generic message
+        (worst_case_search_exhaustive, (True,), {}, "max_n must be an int, not bool (True)"),
+        (worst_case_search_random, (5, True, 0), {}, "samples must be an int, not bool (True)"),
+        (worst_case_search_random, (5, 2.5, 0), {}, "samples must be an int, not float (2.5)"),
+        (worst_case_search_random, (5.0, 5, 0), {}, "input size must be an int, not float (5.0)"),
     ],
 )
 def test_spec_type_messages(cls, args, kwargs, message):

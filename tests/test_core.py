@@ -15,13 +15,18 @@ from dualheap import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
-    check_heap_condition,
     prepare_buffer,
-    sift_down_max,
-    sift_down_min,
     split_indices,
 )
-from conftest import reference_build_max, reference_build_min, same_multiset
+from conftest import (
+    check_heap_condition,
+    node,
+    reference_build_max,
+    reference_build_min,
+    same_multiset,
+    sift_down_max,
+    sift_down_min,
+)
 
 
 def min_view(values):
@@ -77,9 +82,9 @@ def test_sift_min_all_orderings_of_three():
 def test_sift_max_root_violation_mirrored():
     # region [9, 2, 5]: node 1 is position 3 (value 5), nodes 2,3 are 2 and 9
     view, arr = max_view([9, 2, 5])
-    assert view.node(1) == 5 and view.node(2) == 2 and view.node(3) == 9
+    assert node(view, 1) == 5 and node(view, 2) == 2 and node(view, 3) == 9
     sift_down_max(view, 1, PhaseTally())
-    assert view.node(1) == 9
+    assert node(view, 1) == 9
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), [9, 2, 5])
 
@@ -115,7 +120,7 @@ def test_build_min_reverse_input():
     view, arr = min_view([9, 8, 7, 6, 5])
     build_min_heap(view, PhaseTally())
     assert check_heap_condition(view)
-    assert view.node(1) == 5
+    assert node(view, 1) == 5
     assert same_multiset(arr.payload(), [9, 8, 7, 6, 5])
 
 
@@ -137,7 +142,7 @@ def test_build_max_sorted_region():
     view, arr = max_view([1, 2, 3, 4, 5])
     build_max_heap(view, PhaseTally())
     assert check_heap_condition(view)
-    assert view.node(1) == 5
+    assert node(view, 1) == 5
 
 
 def test_build_max_single_element():
@@ -157,7 +162,7 @@ def test_builds_exhaustive_small_n():
             build_min_heap(view, ctx.construct)
             assert check_heap_condition(view)
             assert same_multiset(arr.payload(), perm)
-            assert view.node(1) == 1
+            assert node(view, 1) == 1
             assert ctx.compares_total <= 3 * n
 
             mview, marr = max_view(list(perm))
@@ -165,7 +170,7 @@ def test_builds_exhaustive_small_n():
             build_max_heap(mview, mctx.construct)
             assert check_heap_condition(mview)
             assert same_multiset(marr.payload(), perm)
-            assert mview.node(1) == n
+            assert node(mview, 1) == n
             assert mctx.compares_total <= 3 * n
 
 
@@ -176,7 +181,7 @@ def test_build_min_invariants_random(values):
     build_min_heap(view, ctx.construct)
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), values)
-    assert view.node(1) == min(values)
+    assert node(view, 1) == min(values)
     assert ctx.compares_total <= 3 * len(values)
 
 
@@ -186,7 +191,7 @@ def test_build_max_invariants_random(values):
     build_max_heap(view, PhaseTally())
     assert check_heap_condition(view)
     assert same_multiset(arr.payload(), values)
-    assert view.node(1) == max(values)
+    assert node(view, 1) == max(values)
 
 
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=150))
@@ -346,8 +351,9 @@ def test_split_indices_bounds():
 
 
 def test_split_indices_rejects_bool():
-    with pytest.raises(TypeError):
-        split_indices(4, True)
+    for k in (True, 2.0, "2"):
+        with pytest.raises(TypeError):
+            split_indices(4, k)
 
 
 # --- validator ---------------------------------------------------------------
@@ -363,7 +369,7 @@ def test_check_heap_condition_min():
 def test_check_heap_condition_max_mirrored():
     # node values: root 9, children 2 and 5
     view, _ = max_view([5, 2, 9])
-    assert view.node(1) == 9
+    assert node(view, 1) == 9
     assert check_heap_condition(view)
     view, _ = max_view([9, 2, 5])
     assert not check_heap_condition(view)

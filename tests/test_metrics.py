@@ -11,8 +11,6 @@ from dualheap import (
     median_of_medians,
     prepare_buffer,
     run_swapping_phase,
-    sift_down_max,
-    sift_down_min,
 )
 from dualheap.metrics import PHASES
 
@@ -49,8 +47,6 @@ def _run_swap_phase(tally):
 
 # Each public counted kernel on an input that makes it compare and move.
 KERNELS = {
-    "sift_down_min": lambda tally: sift_down_min(LargeHeapView(prepare_buffer([5, 2, 9]).buf, 0, 3), 1, tally),
-    "sift_down_max": lambda tally: sift_down_max(SmallHeapView(prepare_buffer([9, 2, 5]).buf, 4, 3), 1, tally),
     "build_min_heap": lambda tally: build_min_heap(LargeHeapView(prepare_buffer([9, 8, 7, 6, 5]).buf, 0, 5), tally),
     "build_max_heap": lambda tally: build_max_heap(SmallHeapView(prepare_buffer([1, 2, 3, 4, 5]).buf, 6, 5), tally),
     "run_swapping_phase": _run_swap_phase,

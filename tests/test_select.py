@@ -25,7 +25,7 @@ from dualheap import (
     prepare_buffer,
     verify_partition,
 )
-from conftest import same_multiset
+from conftest import Tagged, node, same_multiset
 
 
 # --- prepare_buffer ----------------------------------------------------------
@@ -123,9 +123,9 @@ def test_select_traced_example():
     ctx = Metrics()
     dh = construct_dualheap(arr, 2, presplit=1, ctx=ctx)
     assert dh.small.shn == 1
-    assert dh.small.nodes() == [1]
-    assert sorted(dh.large.nodes()) == [2, 3]
-    assert dh.large.node(1) == 2
+    assert arr.buf[1:2] == [1]
+    assert sorted(arr.buf[2:4]) == [2, 3]
+    assert node(dh.large, 1) == 2
     out = dh_select(prepare_buffer([3, 1, 2]), 2, SelectOptions(strategy="tree", presplit=1))
     assert out.value == 2
     assert out.split == 1
@@ -180,6 +180,23 @@ def test_select_rejects_bool_k():
         dh_select(prepare_buffer([1, 2, 3]), True)
     with pytest.raises(TypeError):
         construct_dualheap(prepare_buffer([1, 2, 3]), False)
+    # a float or str k got past the check and failed with Python's own message
+    for k in (2.0, "2"):
+        with pytest.raises(TypeError, match=r"selection index k must be an int, not (float|str)"):
+            dh_select(prepare_buffer([3, 1, 2]), k)
+        with pytest.raises(TypeError, match=r"selection index k must be an int"):
+            construct_dualheap(prepare_buffer([3, 1, 2]), k)
+
+
+def test_select_rejects_numpy_int_k():
+    # numpy ints index lists, but the heap split and step budget need int
+    # methods (bit_length), so they get the same TypeError as a float
+    numpy = pytest.importorskip("numpy")
+    values = list(range(100, 0, -1))
+    with pytest.raises(TypeError, match=r"selection index k must be an int, not int64"):
+        dh_select(prepare_buffer(values), numpy.int64(50))
+    with pytest.raises(TypeError):
+        verify_partition(prepare_buffer(values), numpy.int64(50))
 
 
 def test_select_partition_side_effect():
@@ -339,7 +356,9 @@ def test_verify_partition_examples():
     assert not verify_partition(prepare_buffer([3, 1, 2]), 2)
 
 
-@pytest.mark.parametrize("k, error", [(0, IndexError), (4, IndexError), (5, IndexError), (True, TypeError)])
+@pytest.mark.parametrize(
+    "k, error", [(0, IndexError), (4, IndexError), (5, IndexError), (True, TypeError), (2.0, TypeError), ("2", TypeError)]
+)
 def test_verify_partition_rejects_k_as_dh_select_does(k, error):
     # k = 0 and k = n + 1 would read a guard and pass; k = n + 2 ran off the buffer
     with pytest.raises(error):
@@ -379,32 +398,6 @@ def test_sort_random_cases_across_families():
 @given(st.lists(st.integers(-100, 100), max_size=120))
 def test_sort_matches_oracle(values):
     assert dh_sort(values) == sorted(values)
-
-
-class Tagged:
-    """Compares by ``key`` alone; the ``tag`` tells equal keys apart, so a
-    tie broken the other way shows in the buffer."""
-
-    __slots__ = ("key", "tag")
-
-    def __init__(self, key, tag):
-        self.key = key
-        self.tag = tag
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __gt__(self, other):
-        return self.key > other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
-
-    def __ge__(self, other):
-        return self.key >= other.key
-
-    def __repr__(self):
-        return f"Tagged({self.key}, {self.tag!r})"
 
 
 def _weak_orders(n):

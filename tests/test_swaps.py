@@ -1,7 +1,11 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dualheap.select as select
 import dualheap.swaps as swaps
 from dualheap import (
     DualHeap,
@@ -13,7 +17,6 @@ from dualheap import (
     SmallHeapView,
     build_max_heap,
     build_min_heap,
-    check_heap_condition,
     construct_dualheap,
     dh_select,
     prepare_buffer,
@@ -21,7 +24,7 @@ from dualheap import (
     swap_step_budget,
     verify_partition,
 )
-from conftest import same_multiset
+from conftest import Tagged, check_heap_condition, node, reference_swapping_phase, same_multiset
 
 
 def make_dualheap(values, shn, heapify=True):
@@ -57,7 +60,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
     assert arr.payload() == [1, 2, 3]
     assert check_heap_condition(dh.small)
     assert check_heap_condition(dh.large)
-    assert dh.large.node(1) == 2
+    assert node(dh.large, 1) == 2
 
 
 def test_root_swap_both_singletons():
@@ -159,6 +162,70 @@ def test_costs_positive_when_anything_swapped():
     run_swapping_phase(dh, "tree", ctx.swap)
     assert ctx.swap.compares > 0
     assert ctx.swap.moves > 0
+
+
+# --- the loop against the recursive reference ------------------------------
+
+
+def _loop_and_reference(buf, off, n, k, strategy, presplit):
+    """Build the dualheap of the segment at off+1 .. off+n, then run the
+    swap loop on it and the recursive reference on a copy. Returns each
+    side's buffer and swap tally."""
+    shn = k if k & 1 else k - 1
+    dh = select._build_dualheap(buf, off, n, shn, presplit, PhaseTally())
+    ref = list(buf)
+    ref_dh = DualHeap(
+        SmallHeapView(ref, dh.small.base, dh.small.shn),
+        LargeHeapView(ref, dh.large.base, dh.large.lhn),
+    )
+    got = PhaseTally()
+    want = PhaseTally()
+    run_swapping_phase(dh, strategy, got)
+    reference_swapping_phase(ref_dh, strategy, want)
+    return (buf, got.compares, got.moves), (ref, want.compares, want.moves)
+
+
+@pytest.mark.parametrize("strategy", swaps.STRATEGIES)
+def test_loop_matches_reference_exhaustively(strategy):
+    # every permutation of 1..n for n <= 7, every k and presplit
+    cases = 0
+    for n in range(1, 8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for k in range(1, n + 1):
+                for presplit in (0, 1, 2):
+                    got, want = _loop_and_reference([0, *perm, n + 1], 0, n, k, strategy, presplit)
+                    assert got == want, (perm, k, presplit)
+                    cases += 1
+    assert cases == 3 * sum(math.factorial(n) * n for n in range(1, 8))
+
+
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=300),
+    st.integers(1, 300),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+def test_loop_matches_reference_on_ties_inside_a_larger_buffer(ranks, k, below, above):
+    # tagged ties show any exchange made the other way; the segment sits at a
+    # nonzero offset, so its guards are partition neighbours that may equal
+    # its extremes
+    n = len(ranks)
+    k = min(k, n)
+    off = 4
+    for strategy in swaps.STRATEGIES:
+        for presplit in (0, 1, 2):
+            def buffer():
+                return [
+                    *(Tagged(-10 - i, "pad") for i in range(off)),
+                    Tagged(min(ranks) - below, "low"),
+                    *(Tagged(rank, i) for i, rank in enumerate(ranks)),
+                    Tagged(max(ranks) + above, "high"),
+                    Tagged(99, "pad"),
+                ]
+
+            got, want = _loop_and_reference(buffer(), off, n, k, strategy, presplit)
+            assert got[1:] == want[1:], (strategy, presplit)
+            assert [(x.key, x.tag) for x in got[0]] == [(x.key, x.tag) for x in want[0]], (strategy, presplit)
 
 
 # --- growth character --------------------------------------------------------
