@@ -6,18 +6,9 @@ harness for comparing them.
 (the baselines, the bench runner and its CSV records, the seeded stream)
 load from their submodules on first use."""
 
-from importlib import import_module
+import importlib
 
-from .core import (
-    DualHeap,
-    Element,
-    LargeHeapView,
-    SentinelArray,
-    SmallHeapView,
-    build_max_heap,
-    build_min_heap,
-    split_indices,
-)
+from .core import Element, SentinelArray, build_max_heap, build_min_heap, split_indices
 from .errors import InternalInvariantError, OracleMismatchError
 from .metrics import Metrics, PhaseTally
 from .select import (
@@ -85,4 +76,4 @@ def __getattr__(name):
         module = _LAZY[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(f".{module}", __name__), name)
+    return getattr(importlib.import_module(f".{module}", __name__), name)

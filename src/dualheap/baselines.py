@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .core import Element, SentinelArray, check_index
 from .metrics import Metrics, PhaseTally
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 PIVOT_RULES = ("first", "random", "median_of_medians")
 
@@ -34,6 +34,7 @@ class PivotRule(namedtuple("PivotRule", ("tag", "seed"), defaults=("first", 0)))
         self = super().__new__(cls, *args, **kwargs)
         if self.tag not in PIVOT_RULES:
             raise ValueError(f"unknown pivot rule {self.tag!r}, expected one of {PIVOT_RULES}")
+        check_seed(self.seed)
         return self
 
 

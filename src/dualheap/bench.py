@@ -22,7 +22,7 @@ from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
 from .core import SentinelArray, check_index, check_int
 from .errors import OracleMismatchError
 from .metrics import Metrics
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .select import SelectOptions, dh_select, prepare_buffer, verify_partition
 
 DISTS = ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues")
@@ -38,6 +38,11 @@ def _check_size(n: int) -> None:
         raise ValueError(f"input size must be >= 1, got {n}")
 
 
+def _check_dist(dist: str) -> None:
+    if dist not in DISTS:
+        raise ValueError(f"unknown dist {dist!r}, expected one of {DISTS}")
+
+
 class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
     """One generated input: size, shape family, and the seed that pins it."""
 
@@ -47,8 +52,8 @@ class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_size(self.n)
-        if self.dist not in DISTS:
-            raise ValueError(f"unknown dist {self.dist!r}, expected one of {DISTS}")
+        _check_dist(self.dist)
+        check_seed(self.seed)
         return self
 
 
@@ -197,9 +202,17 @@ class BenchConfig(
         self = super().__new__(cls, *args, **kwargs)
         for n in self.sizes:
             _check_size(n)
+        for dist in self.dists:
+            _check_dist(dist)
+        for algo in self.algos:
+            if not isinstance(algo, AlgoSpec):
+                raise TypeError(f"each algo must be an AlgoSpec, not {type(algo).__name__} ({algo!r})")
         check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
+        check_seed(self.seed)
+        if not isinstance(self.timing, bool):
+            raise TypeError(f"timing must be a bool, not {type(self.timing).__name__} ({self.timing!r})")
         return self
 
 

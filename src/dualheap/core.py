@@ -1,20 +1,27 @@
-"""Sentinel-guarded buffer, the two opposing heap orientations, and
-bottom-up heap construction.
+"""Sentinel-guarded buffer and bottom-up heap construction.
 
 Layout convention used throughout the package:
 
 * payload occupies 1-based positions ``1..n`` of an ``n+2``-slot buffer;
   slot 0 holds a value <= every payload value (low sentinel) and slot
   ``n+1`` a value >= every payload value (high sentinel);
-* a min-rooted heap places node ``j`` at ``buf[base + j]``; the slot one
-  past its last node must read as a high guard (the sentinel, or a
-  partition neighbour known to dominate the heap), which is what lets the
-  child-selection read ``buf[base + j + 1]`` skip a bounds check;
-* a max-rooted heap is mirrored: node ``k`` sits at ``buf[base - k]``, so
+* a min-rooted heap of ``hn`` nodes over ``base`` places node ``j`` at
+  ``buf[base + j]``; the slot one past its last node must read as a high
+  guard (the sentinel, or a partition neighbour known to dominate the
+  heap), which is what lets the child-selection read ``buf[base + j + 1]``
+  skip a bounds check;
+* a max-rooted heap is mirrored: node ``j`` sits at ``buf[base - j]``, so
   its root lands at the high end of its region. When the node count is odd
   every internal node has two children and no guard read happens at all;
   with an even count the extra read falls on the low sentinel, which can
-  never win a max-comparison.
+  never win a max-comparison;
+* a dual heap is no object of its own but a segment and its split,
+  ``(buf, off, n, shn)``: the segment holds positions ``off+1 .. off+n``,
+  with its guards at ``off`` and ``off+n+1``, and is split after ``shn``
+  elements. The small side is the max-rooted heap of ``shn`` nodes over
+  base ``off + shn + 1``, the large side the min-rooted heap of
+  ``n - shn`` nodes over base ``off + shn``, so the two roots are the
+  adjacent slots ``off + shn`` and ``off + shn + 1``.
 
 Node indices are 1-based so the usual parent/child arithmetic (``2j``,
 ``2j+1``, ``j//2``) applies literally. Equal children resolve to the left
@@ -24,7 +31,6 @@ bit-for-bit across implementations.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .metrics import PhaseTally
@@ -47,35 +53,6 @@ class SentinelArray:
 
     def payload(self) -> list[Element]:
         return self.buf[1 : self.n + 1]
-
-
-class LargeHeapView:
-    """Min-rooted heap over buffer positions ``base+1 .. base+lhn``."""
-
-    __slots__ = ("buf", "base", "lhn")
-
-    def __init__(self, buf: list[Element], base: int, lhn: int):
-        self.buf = buf
-        self.base = base
-        self.lhn = lhn
-
-
-class SmallHeapView:
-    """Max-rooted heap mirrored over buffer positions ``base-shn .. base-1``."""
-
-    __slots__ = ("buf", "base", "shn")
-
-    def __init__(self, buf: list[Element], base: int, shn: int):
-        self.buf = buf
-        self.base = base
-        self.shn = shn
-
-
-class DualHeap(namedtuple("DualHeap", ("small", "large"))):
-    """Split view over one buffer: a mirrored max-rooted heap ``small`` on the
-    low segment and a min-rooted heap ``large`` on the high one, roots adjacent."""
-
-    __slots__ = ()
 
 
 def check_int(what: str, value) -> None:
@@ -133,30 +110,30 @@ def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
     return tuple((first, min(last, half)) for first, last in spans if first <= half)
 
 
-def build_min_heap(view: LargeHeapView, tally: PhaseTally) -> None:
-    """Bottom-up construction: sift every internal node after both of its
-    children, one subtree at a time (see ``_build_runs``).
+def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) -> None:
+    """Build a min-rooted heap of ``hn`` nodes, node j at ``buf[base + j]``,
+    bottom-up: sift every internal node after both of its children, one
+    subtree at a time (see ``_build_runs``).
 
     Each sift reads and writes only its own subtree, so any such order gives
     the same buffer and counters as plain level order. Each sift is Floyd's
     sink (CACM Algorithm 245), inline on absolute buffer positions: the
     node at position p has its children at ``2p - base`` and
-    ``2p - base + 1``. Every internal node costs 2 compares, plus 2 per level it descends below
-    its children. A node that sinks costs 2 moves for its first level (the
-    smaller child moved up, the node written once at its final slot) and 1
-    per further level. It sinks on only while its slot c is an internal node
-    (``c <= base + lhn // 2``), so a slot among the leaves costs one position
-    compare. Both counts land in ``tally`` once.
+    ``2p - base + 1``. Every internal node costs 2 compares, plus 2 per
+    level it descends below its children. A node that sinks costs 2 moves
+    for its first level (the smaller child moved up, the node written once
+    at its final slot) and 1 per further level. It sinks on only while its
+    slot c is an internal node (``c <= base + hn // 2``), so a slot among
+    the leaves costs one position compare. Both counts land in ``tally``
+    once.
     """
-    buf = view.buf
-    base = view.base
-    half = view.lhn // 2
+    half = hn // 2
     if not half:
         return
     inner = base + half
     moves = 0
     descents = 0
-    for lo, hi in _build_runs(view.lhn):
+    for lo, hi in _build_runs(hn):
         for p in range(base + hi, base + lo - 1, -1):
             v = buf[p]
             c = 2 * p - base
@@ -186,19 +163,18 @@ def build_min_heap(view: LargeHeapView, tally: PhaseTally) -> None:
     tally.moves += moves
 
 
-def build_max_heap(view: SmallHeapView, tally: PhaseTally) -> None:
-    """Mirror image of build_min_heap, in the same node order: the node at
+def build_max_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) -> None:
+    """Build a max-rooted heap of ``hn`` nodes, node j at ``buf[base - j]``:
+    the mirror image of build_min_heap, in the same node order. The node at
     position p has its children at ``2p - base`` and ``2p - base - 1``, and
-    slot c is an internal node when ``c >= base - shn // 2``."""
-    buf = view.buf
-    base = view.base
-    half = view.shn // 2
+    slot c is an internal node when ``c >= base - hn // 2``."""
+    half = hn // 2
     if not half:
         return
     inner = base - half
     moves = 0
     descents = 0
-    for lo, hi in _build_runs(view.shn):
+    for lo, hi in _build_runs(hn):
         for p in range(base - hi, base - lo + 1):
             v = buf[p]
             c = 2 * p - base

@@ -17,11 +17,8 @@ import operator
 from collections import namedtuple
 
 from .core import (
-    DualHeap,
     Element,
-    LargeHeapView,
     SentinelArray,
-    SmallHeapView,
     build_max_heap,
     build_min_heap,
     check_index,
@@ -95,38 +92,37 @@ def prepare_buffer(values) -> SentinelArray:
     return SentinelArray(buf=buf, n=n)
 
 
-def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, tally: PhaseTally) -> DualHeap:
+def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, tally: PhaseTally) -> None:
     """Construction phase over the segment at positions off+1 .. off+n, split
-    after ``shn`` elements, counted in ``tally``.
-
-    Returns the two heap views. Positions off and off+n+1 must already hold
-    the segment's guards.
+    after ``shn`` elements (the layout of ``core``), counted in ``tally``.
+    Positions off and off+n+1 must already hold the segment's guards.
     """
     if presplit >= 1:
-        build_min_heap(LargeHeapView(buf, off, n), tally)
+        build_min_heap(buf, off, n, tally)
     if presplit == 2:
-        build_max_heap(SmallHeapView(buf, off + n + 1, n), tally)
-    dh = DualHeap(small=SmallHeapView(buf, off + shn + 1, shn), large=LargeHeapView(buf, off + shn, n - shn))
-    build_max_heap(dh.small, tally)
-    build_min_heap(dh.large, tally)
-    return dh
+        build_max_heap(buf, off + n + 1, n, tally)
+    build_max_heap(buf, off + shn + 1, shn, tally)
+    build_min_heap(buf, off + shn, n - shn, tally)
 
 
-def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> DualHeap:
+def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> int:
     shn, _ = split_indices(n, k)
-    dh = _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx.construct)
-    run_swapping_phase(dh, opts.strategy, ctx.swap)
-    return dh
+    _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx.construct)
+    run_swapping_phase(arr.buf, off, n, shn, opts.strategy, ctx.swap)
+    return shn
 
 
-def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None) -> DualHeap:
-    """Run only the construction phase and hand back the two heap views,
-    ready for a swapping phase. Useful for inspecting the phase boundary."""
+def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None) -> int:
+    """Run only the construction phase, ready for a swapping phase, and
+    return the small side's size ``shn``: the buffer is then split after
+    position ``shn``, as ``core`` lays out a dual heap. Useful for
+    inspecting the phase boundary."""
     _check_presplit(presplit)
     if ctx is None:
         ctx = Metrics()
     shn, _ = split_indices(arr.n, k)
-    return _build_dualheap(arr.buf, 0, arr.n, shn, presplit, ctx.construct)
+    _build_dualheap(arr.buf, 0, arr.n, shn, presplit, ctx.construct)
+    return shn
 
 
 def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
@@ -137,8 +133,8 @@ def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx
         opts = SelectOptions()
     if ctx is None:
         ctx = Metrics()
-    dh = _select_segment(arr, 0, arr.n, k, opts, ctx)
-    return SelectOutcome(value=arr.buf[k], split=dh.small.shn, metrics=ctx)
+    shn = _select_segment(arr, 0, arr.n, k, opts, ctx)
+    return SelectOutcome(value=arr.buf[k], split=shn, metrics=ctx)
 
 
 def dh_select_copy(values, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
@@ -224,8 +220,8 @@ def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
             continue
         k = (n + 1) // 2
         shn = k if k & 1 else k - 1
-        dh = _build_dualheap(buf, off, n, shn, presplit, construct)
-        run_swapping_phase(dh, strategy, swap)
+        _build_dualheap(buf, off, n, shn, presplit, construct)
+        run_swapping_phase(buf, off, n, shn, strategy, swap)
         stack.append((off + k, n - k))
         stack.append((off, k - 1))
 

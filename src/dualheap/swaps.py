@@ -13,7 +13,11 @@ the roots. The reach of each strategy:
 * ``branch`` (1): walks the greedy pair only, a single path;
 * ``root`` (0): never descends, exchanging just the two roots.
 
-``run_swapping_phase`` is the whole phase in one loop. It compares the
+``run_swapping_phase`` is the whole phase in one loop, over a segment and
+its split ``(buf, off, n, shn)`` as ``core`` lays them out: the small heap
+has ``shn`` nodes over base ``ps = off + shn + 1`` (node j at
+``buf[ps - j]``), the large heap ``lhn = n - shn`` nodes over base
+``pl = off + shn`` (node j at ``buf[pl + j]``). It compares the
 roots first and returns at once if they are in order; many of ``dh_sort``'s
 small segments end there. Otherwise each guard step walks an explicit stack
 of absolute slot pairs in post-order. A pair taken from the stack makes its
@@ -51,7 +55,6 @@ designs gave the same buffers and counts and were slower than it:
 
 from __future__ import annotations
 
-from .core import DualHeap
 from .errors import InternalInvariantError
 from .metrics import PhaseTally
 
@@ -69,10 +72,12 @@ def swap_step_budget(n: int) -> int:
     return n * (1 + n.bit_length())
 
 
-def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
-    """Walk from the roots, reaching as far as the strategy allows, until the
-    small-heap root no longer exceeds the large-heap root. Every compare and
-    move, guard included, is counted in ``tally``.
+def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: PhaseTally) -> None:
+    """Swap between the two heaps of the segment at positions off+1 .. off+n,
+    split after ``shn`` elements: walk from the roots, reaching as far as
+    the strategy allows, until the small-heap root no longer exceeds the
+    large-heap root. Every compare and move, guard included, is counted in
+    ``tally``.
 
     Both heaps must satisfy their heap condition. The sibling-pair guard may
     read one slot past the large heap; that slot is the high guard and can
@@ -80,18 +85,14 @@ def run_swapping_phase(dh: DualHeap, strategy: str, tally: PhaseTally) -> None:
     """
     if strategy not in _REACH:
         raise ValueError(f"unknown swap strategy {strategy!r}, expected one of {STRATEGIES}")
-    small = dh.small
-    large = dh.large
-    buf = small.buf
-    ps = small.base
-    pl = large.base
+    ps = off + shn + 1
+    pl = off + shn
     tally.compares += 1
     if not buf[ps - 1] > buf[pl + 1]:
         return
     reach = _REACH[strategy]
-    shn = small.shn
-    lhn = large.lhn
-    budget = swap_step_budget(shn + lhn)
+    lhn = n - shn
+    budget = swap_step_budget(n)
     inner_s = ps - shn // 2
     inner_l = pl + lhn // 2
     compares = moves = 0

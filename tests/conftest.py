@@ -2,7 +2,7 @@ from collections import Counter
 
 from hypothesis import settings
 
-from dualheap import InternalInvariantError, SmallHeapView
+from dualheap import InternalInvariantError
 from dualheap.swaps import _REACH, swap_step_budget
 
 # Keep test runs reproducible; the library's own determinism is asserted
@@ -41,47 +41,42 @@ class Tagged:
         return f"Tagged({self.key}, {self.tag!r})"
 
 
-def node(view, j):
-    """Value of node j (1-based) of either heap orientation."""
-    if isinstance(view, SmallHeapView):
-        return view.buf[view.base - j]
-    return view.buf[view.base + j]
-
-
-def check_heap_condition(view) -> bool:
-    """True iff every parent dominates both children per the view's
-    orientation. A validator, so it is deliberately uncounted."""
-    if isinstance(view, SmallHeapView):
-        buf, base, hn = view.buf, view.base, view.shn
-        for i in range(1, hn // 2 + 1):
-            j = 2 * i
-            if buf[base - i] < buf[base - j]:
-                return False
-            if j + 1 <= hn and buf[base - i] < buf[base - j - 1]:
-                return False
-        return True
-    buf, base, hn = view.buf, view.base, view.lhn
-    for i in range(1, hn // 2 + 1):
+def check_heap_condition(buf, off, n, shn) -> bool:
+    """True iff both heaps of the segment at positions off+1 .. off+n, split
+    after ``shn`` elements, satisfy their condition: every parent dominates
+    both children, as a max-rooted heap of ``shn`` nodes over base
+    ``off + shn + 1`` and a min-rooted heap of ``n - shn`` nodes over base
+    ``off + shn``. A split at 0 makes the segment one min-rooted heap, a
+    split at n one max-rooted heap. A validator, so it is deliberately
+    uncounted."""
+    ps = off + shn + 1
+    for i in range(1, shn // 2 + 1):
         j = 2 * i
-        if buf[base + j] < buf[base + i]:
+        if buf[ps - i] < buf[ps - j]:
             return False
-        if j + 1 <= hn and buf[base + j + 1] < buf[base + i]:
+        if j + 1 <= shn and buf[ps - i] < buf[ps - j - 1]:
+            return False
+    pl = off + shn
+    lhn = n - shn
+    for i in range(1, lhn // 2 + 1):
+        j = 2 * i
+        if buf[pl + j] < buf[pl + i]:
+            return False
+        if j + 1 <= lhn and buf[pl + j + 1] < buf[pl + i]:
             return False
     return True
 
 
-def sift_down_min(view, k, tally) -> None:
+def sift_down_min(buf, base, hn, k, tally) -> None:
     """Sink node k until the min-heap condition holds on its subtree (Floyd,
-    CACM Algorithm 245): the per-node reference of the builders' and the
+    CACM Algorithm 245), in the min-rooted heap of ``hn`` nodes with node j
+    at ``buf[base + j]``: the per-node reference of the builders' and the
     swap phase's inline sinks.
 
     Requires the condition to already hold below node k, and the slot one
     past the heap to read as a high guard. A node without children is left
     untouched at zero cost.
     """
-    buf = view.buf
-    base = view.base
-    hn = view.lhn
     j = 2 * k
     if j > hn:
         return
@@ -108,11 +103,9 @@ def sift_down_min(view, k, tally) -> None:
     tally.compares += c
 
 
-def sift_down_max(view, k, tally) -> None:
-    """Mirror image of sift_down_min: sink node k in the max-rooted heap."""
-    buf = view.buf
-    base = view.base
-    hn = view.shn
+def sift_down_max(buf, base, hn, k, tally) -> None:
+    """Mirror image of sift_down_min: sink node k in the max-rooted heap of
+    ``hn`` nodes with node j at ``buf[base - j]``."""
     j = 2 * k
     if j > hn:
         return
@@ -139,19 +132,19 @@ def sift_down_max(view, k, tally) -> None:
     tally.compares += c
 
 
-def reference_build_min(view, tally) -> None:
+def reference_build_min(buf, base, hn, tally) -> None:
     """Per-node bottom-up build: the reference the inlined builder must match
     in buffer and counters."""
-    for i in range(view.lhn // 2, 0, -1):
-        sift_down_min(view, i, tally)
+    for i in range(hn // 2, 0, -1):
+        sift_down_min(buf, base, hn, i, tally)
 
 
-def reference_build_max(view, tally) -> None:
-    for i in range(view.shn // 2, 0, -1):
-        sift_down_max(view, i, tally)
+def reference_build_max(buf, base, hn, tally) -> None:
+    for i in range(hn // 2, 0, -1):
+        sift_down_max(buf, base, hn, i, tally)
 
 
-def reference_swapping_phase(dh, strategy, tally) -> None:
+def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> None:
     """The swapping phase as a recursive walk with per-node re-sinks: the
     reference ``run_swapping_phase`` must match in buffer and counters.
 
@@ -159,14 +152,10 @@ def reference_swapping_phase(dh, strategy, tally) -> None:
     first if its values are inverted, then (reach 2) the sibling pair if
     inverted; it then exchanges its own pair and re-sinks both values.
     """
-    small = dh.small
-    large = dh.large
-    buf = small.buf
-    ps = small.base
-    pl = large.base
+    ps = off + shn + 1
+    pl = off + shn
     reach = _REACH[strategy]
-    shn = small.shn
-    lhn = large.lhn
+    lhn = n - shn
 
     def walk(ks, kl):
         js = 2 * ks
@@ -186,13 +175,13 @@ def reference_swapping_phase(dh, strategy, tally) -> None:
             tally.compares += c
         buf[ps - ks], buf[pl + kl] = buf[pl + kl], buf[ps - ks]
         tally.moves += 2
-        sift_down_max(small, ks, tally)
-        sift_down_min(large, kl, tally)
+        sift_down_max(buf, ps, shn, ks, tally)
+        sift_down_min(buf, pl, lhn, kl, tally)
 
     tally.compares += 1
     if not buf[ps - 1] > buf[pl + 1]:
         return
-    budget = swap_step_budget(shn + lhn)
+    budget = swap_step_budget(n)
     for _ in range(budget):
         walk(1, 1)
         tally.compares += 1

@@ -16,11 +16,9 @@ from dualheap import (
     AlgoSpec,
     BenchConfig,
     InputSpec,
-    LargeHeapView,
     Metrics,
     SelectOptions,
     SentinelArray,
-    SmallHeapView,
     SplitMix64,
     build_max_heap,
     build_min_heap,
@@ -39,7 +37,7 @@ from dualheap import (
     worst_case_search_exhaustive,
 )
 from dualheap.baselines import PivotRule
-from conftest import check_heap_condition, node, reference_build_max, reference_build_min
+from conftest import check_heap_condition, reference_build_max, reference_build_min
 
 SIZES = (1023, 4095, 16383)
 STRATEGIES = ("tree", "branch", "root")
@@ -128,13 +126,13 @@ def criterion_03(instances_per_size=1000):
 
             arr = prepare_buffer(values)
             ctx = Metrics()
-            dh = construct_dualheap(arr, k, presplit=1, ctx=ctx)
-            if not (check_heap_condition(dh.small) and check_heap_condition(dh.large)):
+            shn = construct_dualheap(arr, k, presplit=1, ctx=ctx)
+            if not check_heap_condition(arr.buf, 0, n, shn):
                 return False, f"heap condition broken after serial construction (n={n}, seed={seed})"
-            run_swapping_phase(dh, "tree", ctx.swap)
-            if not (check_heap_condition(dh.small) and check_heap_condition(dh.large)):
+            run_swapping_phase(arr.buf, 0, n, shn, "tree", ctx.swap)
+            if not check_heap_condition(arr.buf, 0, n, shn):
                 return False, f"heap condition broken after swapping phase (n={n}, seed={seed})"
-            if node(dh.small, 1) > node(dh.large, 1):
+            if arr.buf[shn] > arr.buf[shn + 1]:
                 return False, f"root guard violated after swapping phase (n={n}, seed={seed})"
             checked += 1
     return True, f"{checked} instances: heaps valid after construction and swapping"
@@ -346,21 +344,21 @@ def _construction_sequence_ok(values, k, presplit):
         return step
 
     if presplit >= 1:
-        build_min_heap(LargeHeapView(arr.buf, 0, n), ctx.construct)
+        build_min_heap(arr.buf, 0, n, ctx.construct)
         built += n
         if delta() > 3 * n:
             return False, f"whole-array min build exceeded 3n (n={n})"
     if presplit == 2:
-        build_max_heap(SmallHeapView(arr.buf, n + 1, n), ctx.construct)
+        build_max_heap(arr.buf, n + 1, n, ctx.construct)
         built += n
         if delta() > 3 * n:
             return False, f"whole-array max build exceeded 3n (n={n})"
     shn, lhn = split_indices(n, k)
-    build_max_heap(SmallHeapView(arr.buf, shn + 1, shn), ctx.construct)
+    build_max_heap(arr.buf, shn + 1, shn, ctx.construct)
     built += shn
     if delta() > 3 * shn:
         return False, f"small-side build exceeded 3*shn (n={n}, k={k})"
-    build_min_heap(LargeHeapView(arr.buf, shn, lhn), ctx.construct)
+    build_min_heap(arr.buf, shn, lhn, ctx.construct)
     built += lhn
     if delta() > 3 * lhn:
         return False, f"large-side build exceeded 3*lhn (n={n}, k={k})"
@@ -444,12 +442,12 @@ def _reference_construct(values, k, presplit):
     arr = prepare_buffer(values)
     ctx = Metrics()
     if presplit >= 1:
-        reference_build_min(LargeHeapView(arr.buf, 0, n), ctx.construct)
+        reference_build_min(arr.buf, 0, n, ctx.construct)
     if presplit == 2:
-        reference_build_max(SmallHeapView(arr.buf, n + 1, n), ctx.construct)
+        reference_build_max(arr.buf, n + 1, n, ctx.construct)
     shn, lhn = split_indices(n, k)
-    reference_build_max(SmallHeapView(arr.buf, shn + 1, shn), ctx.construct)
-    reference_build_min(LargeHeapView(arr.buf, shn, lhn), ctx.construct)
+    reference_build_max(arr.buf, shn + 1, shn, ctx.construct)
+    reference_build_min(arr.buf, shn, lhn, ctx.construct)
     return arr.buf, ctx.snapshot()
 
 

@@ -392,6 +392,12 @@ def test_frozen_spec_defaults():
         (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
         # n = 0 reported a k error
         (worst_case_search_random, (0, 5, 0), {}, "input size must be >= 1, got 0"),
+        # each of these was accepted, or failed only after the first trials ran
+        (BenchConfig, (), {"dists": ("random", "nope")}, "unknown dist 'nope', expected one of " + repr(bench.DISTS)),
+        (InputSpec, (5, "random", -1), {}, "expected a seed in 0..18446744073709551615, got -1"),
+        (InputSpec, (5, "sorted", 2**70), {}, f"expected a seed in 0..18446744073709551615, got {2**70}"),
+        (PivotRule, ("random",), {"seed": -1}, "expected a seed in 0..18446744073709551615, got -1"),
+        (BenchConfig, (), {"seed": 2**64}, f"expected a seed in 0..18446744073709551615, got {2**64}"),
     ],
 )
 def test_spec_validation_messages(cls, args, kwargs, message):
@@ -419,6 +425,13 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (worst_case_search_random, (5, True, 0), {}, "samples must be an int, not bool (True)"),
         (worst_case_search_random, (5, 2.5, 0), {}, "samples must be an int, not float (2.5)"),
         (worst_case_search_random, (5.0, 5, 0), {}, "input size must be an int, not float (5.0)"),
+        # a str algo failed with AttributeError after the first trials; a truthy
+        # non-bool timing wrote a real elapsed_ns
+        (InputSpec, (5, "random", 1.5), {}, "seed must be an int, not float (1.5)"),
+        (PivotRule, ("first",), {"seed": True}, "seed must be an int, not bool (True)"),
+        (BenchConfig, (), {"algos": (AlgoSpec(), "dhselect")}, "each algo must be an AlgoSpec, not str ('dhselect')"),
+        (BenchConfig, (), {"timing": "no"}, "timing must be a bool, not str ('no')"),
+        (BenchConfig, (), {"timing": 1}, "timing must be a bool, not int (1)"),
     ],
 )
 def test_spec_type_messages(cls, args, kwargs, message):

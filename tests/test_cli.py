@@ -3,6 +3,7 @@ import importlib.util
 import io
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -331,3 +332,24 @@ def test_unknown_package_name_raises():
         dualheap.no_such_name
     with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
         from dualheap import no_such_name  # noqa: F401
+
+
+# Every public name of the package, eager and lazy: an addition or a removal
+# shows here as a one-line diff.
+PUBLIC_NAMES = """
+    ALGOS AlgoSpec BenchConfig CSV_FIELDS CSV_HEADER DEFAULT_SIZES DISTS Element ExperimentRecord InputSpec
+    InternalInvariantError Metrics OracleMismatchError PIVOT_RULES PRESPLITS PhaseTally PivotRule STRATEGIES
+    SelectOptions SelectOutcome SentinelArray SplitMix64 WorstCaseReport
+    build_max_heap build_min_heap construct_dualheap dh_select dh_select_copy dh_sort emit_csv emit_worstcase_csv
+    fit_growth generate hoare_partition median_index median_of_medians oracle_select parse_csv prepare_buffer
+    quickselect quickselect_mom records_to_csv run_benchmark run_swapping_phase split_indices swap_step_budget
+    verify_partition worst_case_search_exhaustive worst_case_search_random
+""".split()
+
+
+def test_public_names_are_pinned():
+    import dualheap
+
+    eager = {name for name, value in vars(dualheap).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert not eager & set(dualheap._LAZY)
+    assert sorted(eager | set(dualheap._LAZY)) == PUBLIC_NAMES

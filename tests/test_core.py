@@ -8,19 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dualheap.core as core
-from dualheap import (
-    LargeHeapView,
-    Metrics,
-    PhaseTally,
-    SmallHeapView,
-    build_max_heap,
-    build_min_heap,
-    prepare_buffer,
-    split_indices,
-)
+from dualheap import Metrics, PhaseTally, build_max_heap, build_min_heap, prepare_buffer, split_indices
 from conftest import (
     check_heap_condition,
-    node,
     reference_build_max,
     reference_build_min,
     same_multiset,
@@ -29,39 +19,41 @@ from conftest import (
 )
 
 
-def min_view(values):
-    """Min-rooted view over a fresh guarded buffer holding the values."""
-    arr = prepare_buffer(values)
-    return LargeHeapView(arr.buf, 0, arr.n), arr
+# A fresh guarded buffer of n values is one min-rooted heap over base 0
+# (node j at buf[j]; check_heap_condition's split at 0) or one mirrored
+# max-rooted heap over base n + 1 (node j at buf[n + 1 - j], so node 1 sits
+# at the last position; the split at n).
 
 
-def max_view(values):
-    """Mirrored max-rooted view: node 1 sits at the region's last position."""
-    arr = prepare_buffer(values)
-    return SmallHeapView(arr.buf, arr.n + 1, arr.n), arr
+def is_min_heap(arr):
+    return check_heap_condition(arr.buf, 0, arr.n, 0)
+
+
+def is_max_heap(arr):
+    return check_heap_condition(arr.buf, 0, arr.n, arr.n)
 
 
 # --- sift_down_min -----------------------------------------------------------
 
 
 def test_sift_min_root_violation():
-    view, arr = min_view([5, 2, 9])
-    sift_down_min(view, 1, PhaseTally())
+    arr = prepare_buffer([5, 2, 9])
+    sift_down_min(arr.buf, 0, arr.n, 1, PhaseTally())
     assert arr.payload() == [2, 5, 9]
 
 
 def test_sift_min_already_heap():
-    view, arr = min_view([1, 2, 3])
+    arr = prepare_buffer([1, 2, 3])
     ctx = Metrics()
-    sift_down_min(view, 1, ctx.construct)
+    sift_down_min(arr.buf, 0, arr.n, 1, ctx.construct)
     assert arr.payload() == [1, 2, 3]
     assert ctx.moves_total == 0
 
 
 def test_sift_min_single_node():
-    view, arr = min_view([7])
+    arr = prepare_buffer([7])
     ctx = Metrics()
-    sift_down_min(view, 1, ctx.construct)
+    sift_down_min(arr.buf, 0, arr.n, 1, ctx.construct)
     assert arr.payload() == [7]
     assert ctx.moves_total == 0
     assert ctx.compares_total == 0
@@ -70,9 +62,9 @@ def test_sift_min_single_node():
 def test_sift_min_all_orderings_of_three():
     # children are leaves, so the subtree precondition holds for any order
     for perm in itertools.permutations([5, 2, 9]):
-        view, arr = min_view(list(perm))
-        sift_down_min(view, 1, PhaseTally())
-        assert check_heap_condition(view)
+        arr = prepare_buffer(perm)
+        sift_down_min(arr.buf, 0, arr.n, 1, PhaseTally())
+        assert is_min_heap(arr)
         assert same_multiset(arr.payload(), perm)
 
 
@@ -81,34 +73,34 @@ def test_sift_min_all_orderings_of_three():
 
 def test_sift_max_root_violation_mirrored():
     # region [9, 2, 5]: node 1 is position 3 (value 5), nodes 2,3 are 2 and 9
-    view, arr = max_view([9, 2, 5])
-    assert node(view, 1) == 5 and node(view, 2) == 2 and node(view, 3) == 9
-    sift_down_max(view, 1, PhaseTally())
-    assert node(view, 1) == 9
-    assert check_heap_condition(view)
+    arr = prepare_buffer([9, 2, 5])
+    assert arr.buf[3:0:-1] == [5, 2, 9]
+    sift_down_max(arr.buf, arr.n + 1, arr.n, 1, PhaseTally())
+    assert arr.buf[3] == 9
+    assert is_max_heap(arr)
     assert same_multiset(arr.payload(), [9, 2, 5])
 
 
 def test_sift_max_all_orderings_of_three():
     for perm in itertools.permutations([9, 2, 5]):
-        view, arr = max_view(list(perm))
-        sift_down_max(view, 1, PhaseTally())
-        assert check_heap_condition(view)
+        arr = prepare_buffer(perm)
+        sift_down_max(arr.buf, arr.n + 1, arr.n, 1, PhaseTally())
+        assert is_max_heap(arr)
         assert same_multiset(arr.payload(), perm)
 
 
 def test_sift_max_already_max_rooted():
-    view, arr = max_view([1, 2, 3])  # node values 3, 2, 1: already max-rooted
+    arr = prepare_buffer([1, 2, 3])  # node values 3, 2, 1: already max-rooted
     ctx = Metrics()
-    sift_down_max(view, 1, ctx.construct)
+    sift_down_max(arr.buf, arr.n + 1, arr.n, 1, ctx.construct)
     assert arr.payload() == [1, 2, 3]
     assert ctx.moves_total == 0
 
 
 def test_sift_max_single_node():
-    view, arr = max_view([4])
+    arr = prepare_buffer([4])
     ctx = Metrics()
-    sift_down_max(view, 1, ctx.construct)
+    sift_down_max(arr.buf, arr.n + 1, arr.n, 1, ctx.construct)
     assert arr.payload() == [4]
     assert ctx.compares_total == 0
 
@@ -117,38 +109,38 @@ def test_sift_max_single_node():
 
 
 def test_build_min_reverse_input():
-    view, arr = min_view([9, 8, 7, 6, 5])
-    build_min_heap(view, PhaseTally())
-    assert check_heap_condition(view)
-    assert node(view, 1) == 5
+    arr = prepare_buffer([9, 8, 7, 6, 5])
+    build_min_heap(arr.buf, 0, arr.n, PhaseTally())
+    assert is_min_heap(arr)
+    assert arr.buf[1] == 5
     assert same_multiset(arr.payload(), [9, 8, 7, 6, 5])
 
 
 def test_build_min_already_heap_unchanged():
-    view, arr = min_view([1, 2, 3, 4, 5])
+    arr = prepare_buffer([1, 2, 3, 4, 5])
     ctx = Metrics()
-    build_min_heap(view, ctx.construct)
+    build_min_heap(arr.buf, 0, arr.n, ctx.construct)
     assert arr.payload() == [1, 2, 3, 4, 5]
     assert ctx.moves_total == 0
 
 
 def test_build_min_all_equal_unchanged():
-    view, arr = min_view([4, 4, 4])
-    build_min_heap(view, PhaseTally())
+    arr = prepare_buffer([4, 4, 4])
+    build_min_heap(arr.buf, 0, arr.n, PhaseTally())
     assert arr.payload() == [4, 4, 4]
 
 
 def test_build_max_sorted_region():
-    view, arr = max_view([1, 2, 3, 4, 5])
-    build_max_heap(view, PhaseTally())
-    assert check_heap_condition(view)
-    assert node(view, 1) == 5
+    arr = prepare_buffer([1, 2, 3, 4, 5])
+    build_max_heap(arr.buf, arr.n + 1, arr.n, PhaseTally())
+    assert is_max_heap(arr)
+    assert arr.buf[arr.n] == 5
 
 
 def test_build_max_single_element():
-    view, arr = max_view([3])
+    arr = prepare_buffer([3])
     ctx = Metrics()
-    build_max_heap(view, ctx.construct)
+    build_max_heap(arr.buf, arr.n + 1, arr.n, ctx.construct)
     assert arr.payload() == [3]
     assert ctx.compares_total == 0
 
@@ -157,55 +149,55 @@ def test_builds_exhaustive_small_n():
     # heap condition, multiset preservation, root extremality, linear cost
     for n in range(1, 8):
         for perm in itertools.permutations(range(1, n + 1)):
-            view, arr = min_view(list(perm))
+            arr = prepare_buffer(perm)
             ctx = Metrics()
-            build_min_heap(view, ctx.construct)
-            assert check_heap_condition(view)
+            build_min_heap(arr.buf, 0, n, ctx.construct)
+            assert is_min_heap(arr)
             assert same_multiset(arr.payload(), perm)
-            assert node(view, 1) == 1
+            assert arr.buf[1] == 1
             assert ctx.compares_total <= 3 * n
 
-            mview, marr = max_view(list(perm))
+            marr = prepare_buffer(perm)
             mctx = Metrics()
-            build_max_heap(mview, mctx.construct)
-            assert check_heap_condition(mview)
+            build_max_heap(marr.buf, n + 1, n, mctx.construct)
+            assert is_max_heap(marr)
             assert same_multiset(marr.payload(), perm)
-            assert node(mview, 1) == n
+            assert marr.buf[n] == n
             assert mctx.compares_total <= 3 * n
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
 def test_build_min_invariants_random(values):
-    view, arr = min_view(values)
+    arr = prepare_buffer(values)
     ctx = Metrics()
-    build_min_heap(view, ctx.construct)
-    assert check_heap_condition(view)
+    build_min_heap(arr.buf, 0, arr.n, ctx.construct)
+    assert is_min_heap(arr)
     assert same_multiset(arr.payload(), values)
-    assert node(view, 1) == min(values)
+    assert arr.buf[1] == min(values)
     assert ctx.compares_total <= 3 * len(values)
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
 def test_build_max_invariants_random(values):
-    view, arr = max_view(values)
-    build_max_heap(view, PhaseTally())
-    assert check_heap_condition(view)
+    arr = prepare_buffer(values)
+    build_max_heap(arr.buf, arr.n + 1, arr.n, PhaseTally())
+    assert is_max_heap(arr)
     assert same_multiset(arr.payload(), values)
-    assert node(view, 1) == max(values)
+    assert arr.buf[arr.n] == max(values)
 
 
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=150))
 def test_mirrored_symmetry(values):
     # building the max heap on the reversed, negated input is the exact
     # mirror of building the min heap, counters included
-    view, arr = min_view(values)
+    arr = prepare_buffer(values)
     ctx = Metrics()
-    build_min_heap(view, ctx.construct)
+    build_min_heap(arr.buf, 0, arr.n, ctx.construct)
 
     mirrored = [-v for v in reversed(values)]
-    mview, marr = max_view(mirrored)
+    marr = prepare_buffer(mirrored)
     mctx = Metrics()
-    build_max_heap(mview, mctx.construct)
+    build_max_heap(marr.buf, marr.n + 1, marr.n, mctx.construct)
 
     assert marr.payload() == [-v for v in reversed(arr.payload())]
     assert ctx.compares_total == mctx.compares_total
@@ -257,37 +249,29 @@ def _block_height(height):
             core._build_runs.cache_clear()
 
 
-def _assert_build_matches_reference(build, reference, view, buf):
+def _assert_build_matches_reference(build, reference, buf, base, hn):
     """``build`` leaves the buffer and counters exactly as ``reference`` does,
-    at every block height; ``view`` makes the heap view over a buffer."""
+    at every block height, for the heap of ``hn`` nodes over ``base``."""
     for height in _BLOCK_HEIGHTS:
         got, ref_buf = list(buf), list(buf)
         ctx, ref_ctx = Metrics(), Metrics()
         with _block_height(height):
-            build(view(got), ctx.construct)
-        reference(view(ref_buf), ref_ctx.construct)
+            build(got, base, hn, ctx.construct)
+        reference(ref_buf, base, hn, ref_ctx.construct)
         assert got == ref_buf, height
         assert ctx.snapshot() == ref_ctx.snapshot(), height
-
-
-def _min_view_at(off, n):
-    return lambda buf: LargeHeapView(buf, off, n)
-
-
-def _max_view_at(off, n):
-    return lambda buf: SmallHeapView(buf, off + n + 1, n)
 
 
 @given(_payloads, st.data())
 def test_build_min_matches_per_node_reference(values, data):
     buf, off, n = _guarded_segment(values, data)
-    _assert_build_matches_reference(build_min_heap, reference_build_min, _min_view_at(off, n), buf)
+    _assert_build_matches_reference(build_min_heap, reference_build_min, buf, off, n)
 
 
 @given(_payloads, st.data())
 def test_build_max_matches_per_node_reference(values, data):
     buf, off, n = _guarded_segment(values, data)
-    _assert_build_matches_reference(build_max_heap, reference_build_max, _max_view_at(off, n), buf)
+    _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
 
 
 # Heap sizes on either side of one and of two default blocks, and a large one.
@@ -301,8 +285,8 @@ def test_builds_match_reference_across_block_edges(n):
     off = 3
     buf = [-1] * off + [-1, *values, n] + [n] * 2
     assert core._build_runs(n) != ((1, n // 2),)
-    _assert_build_matches_reference(build_min_heap, reference_build_min, _min_view_at(off, n), buf)
-    _assert_build_matches_reference(build_max_heap, reference_build_max, _max_view_at(off, n), buf)
+    _assert_build_matches_reference(build_min_heap, reference_build_min, buf, off, n)
+    _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
 
 
 @pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
@@ -360,16 +344,22 @@ def test_split_indices_rejects_bool():
 
 
 def test_check_heap_condition_min():
-    view, _ = min_view([1, 2, 3])
-    assert check_heap_condition(view)
-    view, _ = min_view([3, 1, 2])
-    assert not check_heap_condition(view)
+    assert is_min_heap(prepare_buffer([1, 2, 3]))
+    assert not is_min_heap(prepare_buffer([3, 1, 2]))
 
 
 def test_check_heap_condition_max_mirrored():
     # node values: root 9, children 2 and 5
-    view, _ = max_view([5, 2, 9])
-    assert node(view, 1) == 9
-    assert check_heap_condition(view)
-    view, _ = max_view([9, 2, 5])
-    assert not check_heap_condition(view)
+    arr = prepare_buffer([5, 2, 9])
+    assert arr.buf[arr.n] == 9
+    assert is_max_heap(arr)
+    assert not is_max_heap(prepare_buffer([9, 2, 5]))
+
+
+def test_check_heap_condition_checks_both_sides_of_a_split():
+    # small side [1, 3] (root 3, child 1), large side [4, 6, 5] (root 4)
+    arr = prepare_buffer([1, 3, 4, 6, 5])
+    assert check_heap_condition(arr.buf, 0, 5, 2)
+    assert not check_heap_condition(arr.buf, 0, 5, 3)
+    arr = prepare_buffer([3, 1, 4, 6, 5])
+    assert not check_heap_condition(arr.buf, 0, 5, 2)

@@ -137,6 +137,6 @@ def test_library_counts_digest():
                 digest.update(repr((arr.buf, value, ctx.snapshot())).encode())
             ctx = Metrics()
             arr = prepare_buffer(values)
-            dh = construct_dualheap(arr, k, 2, ctx)
-            digest.update(repr((arr.buf, dh.small.shn, ctx.snapshot())).encode())
+            shn = construct_dualheap(arr, k, 2, ctx)
+            digest.update(repr((arr.buf, shn, ctx.snapshot())).encode())
     assert digest.hexdigest() == "1a1d16e51df1a296cf26206425e2f425830f5b9ad5855c619fd392aba72d5957"

@@ -1,10 +1,7 @@
 import pytest
 
 from dualheap import (
-    DualHeap,
-    LargeHeapView,
     Metrics,
-    SmallHeapView,
     build_max_heap,
     build_min_heap,
     hoare_partition,
@@ -40,16 +37,11 @@ def test_phase_additivity():
     assert ctx.snapshot()["moves_other"] == 8
 
 
-def _run_swap_phase(tally):
-    arr = prepare_buffer([3, 1, 2])
-    run_swapping_phase(DualHeap(SmallHeapView(arr.buf, 2, 1), LargeHeapView(arr.buf, 1, 2)), "tree", tally)
-
-
 # Each public counted kernel on an input that makes it compare and move.
 KERNELS = {
-    "build_min_heap": lambda tally: build_min_heap(LargeHeapView(prepare_buffer([9, 8, 7, 6, 5]).buf, 0, 5), tally),
-    "build_max_heap": lambda tally: build_max_heap(SmallHeapView(prepare_buffer([1, 2, 3, 4, 5]).buf, 6, 5), tally),
-    "run_swapping_phase": _run_swap_phase,
+    "build_min_heap": lambda tally: build_min_heap(prepare_buffer([9, 8, 7, 6, 5]).buf, 0, 5, tally),
+    "build_max_heap": lambda tally: build_max_heap(prepare_buffer([1, 2, 3, 4, 5]).buf, 6, 5, tally),
+    "run_swapping_phase": lambda tally: run_swapping_phase(prepare_buffer([3, 1, 2]).buf, 0, 3, 1, "tree", tally),
     "hoare_partition": lambda tally: hoare_partition([0, 3, 2, 1, 4], 1, 3, 2, tally),
     "median_of_medians": lambda tally: median_of_medians(list(range(31, -1, -1)), 1, 30, tally),
 }

@@ -11,7 +11,6 @@ import dualheap.select as select
 from dualheap import (
     STRATEGIES,
     InputSpec,
-    LargeHeapView,
     Metrics,
     SelectOptions,
     SentinelArray,
@@ -25,7 +24,7 @@ from dualheap import (
     prepare_buffer,
     verify_partition,
 )
-from conftest import Tagged, node, same_multiset
+from conftest import Tagged, same_multiset
 
 
 # --- prepare_buffer ----------------------------------------------------------
@@ -116,16 +115,15 @@ def test_select_traced_example():
     # [3,1,2], k=2: whole-array min heap first, then split at 1
     arr = prepare_buffer([3, 1, 2])
     ctx = Metrics()
-    build_min_heap(LargeHeapView(arr.buf, 0, 3), ctx.construct)
+    build_min_heap(arr.buf, 0, 3, ctx.construct)
     assert arr.payload() == [1, 3, 2]
 
     arr = prepare_buffer([3, 1, 2])
     ctx = Metrics()
-    dh = construct_dualheap(arr, 2, presplit=1, ctx=ctx)
-    assert dh.small.shn == 1
+    assert construct_dualheap(arr, 2, presplit=1, ctx=ctx) == 1
     assert arr.buf[1:2] == [1]
     assert sorted(arr.buf[2:4]) == [2, 3]
-    assert node(dh.large, 1) == 2
+    assert arr.buf[2] == 2  # the large-heap root
     out = dh_select(prepare_buffer([3, 1, 2]), 2, SelectOptions(strategy="tree", presplit=1))
     assert out.value == 2
     assert out.split == 1

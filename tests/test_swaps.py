@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 import dualheap.select as select
 import dualheap.swaps as swaps
 from dualheap import (
-    DualHeap,
     InternalInvariantError,
-    LargeHeapView,
     Metrics,
     PhaseTally,
     SelectOptions,
-    SmallHeapView,
-    build_max_heap,
-    build_min_heap,
     construct_dualheap,
     dh_select,
     prepare_buffer,
@@ -24,22 +19,16 @@ from dualheap import (
     swap_step_budget,
     verify_partition,
 )
-from conftest import Tagged, check_heap_condition, node, reference_swapping_phase, same_multiset
+from conftest import Tagged, check_heap_condition, reference_swapping_phase, same_multiset
 
 
-def make_dualheap(values, shn, heapify=True):
-    """Dualheap over the values with an explicit split (shn must be odd)."""
+def make_dualheap(values, shn):
+    """A guarded buffer of the values with both heaps built (no presplit),
+    split after ``shn`` elements (shn must be odd)."""
     arr = prepare_buffer(values)
     assert shn & 1
-    dh = DualHeap(
-        small=SmallHeapView(arr.buf, shn + 1, shn),
-        large=LargeHeapView(arr.buf, shn, arr.n - shn),
-    )
-    if heapify:
-        ctx = Metrics()
-        build_max_heap(dh.small, ctx.construct)
-        build_min_heap(dh.large, ctx.construct)
-    return dh, arr
+    select._build_dualheap(arr.buf, 0, arr.n, shn, 0, PhaseTally())
+    return arr
 
 
 def sides_partitioned(arr, shn):
@@ -54,38 +43,37 @@ def sides_partitioned(arr, shn):
 @pytest.mark.parametrize("exchange", ["tree", "branch", "root"])
 def test_tiny_instance_all_strategies_agree(exchange):
     # small side [3], large side [1, 2]: one exchange then one sift
-    dh, arr = make_dualheap([3, 1, 2], shn=1)
+    arr = make_dualheap([3, 1, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(dh, exchange, ctx.swap)
+    run_swapping_phase(arr.buf, 0, 3, 1, exchange, ctx.swap)
     assert arr.payload() == [1, 2, 3]
-    assert check_heap_condition(dh.small)
-    assert check_heap_condition(dh.large)
-    assert node(dh.large, 1) == 2
+    assert check_heap_condition(arr.buf, 0, 3, 1)
+    assert arr.buf[2] == 2  # the large-heap root
 
 
 def test_root_swap_both_singletons():
-    dh, arr = make_dualheap([5, 2], shn=1)
+    arr = make_dualheap([5, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(dh, "root", ctx.swap)
+    run_swapping_phase(arr.buf, 0, 2, 1, "root", ctx.swap)
     assert arr.payload() == [2, 5]
     assert ctx.moves_total == 2
 
 
 def test_guard_false_means_no_invocation():
     # already partitioned: the phase loop does one guard compare and stops
-    dh, arr = make_dualheap([1, 2, 3, 4, 5], shn=3)
+    arr = make_dualheap([1, 2, 3, 4, 5], shn=3)
     before = arr.buf[:]
     ctx = Metrics()
-    run_swapping_phase(dh, "tree", ctx.swap)
+    run_swapping_phase(arr.buf, 0, 5, 3, "tree", ctx.swap)
     assert arr.buf == before
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
 
 
 def test_all_equal_values_never_swap():
-    dh, arr = make_dualheap([4, 4, 4, 4], shn=3)
+    arr = make_dualheap([4, 4, 4, 4], shn=3)
     ctx = Metrics()
-    run_swapping_phase(dh, "branch", ctx.swap)
+    run_swapping_phase(arr.buf, 0, 4, 3, "branch", ctx.swap)
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
 
@@ -111,11 +99,10 @@ def test_exhaustive_partition_property(strategy):
             for k in range(1, n + 1):
                 arr = prepare_buffer(perm)
                 ctx = Metrics()
-                dh = construct_dualheap(arr, k, presplit=1, ctx=ctx)
-                run_swapping_phase(dh, strategy, ctx.swap)
-                assert check_heap_condition(dh.small)
-                assert check_heap_condition(dh.large)
-                assert sides_partitioned(arr, dh.small.shn)
+                shn = construct_dualheap(arr, k, presplit=1, ctx=ctx)
+                run_swapping_phase(arr.buf, 0, n, shn, strategy, ctx.swap)
+                assert check_heap_condition(arr.buf, 0, n, shn)
+                assert sides_partitioned(arr, shn)
                 assert same_multiset(arr.payload(), perm)
 
 
@@ -124,8 +111,8 @@ def test_strategy_outcomes_share_side_multisets():
     values = [9, 1, 8, 2, 7, 3, 6, 4, 5, 0, 11, 10]
     results = {}
     for strategy in ("tree", "branch", "root"):
-        dh, arr = make_dualheap(list(values), shn=5)
-        run_swapping_phase(dh, strategy, PhaseTally())
+        arr = make_dualheap(list(values), shn=5)
+        run_swapping_phase(arr.buf, 0, arr.n, 5, strategy, PhaseTally())
         results[strategy] = (sorted(arr.buf[1:6]), sorted(arr.buf[6 : arr.n + 1]))
     assert results["tree"] == results["branch"] == results["root"]
 
@@ -140,15 +127,15 @@ def test_progress_inversions_strictly_decrease(monkeypatch):
     for strategy in ("tree", "branch", "root"):
         for seed in range(20):
             values = [((seed + 3) * (i + 7) * 2654435761) % 97 for i in range(15)]
-            _, arr = make_dualheap(values, shn=7)
+            arr = make_dualheap(values, shn=7)
             inv = cross_inversions(arr, 7)
             t = 0
             while not sides_partitioned(arr, 7):
                 t += 1
-                dh, arr = make_dualheap(values, shn=7)
+                arr = make_dualheap(values, shn=7)
                 monkeypatch.setattr(swaps, "swap_step_budget", lambda n: t)
                 try:
-                    run_swapping_phase(dh, strategy, PhaseTally())
+                    run_swapping_phase(arr.buf, 0, arr.n, 7, strategy, PhaseTally())
                 except InternalInvariantError:
                     pass
                 now = cross_inversions(arr, 7)
@@ -157,9 +144,9 @@ def test_progress_inversions_strictly_decrease(monkeypatch):
 
 
 def test_costs_positive_when_anything_swapped():
-    dh, arr = make_dualheap([9, 8, 7, 1, 2, 3], shn=3)
+    arr = make_dualheap([9, 8, 7, 1, 2, 3], shn=3)
     ctx = Metrics()
-    run_swapping_phase(dh, "tree", ctx.swap)
+    run_swapping_phase(arr.buf, 0, 6, 3, "tree", ctx.swap)
     assert ctx.swap.compares > 0
     assert ctx.swap.moves > 0
 
@@ -172,16 +159,12 @@ def _loop_and_reference(buf, off, n, k, strategy, presplit):
     swap loop on it and the recursive reference on a copy. Returns each
     side's buffer and swap tally."""
     shn = k if k & 1 else k - 1
-    dh = select._build_dualheap(buf, off, n, shn, presplit, PhaseTally())
+    select._build_dualheap(buf, off, n, shn, presplit, PhaseTally())
     ref = list(buf)
-    ref_dh = DualHeap(
-        SmallHeapView(ref, dh.small.base, dh.small.shn),
-        LargeHeapView(ref, dh.large.base, dh.large.lhn),
-    )
     got = PhaseTally()
     want = PhaseTally()
-    run_swapping_phase(dh, strategy, got)
-    reference_swapping_phase(ref_dh, strategy, want)
+    run_swapping_phase(buf, off, n, shn, strategy, got)
+    reference_swapping_phase(ref, off, n, shn, strategy, want)
     return (buf, got.compares, got.moves), (ref, want.compares, want.moves)
 
 
@@ -270,12 +253,12 @@ def test_swap_budget_is_exact_beyond_float_precision():
 
 def test_budget_violation_is_diagnosed(monkeypatch):
     monkeypatch.setattr(swaps, "swap_step_budget", lambda n: 0)
-    dh, arr = make_dualheap([9, 1, 2], shn=1)
+    arr = make_dualheap([9, 1, 2], shn=1)
     with pytest.raises(InternalInvariantError):
-        run_swapping_phase(dh, "tree", PhaseTally())
+        run_swapping_phase(arr.buf, 0, 3, 1, "tree", PhaseTally())
 
 
 def test_unknown_strategy_rejected():
-    dh, arr = make_dualheap([3, 1, 2], shn=1)
+    arr = make_dualheap([3, 1, 2], shn=1)
     with pytest.raises(ValueError):
-        run_swapping_phase(dh, "spiral", PhaseTally())
+        run_swapping_phase(arr.buf, 0, 3, 1, "spiral", PhaseTally())
