@@ -30,12 +30,10 @@ _LAZY = {
     **dict.fromkeys(
         (
             "PIVOT_RULES",
-            "PivotRule",
             "hoare_partition",
             "median_of_medians",
             "oracle_select",
             "quickselect",
-            "quickselect_mom",
         ),
         "baselines",
     ),
@@ -49,7 +47,6 @@ _LAZY = {
             "DEFAULT_SIZES",
             "DISTS",
             "ExperimentRecord",
-            "InputSpec",
             "WorstCaseReport",
             "emit_csv",
             "emit_worstcase_csv",

@@ -8,8 +8,6 @@ is never counted; it exists to check everything else.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .core import Element, SentinelArray, check_index
 from .metrics import Metrics, PhaseTally
 from .rng import SplitMix64, check_seed
@@ -20,22 +18,6 @@ PIVOT_RULES = ("first", "random", "median_of_medians")
 # counted insertion sort instead of recursing on group medians.
 _MOM_DIRECT_LIMIT = 25
 _MOM_GROUP = 5
-
-
-class PivotRule(namedtuple("PivotRule", ("tag", "seed"), defaults=("first", 0))):
-    """How quickselect picks its pivot: the segment's first element
-    (deterministic, quadratic on sorted input), a seeded uniform choice, or
-    the median-of-medians estimate (linear worst case, slower on average)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.tag not in PIVOT_RULES:
-            raise ValueError(f"unknown pivot rule {self.tag!r}, expected one of {PIVOT_RULES}")
-        check_seed(self.seed)
-        return self
 
 
 def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, tally: PhaseTally) -> int:
@@ -107,16 +89,16 @@ def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
     return _mom(buf[lo : hi + 1], tally)
 
 
-def _anchor_pivot(buf, lo: int, hi: int, rule: PivotRule, stream: SplitMix64 | None, tally: PhaseTally) -> Element:
+def _anchor_pivot(buf, lo: int, hi: int, pivot: str, stream: SplitMix64 | None, tally: PhaseTally) -> Element:
     """Choose the pivot per the rule and move one occurrence of it to
     position lo, which guarantees the crossing scan's boundary lands
     strictly left of hi (so both recursion sides are non-empty)."""
-    if rule.tag == "random":
+    if pivot == "random":
         r = lo + stream.below(hi - lo + 1)
         if r != lo:
             buf[lo], buf[r] = buf[r], buf[lo]
             tally.moves += 2
-    elif rule.tag == "median_of_medians":
+    elif pivot == "median_of_medians":
         v = median_of_medians(buf, lo, hi, tally)
         r = lo
         while True:
@@ -130,31 +112,37 @@ def _anchor_pivot(buf, lo: int, hi: int, rule: PivotRule, stream: SplitMix64 | N
     return buf[lo]
 
 
-def quickselect(arr: SentinelArray, k: int, rule: PivotRule | None = None, ctx: Metrics | None = None) -> Element:
+def quickselect(
+    arr: SentinelArray, k: int, pivot: str = "first", ctx: Metrics | None = None, *, seed: int = 0
+) -> Element:
     """k-th smallest via iterated partitioning, recursing only into the side
-    containing k. Partitions the buffer in place like dh_select does."""
-    if rule is None:
-        rule = PivotRule("first")
+    containing k. Partitions the buffer in place like dh_select does.
+
+    ``pivot`` is one of ``PIVOT_RULES``: the segment's first element
+    (deterministic, quadratic on sorted input), a uniform choice from a
+    splitmix64 stream seeded with ``seed``, or the median-of-medians
+    estimate (linear worst case, slower on average). An unknown pivot
+    raises ``ValueError``, and ``seed`` is checked by ``rng.check_seed``
+    whatever the pivot; both checks, and k's, run before the buffer is
+    touched."""
+    if pivot not in PIVOT_RULES:
+        raise ValueError(f"unknown pivot rule {pivot!r}, expected one of {PIVOT_RULES}")
+    check_seed(seed)
     if ctx is None:
         ctx = Metrics()
     check_index(arr.n, k)
     tally = ctx.other
     buf = arr.buf
-    stream = SplitMix64(rule.seed) if rule.tag == "random" else None
+    stream = SplitMix64(seed) if pivot == "random" else None
     lo, hi = 1, arr.n
     while lo < hi:
-        pivot = _anchor_pivot(buf, lo, hi, rule, stream, tally)
-        b = hoare_partition(buf, lo, hi, pivot, tally)
+        value = _anchor_pivot(buf, lo, hi, pivot, stream, tally)
+        b = hoare_partition(buf, lo, hi, value, tally)
         if k <= b:
             hi = b
         else:
             lo = b + 1
     return buf[k]
-
-
-def quickselect_mom(arr: SentinelArray, k: int, ctx: Metrics | None = None) -> Element:
-    """Quickselect with the median-of-medians pivot estimator."""
-    return quickselect(arr, k, PivotRule("median_of_medians"), ctx)
 
 
 def oracle_select(values, k: int) -> Element:

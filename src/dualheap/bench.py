@@ -18,7 +18,7 @@ import time
 from collections import namedtuple
 from io import StringIO
 
-from .baselines import PivotRule, oracle_select, quickselect, quickselect_mom
+from .baselines import oracle_select, quickselect
 from .core import SentinelArray, check_index, check_int
 from .errors import OracleMismatchError
 from .metrics import Metrics
@@ -43,44 +43,37 @@ def _check_dist(dist: str) -> None:
         raise ValueError(f"unknown dist {dist!r}, expected one of {DISTS}")
 
 
-class InputSpec(namedtuple("InputSpec", ("n", "dist", "seed"), defaults=(0,))):
-    """One generated input: size, shape family, and the seed that pins it."""
+def generate(n: int, dist: str, seed: int = 0) -> list[int]:
+    """Materialize an input: ``n`` values of the shape family ``dist``.
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_size(self.n)
-        _check_dist(self.dist)
-        check_seed(self.seed)
-        return self
-
-
-def generate(spec: InputSpec) -> list[int]:
-    """Materialize the input sequence for a spec.
+    Checked first, whatever the family: ``n`` must be an int of at least 1,
+    ``dist`` one of ``DISTS`` and ``seed`` pass ``rng.check_seed``. A size
+    or seed that is not an int raises ``TypeError``; a size below 1, an
+    unknown dist or a seed outside 0..2**64 - 1 raises ``ValueError``.
 
     ``random`` is a Fisher-Yates shuffle of 1..n: walking i from n-1 down to
     1 (0-based), swap position i with position ``stream.below(i + 1)`` where
-    the stream is splitmix64 seeded with the spec's seed. This exact recipe
-    is the reproducibility contract; the n-1 draws are taken from the stream
-    in one block, which yields the same values. The other families ignore
-    the seed.
+    the stream is splitmix64 seeded with ``seed``. This exact recipe is the
+    reproducibility contract; the n-1 draws are taken from the stream in
+    one block, which yields the same values. The other families ignore the
+    seed.
     """
-    n = spec.n
-    if spec.dist == "random":
+    _check_size(n)
+    _check_dist(dist)
+    check_seed(seed)
+    if dist == "random":
         values = list(range(1, n + 1))
-        draws = SplitMix64(spec.seed).take(n - 1)
+        draws = SplitMix64(seed).take(n - 1)
         for i, j in zip(range(n - 1, 0, -1), map(operator.mod, draws, range(n, 1, -1))):
             values[i], values[j] = values[j], values[i]
         return values
-    if spec.dist == "sorted":
+    if dist == "sorted":
         return list(range(1, n + 1))
-    if spec.dist == "reverse":
+    if dist == "reverse":
         return list(range(n, 0, -1))
-    if spec.dist == "organpipe":
+    if dist == "organpipe":
         return list(range(1, (n + 1) // 2 + 1)) + list(range(n // 2, 0, -1))
-    if spec.dist == "allequal":
+    if dist == "allequal":
         return [1] * n
     return [(i % 4) + 1 for i in range(n)]
 
@@ -180,8 +173,8 @@ class AlgoSpec(
         if self.name == "dhselect":
             return dh_select(arr, k, SelectOptions(self.strategy, self.presplit), ctx).value
         if self.name == "quickselect":
-            return quickselect(arr, k, PivotRule(self.pivot, seed=seed), ctx)
-        return quickselect_mom(arr, k, ctx)
+            return quickselect(arr, k, self.pivot, ctx, seed=seed)
+        return quickselect(arr, k, "median_of_medians", ctx)
 
 
 class BenchConfig(
@@ -191,15 +184,23 @@ class BenchConfig(
         defaults=(DEFAULT_SIZES, ("random",), (AlgoSpec(),), 3, 0, None, False),
     )
 ):
-    """Sizes x dists x algos x trials from one master seed. ``k`` None
-    selects the median address ceil(n/2); ``timing`` is opt-in, because a
-    real elapsed_ns breaks byte-reproducibility."""
+    """Sizes x dists x algos x trials from one master seed. ``sizes``,
+    ``dists`` and ``algos`` are non-empty tuples. ``k`` None selects the
+    median address ceil(n/2); ``timing`` is opt-in, because a real
+    elapsed_ns breaks byte-reproducibility."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for field in ("sizes", "dists", "algos"):
+            series = getattr(self, field)
+            # exactly a tuple: a namedtuple such as an AlgoSpec would iterate its fields
+            if type(series) is not tuple:
+                raise TypeError(f"{field} must be a tuple, not {type(series).__name__} ({series!r})")
+            if not series:
+                raise ValueError(f"{field} must not be empty")
         for n in self.sizes:
             _check_size(n)
         for dist in self.dists:
@@ -226,15 +227,14 @@ def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int) -> tuple[in
     start = time.perf_counter_ns()
     value = algo.select(arr, k, seed, ctx)
     elapsed_ns = time.perf_counter_ns() - start
-    correct = value == oracle_select(values, k)
-    if correct and algo.name == "dhselect":
-        correct = verify_partition(arr, k)
+    correct = value == oracle_select(values, k) and verify_partition(arr, k)
     return value, ctx, elapsed_ns, correct
 
 
 def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
-    """Run sizes x dists x algos x trials, one oracle-checked record per
-    trial. Trial input seeds are drawn from a master splitmix64 stream per
+    """Run sizes x dists x algos x trials, one checked record per trial: the
+    value must equal the oracle's and the buffer must be partitioned about
+    k. Trial input seeds are drawn from a master splitmix64 stream per
     (size, dist, trial) so that every algorithm sees the same inputs; any
     oracle mismatch aborts the whole run with a reproduction line."""
     ks = [config.k if config.k is not None else median_index(n) for n in config.sizes]
@@ -248,7 +248,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
             for algo in config.algos:
                 for trial in range(config.trials):
                     seed = trial_seeds[trial]
-                    values = generate(InputSpec(n, dist, seed))
+                    values = generate(n, dist, seed)
                     value, ctx, elapsed_ns, correct = _run_trial(algo, values, k, seed)
                     if not correct:
                         raise OracleMismatchError(
@@ -400,7 +400,7 @@ def worst_case_search_random(
     instances = (
         (SentinelArray(buf=[1, *values, n], n=n), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
         for sample_seed in SplitMix64(seed).take(samples)
-        for values in [generate(InputSpec(n, "random", sample_seed))]
+        for values in [generate(n, "random", sample_seed)]
     )
     return _worst_case(n, instances, opts)
 

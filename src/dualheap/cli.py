@@ -25,7 +25,6 @@ from .bench import (
     PIVOTS,
     AlgoSpec,
     BenchConfig,
-    InputSpec,
     emit_csv,
     emit_worstcase_csv,
     fit_growth,
@@ -35,6 +34,7 @@ from .bench import (
     worst_case_search_exhaustive,
     worst_case_search_random,
 )
+from .core import check_index
 from .errors import InternalInvariantError
 from .metrics import Metrics
 from .rng import check_seed
@@ -164,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_select(args) -> int:
-    arr = prepare_buffer(generate(InputSpec(args.n, args.dist, args.seed)))
+    arr = prepare_buffer(generate(args.n, args.dist, args.seed))
     k = args.k if args.k is not None else median_index(args.n)
     print(_algo(args).select(arr, k, args.seed, Metrics()))
     return 0
 
 
 def cmd_sort(args) -> int:
-    values = generate(InputSpec(args.n, args.dist, args.seed))
+    values = generate(args.n, args.dist, args.seed)
     line = " ".join(map(str, dh_sort(values, SelectOptions(args.swap, args.presplit))))
     if args.out:
         with open(args.out, "w") as handle:
@@ -202,9 +202,14 @@ def cmd_worstcase(args) -> int:
     if args.mode == "exhaustive":
         reports = worst_case_search_exhaustive(args.max_n or 8, opts)
     else:
+        sizes = args.n or (1023,)
         samples = args.samples or 1000
         seed = args.seed or 0
-        reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in args.n or (1023,)]
+        if args.k is not None:
+            # every size before the first sample, as run_benchmark does
+            for n in sizes:
+                check_index(n, args.k)
+        reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in sizes]
     emit_worstcase_csv(reports, args.out or sys.stdout)
     return 0
 

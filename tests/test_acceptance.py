@@ -15,7 +15,6 @@ from pathlib import Path
 from dualheap import (
     AlgoSpec,
     BenchConfig,
-    InputSpec,
     Metrics,
     SelectOptions,
     SentinelArray,
@@ -29,14 +28,12 @@ from dualheap import (
     oracle_select,
     prepare_buffer,
     quickselect,
-    quickselect_mom,
     run_benchmark,
     run_swapping_phase,
     split_indices,
     verify_partition,
     worst_case_search_exhaustive,
 )
-from dualheap.baselines import PivotRule
 from conftest import check_heap_condition, reference_build_max, reference_build_min
 
 SIZES = (1023, 4095, 16383)
@@ -122,7 +119,7 @@ def criterion_03(instances_per_size=1000):
         k = (n + 1) // 2
         for _ in range(instances_per_size):
             seed = master.next_u64()
-            values = generate(InputSpec(n, "random", seed))
+            values = generate(n, "random", seed)
 
             arr = prepare_buffer(values)
             ctx = Metrics()
@@ -303,11 +300,12 @@ def criterion_08():
         fn(prepare_buffer(list(range(1, n + 1))), (n + 1) // 2, ctx)
         return ctx.compares_total
 
-    qs_first = lambda arr, k, ctx: quickselect(arr, k, PivotRule("first"), ctx)
+    qs_first = lambda arr, k, ctx: quickselect(arr, k, "first", ctx)
+    qs_mom = lambda arr, k, ctx: quickselect(arr, k, "median_of_medians", ctx)
     dhs = lambda arr, k, ctx: dh_select(arr, k, SelectOptions("tree", 1), ctx)
 
     qs_ratio = compares(qs_first, 2048) / compares(qs_first, 1024)
-    mom_ratio = compares(quickselect_mom, 2048) / compares(quickselect_mom, 1024)
+    mom_ratio = compares(qs_mom, 2048) / compares(qs_mom, 1024)
     dh_ratio = compares(dhs, 2048) / compares(dhs, 1024)
     detail = (
         f"sorted-input doubling ratios: quickselect-first={qs_ratio:.2f} (>=3.5), "
@@ -384,7 +382,7 @@ def criterion_09():
         for dist in ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues"):
             for _ in range(3):
                 seed = master.next_u64()
-                values = generate(InputSpec(n, dist, seed))
+                values = generate(n, dist, seed)
                 for presplit in PRESPLITS:
                     ok, why = _construction_sequence_ok(values, (n + 1) // 2, presplit)
                     if not ok:
@@ -474,7 +472,7 @@ def criterion_11():
     for n in SIZES:
         for _ in range(10):
             seed = master.next_u64()
-            values = generate(InputSpec(n, "random", seed))
+            values = generate(n, "random", seed)
             for k in ((n + 1) // 2, 1 + master.next_u64() % n):
                 for presplit in PRESPLITS:
                     if not _construction_equal(values, k, presplit):

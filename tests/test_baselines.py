@@ -5,17 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualheap import (
-    InputSpec,
     Metrics,
     PhaseTally,
-    PivotRule,
     generate,
     hoare_partition,
     median_of_medians,
     oracle_select,
     prepare_buffer,
     quickselect,
-    quickselect_mom,
 )
 from conftest import same_multiset
 
@@ -80,7 +77,7 @@ def test_hoare_singleton_segment():
 
 
 def test_hoare_stays_inside_segment_plus_sentinels():
-    values = generate(InputSpec(63, "random", seed=11))
+    values = generate(63, "random", seed=11)
     buf = RangeTracker([min(values), *values, max(values)])
     hoare_partition(buf, 1, 63, buf[1], PhaseTally())
     assert buf.lo >= 0
@@ -101,7 +98,7 @@ def test_quickselect_bounds():
 
 
 def test_quickselect_never_leaves_segment():
-    values = generate(InputSpec(127, "random", seed=3))
+    values = generate(127, "random", seed=3)
     tracked = RangeTracker([min(values), *values, max(values)])
     arr = prepare_buffer(values)
     arr.buf = tracked
@@ -113,20 +110,19 @@ def test_quickselect_never_leaves_segment():
 def test_quickselect_first_quadratic_on_sorted():
     def compares_on_sorted(n):
         ctx = Metrics()
-        quickselect(prepare_buffer(list(range(1, n + 1))), (n + 1) // 2, PivotRule("first"), ctx)
+        quickselect(prepare_buffer(list(range(1, n + 1))), (n + 1) // 2, "first", ctx)
         return ctx.compares_total
 
     assert compares_on_sorted(1024) / compares_on_sorted(512) > 3.0
 
 
 def test_quickselect_exhaustive_small_all_rules():
-    rules = (PivotRule("first"), PivotRule("random", seed=99), PivotRule("median_of_medians"))
     for n in range(1, 7):
         for perm in itertools.permutations(range(1, n + 1)):
             for k in range(1, n + 1):
-                for rule in rules:
+                for pivot in ("first", "random", "median_of_medians"):
                     arr = prepare_buffer(perm)
-                    assert quickselect(arr, k, rule) == k
+                    assert quickselect(arr, k, pivot, seed=99) == k
                     assert same_multiset(arr.payload(), perm)
 
 
@@ -136,18 +132,16 @@ def test_quickselect_exhaustive_small_all_rules():
 )
 def test_quickselect_matches_oracle_with_duplicates(values, data):
     k = data.draw(st.integers(1, len(values)))
-    rule = data.draw(
-        st.sampled_from([PivotRule("first"), PivotRule("random", seed=5), PivotRule("median_of_medians")])
-    )
-    assert quickselect(prepare_buffer(values), k, rule) == oracle_select(values, k)
+    pivot = data.draw(st.sampled_from(["first", "random", "median_of_medians"]))
+    assert quickselect(prepare_buffer(values), k, pivot, seed=5) == oracle_select(values, k)
 
 
 def test_random_rule_is_seed_deterministic():
-    values = generate(InputSpec(301, "random", seed=8))
+    values = generate(301, "random", seed=8)
     counts = []
     for _ in range(2):
         ctx = Metrics()
-        quickselect(prepare_buffer(values), 151, PivotRule("random", seed=77), ctx)
+        quickselect(prepare_buffer(values), 151, "random", ctx, seed=77)
         counts.append(ctx.compares_total)
     assert counts[0] == counts[1]
 
@@ -175,7 +169,7 @@ def test_mom_singleton():
 def test_mom_rank_bounds_random():
     for seed in range(40):
         n = 50 + 7 * seed
-        values = generate(InputSpec(n, "random", seed=seed))
+        values = generate(n, "random", seed=seed)
         buf = [0, *values, n + 1]
         value = median_of_medians(buf, 1, n, PhaseTally())
         rank = sorted(values).index(value) + 1
@@ -187,18 +181,18 @@ def test_mom_empty_segment_rejected():
         median_of_medians([0, 1], 1, 0, PhaseTally())
 
 
-# --- quickselect_mom ---------------------------------------------------------
+# --- quickselect with the median-of-medians pivot ----------------------------
 
 
 def test_mom_select_examples():
-    assert quickselect_mom(prepare_buffer([5, 3, 9, 1, 7]), 3) == 5
-    assert quickselect_mom(prepare_buffer([6, 6, 6]), 2) == 6
+    assert quickselect(prepare_buffer([5, 3, 9, 1, 7]), 3, "median_of_medians") == 5
+    assert quickselect(prepare_buffer([6, 6, 6]), 2, "median_of_medians") == 6
 
 
 def test_mom_select_linear_on_sorted():
     def compares_on_sorted(n):
         ctx = Metrics()
-        quickselect_mom(prepare_buffer(list(range(1, n + 1))), (n + 1) // 2, ctx)
+        quickselect(prepare_buffer(list(range(1, n + 1))), (n + 1) // 2, "median_of_medians", ctx)
         return ctx.compares_total
 
     assert compares_on_sorted(2048) / compares_on_sorted(1024) < 2.5
@@ -208,9 +202,9 @@ def test_mom_select_constant_stable_across_shapes_and_doublings():
     for dist in ("sorted", "reverse", "random"):
         per_n = []
         for n in (512, 1024, 2048):
-            values = generate(InputSpec(n, dist, seed=21))
+            values = generate(n, dist, seed=21)
             ctx = Metrics()
-            quickselect_mom(prepare_buffer(values), (n + 1) // 2, ctx)
+            quickselect(prepare_buffer(values), (n + 1) // 2, "median_of_medians", ctx)
             per_n.append(ctx.compares_total / n)
         for a, b in zip(per_n, per_n[1:]):
             assert b / a < 1.5

@@ -10,10 +10,8 @@ from dualheap import (
     BenchConfig,
     CSV_HEADER,
     ExperimentRecord,
-    InputSpec,
     Metrics,
     OracleMismatchError,
-    PivotRule,
     SelectOptions,
     SentinelArray,
     SplitMix64,
@@ -29,6 +27,7 @@ from dualheap import (
     worst_case_search_exhaustive,
     worst_case_search_random,
 )
+from dualheap.cli import main
 
 
 # --- PRNG --------------------------------------------------------------------
@@ -92,10 +91,10 @@ def test_take_and_next_u64_continue_one_stream():
 
 # Every library entry point that seeds a stream, called with a seed.
 SEEDED_CALLS = {
-    "InputSpec": lambda seed: generate(InputSpec(9, "random", seed)),
+    "generate": lambda seed: generate(9, "random", seed),
     "BenchConfig": lambda seed: run_benchmark(BenchConfig(sizes=(9,), trials=1, seed=seed)),
     "worst_case_search_random": lambda seed: worst_case_search_random(9, 2, seed),
-    "PivotRule": lambda seed: quickselect(prepare_buffer([5, 3, 9, 1, 7]), 3, PivotRule("random", seed=seed)),
+    "quickselect": lambda seed: quickselect(prepare_buffer([5, 3, 9, 1, 7]), 3, "random", seed=seed),
 }
 
 
@@ -127,32 +126,32 @@ def test_non_int_seed_is_rejected_when_the_stream_is_created():
 
 
 def test_generate_sorted():
-    assert generate(InputSpec(5, "sorted")) == [1, 2, 3, 4, 5]
+    assert generate(5, "sorted") == [1, 2, 3, 4, 5]
 
 
 def test_generate_reverse():
-    assert generate(InputSpec(5, "reverse")) == [5, 4, 3, 2, 1]
+    assert generate(5, "reverse") == [5, 4, 3, 2, 1]
 
 
 def test_generate_organpipe():
-    assert generate(InputSpec(5, "organpipe")) == [1, 2, 3, 2, 1]
-    assert generate(InputSpec(6, "organpipe")) == [1, 2, 3, 3, 2, 1]
+    assert generate(5, "organpipe") == [1, 2, 3, 2, 1]
+    assert generate(6, "organpipe") == [1, 2, 3, 3, 2, 1]
 
 
 def test_generate_allequal():
-    assert generate(InputSpec(4, "allequal")) == [1, 1, 1, 1]
+    assert generate(4, "allequal") == [1, 1, 1, 1]
 
 
 def test_generate_fewvalues():
-    assert generate(InputSpec(6, "fewvalues")) == [1, 2, 3, 4, 1, 2]
+    assert generate(6, "fewvalues") == [1, 2, 3, 4, 1, 2]
 
 
 def test_generate_random_is_seed_determined_permutation():
-    a = generate(InputSpec(8, "random", seed=42))
-    b = generate(InputSpec(8, "random", seed=42))
+    a = generate(8, "random", seed=42)
+    b = generate(8, "random", seed=42)
     assert a == b == [4, 2, 7, 3, 5, 1, 8, 6]  # frozen from the shuffle recipe
     assert sorted(a) == list(range(1, 9))
-    assert generate(InputSpec(8, "random", seed=43)) != a
+    assert generate(8, "random", seed=43) != a
 
 
 def _reference_shuffle(n, seed):
@@ -168,14 +167,14 @@ def _reference_shuffle(n, seed):
 @pytest.mark.parametrize("n", (1, 2, 3, 4095, 4096, 4097, 20000))
 def test_generate_random_follows_the_fisher_yates_recipe(n):
     for seed in (0, 981, 2**64 - 1):
-        assert generate(InputSpec(n, "random", seed)) == _reference_shuffle(n, seed)
+        assert generate(n, "random", seed) == _reference_shuffle(n, seed)
 
 
 def test_generate_rejects_bad_spec():
     with pytest.raises(ValueError):
-        InputSpec(5, "zipf")
+        generate(5, "zipf")
     with pytest.raises(ValueError):
-        InputSpec(0, "sorted")
+        generate(0, "sorted")
 
 
 @pytest.mark.parametrize(
@@ -198,10 +197,10 @@ def test_algo_spec_rejects_fields_that_are_invalid_or_do_not_apply(fields, messa
 @pytest.mark.parametrize(
     "spec, good, bad, message",
     [
-        (InputSpec(5, "random"), {"seed": 3}, {"dist": "zipf"}, "unknown dist 'zipf'"),
+        (BenchConfig(), {"dists": ("sorted",)}, {"dists": ()}, "dists must not be empty"),
         (AlgoSpec(), {"strategy": "root"}, {"pivot": "random"}, "pivot applies only to quickselect"),
         (BenchConfig(), {"trials": 1}, {"trials": 0}, "need at least one trial, got 0"),
-        (PivotRule(), {"tag": "random", "seed": 4}, {"tag": "middle"}, "unknown pivot rule 'middle'"),
+        (BenchConfig(), {"seed": 2**64 - 1}, {"seed": 2**64}, "expected a seed in 0..18446744073709551615"),
         (SelectOptions(), {"presplit": 2}, {"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
     ],
     ids=lambda value: type(value).__name__ if hasattr(value, "_fields") else None,
@@ -266,6 +265,18 @@ def test_run_benchmark_oracle_gate_aborts_with_repro(monkeypatch):
         assert token in message
 
 
+@pytest.mark.parametrize(
+    "algo",
+    [AlgoSpec("quickselect"), AlgoSpec("quickselect", pivot="random"), AlgoSpec("quickselect-mom")],
+    ids=lambda algo: algo.label,
+)
+def test_run_benchmark_partition_gate_covers_every_algo(algo, monkeypatch):
+    # the right value with the buffer left as it was: only the partition check sees it
+    monkeypatch.setattr(bench, "quickselect", lambda arr, k, *args, **kwargs: sorted(arr.payload())[k - 1])
+    with pytest.raises(OracleMismatchError, match="algo=" + algo.label):
+        run_benchmark(BenchConfig(sizes=(31,), algos=(algo,), trials=1, seed=7))
+
+
 def test_run_benchmark_phase_buckets_for_baselines():
     records = run_benchmark(
         BenchConfig(sizes=(63,), algos=(AlgoSpec("quickselect-mom"),), trials=1)
@@ -283,8 +294,8 @@ def test_run_benchmark_rejects_bad_k():
         run_benchmark(BenchConfig(sizes=(31,), k=32))
 
 
-def _no_input_expected(spec):
-    raise AssertionError(f"an input was generated for {spec}")
+def _no_input_expected(*args):
+    raise AssertionError(f"an input was generated for {args}")
 
 
 @pytest.mark.parametrize("k, error", [(0, IndexError), (32, IndexError), (True, TypeError), (20, IndexError)])
@@ -297,6 +308,14 @@ def test_bad_k_rejected_before_any_trial_or_sample(k, error, monkeypatch):
         run_benchmark(BenchConfig(sizes=(31, 15), k=k))
     with pytest.raises(error):
         worst_case_search_random(15, samples=3, seed=1, k=k)
+    # worstcase --mode random takes several sizes, and checks k against each
+    # before its first sample; 0 and True never get past the flag parser
+    argv = ["worstcase", "--mode", "random", "--n", "31,15", "--samples", "3", "--k", str(k)]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == 1
 
 
 # --- CSV ---------------------------------------------------------------------
@@ -340,14 +359,12 @@ def test_timing_defaults_to_zero_for_reproducibility():
 # Each frozen spec: every field given positionally, the same value given by
 # keywords that leave defaulted fields out, and a keyword that changes it.
 FROZEN_SPECS = {
-    "InputSpec": (InputSpec, (7, "sorted", 0), {"dist": "sorted", "n": 7}, {"n": 8}),
     "AlgoSpec": (
         AlgoSpec, ("quickselect", "tree", 1, "random"), {"pivot": "random", "name": "quickselect"}, {"pivot": "first"}
     ),
     "BenchConfig": (
         BenchConfig, ((1023, 4095, 16383), ("random",), (AlgoSpec(),), 3, 0, None, False), {}, {"trials": 4}
     ),
-    "PivotRule": (PivotRule, ("first", 0), {}, {"seed": 1}),
     "SelectOptions": (SelectOptions, ("tree", 1), {}, {"presplit": 2}),
 }
 
@@ -365,19 +382,17 @@ def test_frozen_spec_is_an_immutable_hashable_value(cls, args, kwargs, change):
 
 
 def test_frozen_spec_defaults():
-    assert InputSpec(5, "random") == InputSpec(n=5, dist="random", seed=0)
     assert AlgoSpec() == AlgoSpec("dhselect", "tree", 1, "first")
     assert AlgoSpec("quickselect-mom") == AlgoSpec(name="quickselect-mom", pivot="first")
     assert BenchConfig(trials=1).sizes == bench.DEFAULT_SIZES
-    assert PivotRule() == PivotRule(tag="first", seed=0)
     assert SelectOptions() == SelectOptions(strategy="tree", presplit=1)
 
 
 @pytest.mark.parametrize(
     "cls, args, kwargs, message",
     [
-        (InputSpec, (0, "sorted"), {}, "input size must be >= 1, got 0"),
-        (InputSpec, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
+        (generate, (0, "sorted"), {}, "input size must be >= 1, got 0"),
+        (generate, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
         (AlgoSpec, ("heapselect",), {}, "unknown algo 'heapselect', expected one of " + repr(bench.ALGOS)),
         (AlgoSpec, ("quickselect",), {"pivot": "last"}, "pivot must be one of ('first', 'random'), got 'last'"),
         (AlgoSpec, ("quickselect",), {"presplit": 0}, "strategy and presplit apply only to dhselect, not to "
@@ -386,7 +401,7 @@ def test_frozen_spec_defaults():
         (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of "
          "('tree', 'branch', 'root')"),
         (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
-        (PivotRule, ("last",), {}, "unknown pivot rule 'last', expected one of "
+        (quickselect, (prepare_buffer([5, 3, 9]), 2, "last"), {}, "unknown pivot rule 'last', expected one of "
          "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
         (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
@@ -394,10 +409,15 @@ def test_frozen_spec_defaults():
         (worst_case_search_random, (0, 5, 0), {}, "input size must be >= 1, got 0"),
         # each of these was accepted, or failed only after the first trials ran
         (BenchConfig, (), {"dists": ("random", "nope")}, "unknown dist 'nope', expected one of " + repr(bench.DISTS)),
-        (InputSpec, (5, "random", -1), {}, "expected a seed in 0..18446744073709551615, got -1"),
-        (InputSpec, (5, "sorted", 2**70), {}, f"expected a seed in 0..18446744073709551615, got {2**70}"),
-        (PivotRule, ("random",), {"seed": -1}, "expected a seed in 0..18446744073709551615, got -1"),
+        (generate, (5, "random", -1), {}, "expected a seed in 0..18446744073709551615, got -1"),
+        (generate, (5, "sorted", 2**70), {}, f"expected a seed in 0..18446744073709551615, got {2**70}"),
+        (quickselect, (prepare_buffer([5, 3, 9]), 2, "random"), {"seed": -1}, "expected a seed in "
+         "0..18446744073709551615, got -1"),
         (BenchConfig, (), {"seed": 2**64}, f"expected a seed in 0..18446744073709551615, got {2**64}"),
+        # an empty series ran no trial and wrote a bare CSV header
+        (BenchConfig, (), {"sizes": ()}, "sizes must not be empty"),
+        (BenchConfig, (), {"dists": ()}, "dists must not be empty"),
+        (BenchConfig, (), {"algos": ()}, "algos must not be empty"),
     ],
 )
 def test_spec_validation_messages(cls, args, kwargs, message):
@@ -414,8 +434,8 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
         (AlgoSpec, ("dhselect",), {"presplit": 2.0}, "presplit must be an int, not float (2.0)"),
         # a bool size was written to the CSV as "true", which parse_csv cannot read back
-        (InputSpec, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
-        (InputSpec, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
+        (generate, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
+        (generate, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
         (BenchConfig, (), {"sizes": (31, True)}, "input size must be an int, not bool (True)"),
         (BenchConfig, (), {"sizes": (31.0,)}, "input size must be an int, not float (31.0)"),
         (BenchConfig, (), {"trials": True}, "trials must be an int, not bool (True)"),
@@ -427,11 +447,18 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (worst_case_search_random, (5.0, 5, 0), {}, "input size must be an int, not float (5.0)"),
         # a str algo failed with AttributeError after the first trials; a truthy
         # non-bool timing wrote a real elapsed_ns
-        (InputSpec, (5, "random", 1.5), {}, "seed must be an int, not float (1.5)"),
-        (PivotRule, ("first",), {"seed": True}, "seed must be an int, not bool (True)"),
+        (generate, (5, "random", 1.5), {}, "seed must be an int, not float (1.5)"),
+        (quickselect, (prepare_buffer([5, 3, 9]), 2), {"seed": True}, "seed must be an int, not bool (True)"),
         (BenchConfig, (), {"algos": (AlgoSpec(), "dhselect")}, "each algo must be an AlgoSpec, not str ('dhselect')"),
         (BenchConfig, (), {"timing": "no"}, "timing must be a bool, not str ('no')"),
         (BenchConfig, (), {"timing": 1}, "timing must be a bool, not int (1)"),
+        # a scalar series was iterated: "unknown dist 'r'", an AlgoSpec's own fields, or
+        # Python's "'int' object is not iterable"; a list made the spec unhashable
+        (BenchConfig, (), {"sizes": 31}, "sizes must be a tuple, not int (31)"),
+        (BenchConfig, (), {"sizes": [31]}, "sizes must be a tuple, not list ([31])"),
+        (BenchConfig, (), {"dists": "random"}, "dists must be a tuple, not str ('random')"),
+        (BenchConfig, (), {"algos": AlgoSpec()}, "algos must be a tuple, not AlgoSpec "
+         "(AlgoSpec(name='dhselect', strategy='tree', presplit=1, pivot='first'))"),
     ],
 )
 def test_spec_type_messages(cls, args, kwargs, message):
@@ -516,7 +543,7 @@ def test_worstcase_random_deterministic_and_reproducible():
     assert a == b
     assert a.instances_tested == 40
     # regenerate the witness from its seed and reproduce the count
-    values = generate(InputSpec(64, "random", a.argmax_seed))
+    values = generate(64, "random", a.argmax_seed)
     assert tuple(values) == a.argmax_permutation
     ctx = Metrics()
     dh_select(prepare_buffer(values), a.argmax_k, SelectOptions(), ctx)

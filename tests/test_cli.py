@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dualheap.cli as cli
-from dualheap import CSV_HEADER, InputSpec, generate, oracle_select
+from dualheap import CSV_HEADER, generate, oracle_select
 
 REPRODUCE_FIGURES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
@@ -25,7 +25,7 @@ def run_cli(*args):
 def test_select_prints_the_selected_value():
     result = run_cli("select", "--n", "101", "--dist", "random", "--seed", "7")
     assert result.returncode == 0
-    values = generate(InputSpec(101, "random", 7))
+    values = generate(101, "random", 7)
     assert result.stdout.strip() == str(oracle_select(values, 51))
 
 
@@ -46,7 +46,7 @@ def test_sort_outputs_sorted_sequence():
     result = run_cli("sort", "--n", "12", "--dist", "organpipe")
     assert result.returncode == 0
     got = list(map(int, result.stdout.split()))
-    assert got == sorted(generate(InputSpec(12, "organpipe")))
+    assert got == sorted(generate(12, "organpipe"))
 
 
 def test_bench_csv_on_stdout():
@@ -337,12 +337,12 @@ def test_unknown_package_name_raises():
 # Every public name of the package, eager and lazy: an addition or a removal
 # shows here as a one-line diff.
 PUBLIC_NAMES = """
-    ALGOS AlgoSpec BenchConfig CSV_FIELDS CSV_HEADER DEFAULT_SIZES DISTS Element ExperimentRecord InputSpec
-    InternalInvariantError Metrics OracleMismatchError PIVOT_RULES PRESPLITS PhaseTally PivotRule STRATEGIES
+    ALGOS AlgoSpec BenchConfig CSV_FIELDS CSV_HEADER DEFAULT_SIZES DISTS Element ExperimentRecord
+    InternalInvariantError Metrics OracleMismatchError PIVOT_RULES PRESPLITS PhaseTally STRATEGIES
     SelectOptions SelectOutcome SentinelArray SplitMix64 WorstCaseReport
     build_max_heap build_min_heap construct_dualheap dh_select dh_select_copy dh_sort emit_csv emit_worstcase_csv
     fit_growth generate hoare_partition median_index median_of_medians oracle_select parse_csv prepare_buffer
-    quickselect quickselect_mom records_to_csv run_benchmark run_swapping_phase split_indices swap_step_budget
+    quickselect records_to_csv run_benchmark run_swapping_phase split_indices swap_step_budget
     verify_partition worst_case_search_exhaustive worst_case_search_random
 """.split()
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import dualheap.select as select
 from dualheap import (
     STRATEGIES,
-    InputSpec,
     Metrics,
     SelectOptions,
     SentinelArray,
@@ -223,7 +222,7 @@ def test_parity_both_split_paths():
 
 
 def test_determinism_identical_counters():
-    values = generate(InputSpec(513, "random", seed=42))
+    values = generate(513, "random", seed=42)
     runs = []
     for _ in range(2):
         ctx = Metrics()
@@ -268,7 +267,7 @@ PINNED_COUNTS_65535 = {
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pinned_counts_n65535(seed):
-    values = generate(InputSpec(65535, "random", seed))
+    values = generate(65535, "random", seed)
     for strategy in STRATEGIES:
         for presplit in (0, 1, 2):
             ctx = Metrics()
@@ -375,7 +374,7 @@ def test_sort_examples():
 @pytest.mark.parametrize("strategy", ["tree", "branch", "root"])
 @pytest.mark.parametrize("presplit", [0, 1, 2])
 def test_sort_all_options(strategy, presplit):
-    values = generate(InputSpec(200, "random", seed=5))
+    values = generate(200, "random", seed=5)
     assert dh_sort(values, SelectOptions(strategy, presplit)) == sorted(values)
 
 
@@ -387,7 +386,7 @@ def test_sort_random_cases_across_families():
         for dist in ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues"):
             n = (cases * 37 + 13) % 201  # lengths sweep 0..200
             seed += 1
-            values = generate(InputSpec(n, dist, seed)) if n else []
+            values = generate(n, dist, seed) if n else []
             assert dh_sort(values) == sorted(values)
             cases += 1
     assert cases >= 10_000
@@ -483,8 +482,8 @@ def test_sort_matches_recursive_reference_with_ties(values):
 def test_sort_matches_recursive_reference_at_2047(dist):
     # 2047 = 2**11 - 1 splits into segments of 2**j - 1 only, as in the
     # benchmark; 2000 does not.
-    _same_sort_as_reference(generate(InputSpec(2047, dist, seed=9)))
-    _same_sort_as_reference(generate(InputSpec(2000, dist, seed=9)))
+    _same_sort_as_reference(generate(2047, dist, seed=9))
+    _same_sort_as_reference(generate(2000, dist, seed=9))
 
 
 # --- reference cycles --------------------------------------------------------
@@ -502,7 +501,7 @@ def test_sort_matches_recursive_reference_at_2047(dist):
 )
 def test_no_reference_cycles_left_behind(run):
     # A cycle through the buffer would keep it alive until the cyclic GC ran.
-    values = generate(InputSpec(2047, "random", seed=3))
+    values = generate(2047, "random", seed=3)
     gc.collect()
     gc.disable()
     try:

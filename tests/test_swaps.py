@@ -218,12 +218,12 @@ def test_root_swap_phase_grows_superlinearly():
     # doubling n should more than double root-exchange swap compares
     # (the n-log-n profile of repeated root extraction), while the greedy
     # subtree exchange stays near linear
-    from dualheap import InputSpec, generate
+    from dualheap import generate
 
     def mean_swap_compares(strategy, n, trials=8):
         total = 0
         for t in range(trials):
-            values = generate(InputSpec(n, "random", seed=900 + t))
+            values = generate(n, "random", seed=900 + t)
             arr = prepare_buffer(values)
             ctx = Metrics()
             dh_select(arr, (n + 1) // 2, SelectOptions(strategy=strategy, presplit=1), ctx)
