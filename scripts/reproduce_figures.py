@@ -16,7 +16,7 @@ Plotting is left to downstream tools (the CSVs are tidy long-format).
 import statistics
 from pathlib import Path
 
-from dualheap import AlgoSpec, BenchConfig, emit_csv, run_benchmark
+from dualheap.bench import AlgoSpec, BenchConfig, emit_csv, run_benchmark
 from dualheap.cli import _int_list, _Parser, _positive, _seed
 
 SERIES = {

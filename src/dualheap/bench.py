@@ -16,7 +16,6 @@ import math
 import operator
 import time
 from collections import namedtuple
-from io import StringIO
 
 from .baselines import oracle_select, quickselect
 from .core import SentinelArray, check_index, check_int
@@ -93,49 +92,22 @@ def _to_row(record) -> list[str]:
     return [_cell(value) for value in record]
 
 
-def _optional_int(text: str) -> int | None:
-    return int(text) if text else None
-
-
-def _record_base(typename: str, columns: tuple, defaults: tuple = ()) -> type:
-    """The namedtuple base of a CSV record whose one field table is
-    ``columns``: ``(name, parser)`` pairs, in column order, for ``from_row``."""
-    base = namedtuple(typename, [name for name, _ in columns], defaults=defaults)
-    base.to_row = _to_row
-    base.from_row = classmethod(lambda cls, row: cls._make(parse(row[name]) for name, parse in columns))
-    return base
-
-
-_EXPERIMENT_COLUMNS = (
-    ("algo", str),
-    ("swap_strategy", str),
-    ("presplit", _optional_int),
-    ("n", int),
-    ("k", int),
-    ("dist", str),
-    ("seed", int),
-    ("trial", int),
-    ("compares_construct", int),
-    ("moves_construct", int),
-    ("compares_swap", int),
-    ("moves_swap", int),
-    ("compares_total", int),
-    ("moves_total", int),
-    ("elapsed_ns", int),
-    ("correct", "true".__eq__),
-)
-
-
-class ExperimentRecord(_record_base("ExperimentRecord", _EXPERIMENT_COLUMNS)):
+class ExperimentRecord(
+    namedtuple(
+        "ExperimentRecord",
+        "algo swap_strategy presplit n k dist seed trial compares_construct moves_construct"
+        " compares_swap moves_swap compares_total moves_total elapsed_ns correct",
+    )
+):
     """One benchmark trial row; its fields, in order, are the CSV columns.
     The runner oracle-checks every trial, so ``correct`` is true in every
     record that ever reaches a CSV."""
 
     __slots__ = ()
+    to_row = _to_row
 
 
 CSV_FIELDS = ExperimentRecord._fields
-CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 class AlgoSpec(
@@ -294,31 +266,13 @@ def emit_csv(records, dest) -> None:
     _write_csv(CSV_FIELDS, records, dest)
 
 
-def records_to_csv(records) -> str:
-    out = StringIO()
-    _write_csv(CSV_FIELDS, records, out)
-    return out.getvalue()
-
-
-def parse_csv(source) -> list[ExperimentRecord]:
-    """Round-trip reader for files produced by emit_csv."""
-    if not hasattr(source, "read"):
-        with open(source, newline="") as handle:
-            return parse_csv(handle)
-    return [ExperimentRecord.from_row(row) for row in csv.DictReader(source)]
-
-
-_WORSTCASE_COLUMNS = (
-    ("n", int),
-    ("instances_tested", int),
-    ("max_compares_swap", int),
-    ("argmax_k", int),
-    ("argmax_seed", _optional_int),
-    ("argmax_permutation", lambda text: tuple(map(int, text.split()))),
-)
-
-
-class WorstCaseReport(_record_base("WorstCaseReport", _WORSTCASE_COLUMNS, defaults=(None, ()))):
+class WorstCaseReport(
+    namedtuple(
+        "WorstCaseReport",
+        ("n", "instances_tested", "max_compares_swap", "argmax_k", "argmax_seed", "argmax_permutation"),
+        defaults=(None, ()),
+    )
+):
     """Maximum swapping-phase comparisons observed for one size, with a
     witness; its fields, in order, are the CSV columns. Exhaustive mode
     records the witness permutation itself; random mode records the seed
@@ -326,6 +280,7 @@ class WorstCaseReport(_record_base("WorstCaseReport", _WORSTCASE_COLUMNS, defaul
     print)."""
 
     __slots__ = ()
+    to_row = _to_row
 
 
 WORSTCASE_FIELDS = WorstCaseReport._fields
@@ -412,13 +367,19 @@ def emit_worstcase_csv(reports, dest) -> None:
 def fit_growth(records, metric: str, agg: str = "mean") -> float:
     """Least-squares slope of log(metric) against log(n) over per-size
     aggregates (means, or maxima for worst-case style data). Needs at least
-    three distinct sizes."""
+    three distinct sizes; each n must be an int of at least 1, each value
+    finite and each aggregate positive."""
     import statistics  # only fitting needs it, and it is slow to import
     if agg not in ("mean", "max"):
         raise ValueError(f"agg must be 'mean' or 'max', got {agg!r}")
     groups: dict[int, list[float]] = {}
     for record in records:
-        groups.setdefault(record.n, []).append(float(getattr(record, metric)))
+        _check_size(record.n)
+        value = float(getattr(record, metric))
+        # a nan or an inf would fit as slope=nan, and max() can pass over a nan
+        if not math.isfinite(value):
+            raise ValueError(f"metric {metric!r} must be finite to fit, got {value} at n={record.n}")
+        groups.setdefault(record.n, []).append(value)
     if len(groups) < 3:
         raise ValueError(f"growth fitting needs >= 3 distinct sizes, got {len(groups)}")
     xs = []

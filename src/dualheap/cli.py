@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 internal invariant violation
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from functools import cache
@@ -170,14 +171,17 @@ def cmd_select(args) -> int:
     return 0
 
 
+def _output(path):
+    """The destination of a command's output: the ``--out`` file, opened
+    before any input is generated so that a path that cannot be opened fails
+    at once, or stdout."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def cmd_sort(args) -> int:
-    values = generate(args.n, args.dist, args.seed)
-    line = " ".join(map(str, dh_sort(values, SelectOptions(args.swap, args.presplit))))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(line + "\n")
-    else:
-        print(line)
+    with _output(args.out) as dest:
+        values = generate(args.n, args.dist, args.seed)
+        print(" ".join(map(str, dh_sort(values, SelectOptions(args.swap, args.presplit)))), file=dest)
     return 0
 
 
@@ -191,26 +195,27 @@ def cmd_bench(args) -> int:
         k=args.k,
         timing=args.timing,
     )
-    records = run_benchmark(config)
-    emit_csv(records, args.out or sys.stdout)
+    with _output(args.out) as dest:
+        emit_csv(run_benchmark(config), dest)
     return 0
 
 
 def cmd_worstcase(args) -> int:
     _check_flags(args, "--mode", _MODE_FLAGS)
     opts = SelectOptions(args.swap, args.presplit)
-    if args.mode == "exhaustive":
-        reports = worst_case_search_exhaustive(args.max_n or 8, opts)
-    else:
-        sizes = args.n or (1023,)
-        samples = args.samples or 1000
-        seed = args.seed or 0
-        if args.k is not None:
-            # every size before the first sample, as run_benchmark does
-            for n in sizes:
-                check_index(n, args.k)
-        reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in sizes]
-    emit_worstcase_csv(reports, args.out or sys.stdout)
+    with _output(args.out) as dest:
+        if args.mode == "exhaustive":
+            reports = worst_case_search_exhaustive(args.max_n or 8, opts)
+        else:
+            sizes = args.n or (1023,)
+            samples = args.samples or 1000
+            seed = args.seed or 0
+            if args.k is not None:
+                # every size before the first sample, as run_benchmark does
+                for n in sizes:
+                    check_index(n, args.k)
+            reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in sizes]
+        emit_worstcase_csv(reports, dest)
     return 0
 
 

@@ -13,27 +13,21 @@ from functools import lru_cache
 from pathlib import Path
 
 from dualheap import (
-    AlgoSpec,
-    BenchConfig,
     Metrics,
     SelectOptions,
     SentinelArray,
-    SplitMix64,
     build_max_heap,
     build_min_heap,
     construct_dualheap,
     dh_select,
-    fit_growth,
-    generate,
-    oracle_select,
     prepare_buffer,
-    quickselect,
-    run_benchmark,
     run_swapping_phase,
     split_indices,
     verify_partition,
-    worst_case_search_exhaustive,
 )
+from dualheap.baselines import oracle_select, quickselect
+from dualheap.bench import AlgoSpec, BenchConfig, fit_growth, generate, run_benchmark, worst_case_search_exhaustive
+from dualheap.rng import SplitMix64
 from conftest import check_heap_condition, reference_build_max, reference_build_min
 
 SIZES = (1023, 4095, 16383)
@@ -238,7 +232,7 @@ def criterion_06():
         return True, detail
     # guard against small-sample noise: dump the series and judge the
     # mean-of-means across all three sizes
-    from dualheap import emit_csv
+    from dualheap.bench import emit_csv
 
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     emit_csv(records, ARTIFACT_DIR / "presplit_trend_n4095.csv")

@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualheap import (
-    Metrics,
-    PhaseTally,
-    generate,
-    hoare_partition,
-    median_of_medians,
-    oracle_select,
-    prepare_buffer,
-    quickselect,
-)
+from dualheap import Metrics, PhaseTally, prepare_buffer
+from dualheap.baselines import hoare_partition, median_of_medians, oracle_select, quickselect
+from dualheap.bench import generate
 from conftest import same_multiset
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -5,29 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dualheap.bench as bench
-from dualheap import (
+from dualheap import Metrics, OracleMismatchError, SelectOptions, SentinelArray, dh_select, prepare_buffer
+from dualheap.baselines import quickselect
+from dualheap.bench import (
     AlgoSpec,
     BenchConfig,
-    CSV_HEADER,
+    CSV_FIELDS,
     ExperimentRecord,
-    Metrics,
-    OracleMismatchError,
-    SelectOptions,
-    SentinelArray,
-    SplitMix64,
-    dh_select,
     emit_csv,
     fit_growth,
     generate,
-    parse_csv,
-    prepare_buffer,
-    quickselect,
-    records_to_csv,
     run_benchmark,
     worst_case_search_exhaustive,
     worst_case_search_random,
 )
 from dualheap.cli import main
+from dualheap.rng import SplitMix64
 
 
 # --- PRNG --------------------------------------------------------------------
@@ -240,7 +235,7 @@ def test_run_benchmark_deterministic():
         trials=2,
         seed=4,
     )
-    assert records_to_csv(run_benchmark(config)) == records_to_csv(run_benchmark(config))
+    assert run_benchmark(config) == run_benchmark(config)
 
 
 def test_run_benchmark_shares_inputs_across_algos():
@@ -322,7 +317,7 @@ def test_bad_k_rejected_before_any_trial_or_sample(k, error, monkeypatch):
 
 
 def test_csv_header_is_pinned():
-    assert CSV_HEADER == (
+    assert ",".join(CSV_FIELDS) == (
         "algo,swap_strategy,presplit,n,k,dist,seed,trial,"
         "compares_construct,moves_construct,compares_swap,moves_swap,"
         "compares_total,moves_total,elapsed_ns,correct"
@@ -335,7 +330,7 @@ def test_emit_csv_line_counts(tmp_path):
     emit_csv(records, path)
     text = path.read_text()
     lines = text.split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_FIELDS)
     assert len([line for line in lines if line]) == 3
     assert "\r" not in text
 
@@ -346,7 +341,8 @@ def test_csv_round_trip(tmp_path):
     )
     path = tmp_path / "roundtrip.csv"
     emit_csv(records, path)
-    assert parse_csv(str(path)) == records
+    with open(path, newline="") as handle:
+        assert list(csv.reader(handle)) == [list(CSV_FIELDS), *(record.to_row() for record in records)]
 
 
 def test_timing_defaults_to_zero_for_reproducibility():
@@ -433,7 +429,7 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (SelectOptions, (), {"presplit": True}, "presplit must be an int, not bool (True)"),
         (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
         (AlgoSpec, ("dhselect",), {"presplit": 2.0}, "presplit must be an int, not float (2.0)"),
-        # a bool size was written to the CSV as "true", which parse_csv cannot read back
+        # a bool size was written to the CSV as "true", which fit cannot read back
         (generate, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
         (generate, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
         (BenchConfig, (), {"sizes": (31, True)}, "input size must be an int, not bool (True)"),
@@ -467,6 +463,14 @@ def test_spec_type_messages(cls, args, kwargs, message):
     assert str(caught.value) == message
 
 
+def _emitted_rows(emit, records) -> list[list[str]]:
+    """The rows a CSV reader gets back from what ``emit`` writes."""
+    out = io.StringIO()
+    emit(records, out)
+    out.seek(0)
+    return list(csv.reader(out))
+
+
 def test_experiment_record_round_trips_through_a_row():
     records = run_benchmark(BenchConfig(sizes=(31,), algos=(AlgoSpec(), AlgoSpec("quickselect")), trials=1, seed=5))
     assert [r.presplit for r in records] == [1, None]
@@ -477,8 +481,10 @@ def test_experiment_record_round_trips_through_a_row():
     )
     cells = ["quickselect-first", "", "", "3", "2", "sorted", "7", "0", "0", "0", "0", "0", "5", "2", "0", "false"]
     assert failed.to_row() == cells
-    for record in (*records, failed):
-        assert ExperimentRecord.from_row(dict(zip(bench.CSV_FIELDS, record.to_row()))) == record
+    rows = _emitted_rows(emit_csv, [*records, failed])
+    assert rows == [list(CSV_FIELDS), *(record.to_row() for record in (*records, failed))]
+    assert [row[2] for row in rows[1:3]] == ["1", ""]
+    assert rows[-1] == cells
 
 
 def test_worstcase_report_defaults_and_row():
@@ -489,10 +495,16 @@ def test_worstcase_report_defaults_and_row():
 
 
 def test_worstcase_report_round_trips_through_a_row():
-    # one field table gives both the columns and their parsers
-    reports = [worst_case_search_random(15, 20, 3), worst_case_search_random(127, 2, 3)]
-    for report in (worst_case_search_exhaustive(3)[-1], *reports):
-        assert bench.WorstCaseReport.from_row(dict(zip(bench.WORSTCASE_FIELDS, report.to_row()))) == report
+    reports = [
+        worst_case_search_exhaustive(3)[-1],
+        worst_case_search_random(15, 20, 3),
+        worst_case_search_random(127, 2, 3),
+    ]
+    rows = _emitted_rows(bench.emit_worstcase_csv, reports)
+    assert rows == [list(bench.WORSTCASE_FIELDS), *(report.to_row() for report in reports)]
+    # exhaustive mode has no seed; a witness above 64 elements is its seed alone
+    assert rows[1][4:] == ["", " ".join(map(str, reports[0].argmax_permutation))]
+    assert rows[3][4:] == [str(reports[2].argmax_seed), ""]
 
 
 def test_sentinel_array_stays_mutable_and_compares_by_value():
@@ -606,6 +618,25 @@ def test_fit_growth_needs_three_sizes():
     records = _records_with_totals([(256, 10), (512, 20)])
     with pytest.raises(ValueError):
         fit_growth(records, "compares_total")
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # a nan or an inf fitted as slope=nan; a size below 1 failed with "math domain error"
+        ([(256, math.nan), (1024, 40), (4096, 160)], "metric 'compares_total' must be finite to fit, got nan at n=256"),
+        ([(256, 10), (1024, math.inf), (4096, 160)], "metric 'compares_total' must be finite to fit, got inf at n=1024"),
+        # max() over [10, nan] is 10, so the nan must be refused per record
+        ([(256, 10), (256, math.nan), (1024, 40), (4096, 160)], "must be finite to fit, got nan at n=256"),
+        ([(0, 10), (1024, 40), (4096, 160)], "input size must be >= 1, got 0"),
+        ([(-3, 10), (1024, 40), (4096, 160)], "input size must be >= 1, got -3"),
+    ],
+    ids=["nan", "inf", "nan-beside-a-value", "n=0", "n=-3"],
+)
+@pytest.mark.parametrize("agg", ["mean", "max"])
+def test_fit_growth_rejects_values_it_cannot_fit(pairs, message, agg):
+    with pytest.raises(ValueError, match=message):
+        fit_growth(_records_with_totals(pairs), "compares_total", agg)
 
 
 def test_fit_growth_mean_vs_max_aggregates():

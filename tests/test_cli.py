@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import dualheap.bench as bench
 import dualheap.cli as cli
-from dualheap import CSV_HEADER, generate, oracle_select
+from dualheap.baselines import oracle_select
+from dualheap.bench import CSV_FIELDS, generate
 
 REPRODUCE_FIGURES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
@@ -53,7 +55,7 @@ def test_bench_csv_on_stdout():
     result = run_cli("bench", "--sizes", "63", "--trials", "2")
     assert result.returncode == 0
     lines = result.stdout.splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_FIELDS)
     assert len(lines) == 3
     assert all(line.endswith("true") for line in lines[1:])
 
@@ -115,12 +117,25 @@ def test_fit_usage_error_on_missing_column(tmp_path):
     assert result.returncode == 1
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path):
     assert run_cli("select", "--dist", "bogus").returncode == 1
     assert run_cli("select", "--n", "5", "--k", "9").returncode == 1
     assert run_cli("bench", "--sizes", "0").returncode == 1
     assert run_cli("worstcase", "--max-n", "12").returncode == 1
     assert run_cli().returncode == 1
+    # fit on values it cannot fit: a nan or an inf printed slope=nan and
+    # exited 0, a size below 1 failed with only "math domain error"
+    for n, value, message in (
+        ("63", "nan", "metric 'compares_total' must be finite to fit, got nan at n=63"),
+        ("63", "inf", "metric 'compares_total' must be finite to fit, got inf at n=63"),
+        ("0", "5", "input size must be >= 1, got 0"),
+        ("-3", "5", "input size must be >= 1, got -3"),
+    ):
+        path = tmp_path / "series.csv"
+        path.write_text(f"n,compares_total\n{n},{value}\n127,10\n255,20\n")
+        result = run_cli("fit", "--in", str(path))
+        assert result.returncode == 1
+        assert (result.stdout, result.stderr) == ("", f"dualheap: error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -164,6 +179,37 @@ def test_seed_outside_64_bits_exits_one(command):
         assert result.stdout == ""
         assert "--seed" in result.stderr
     assert run_cli(*command, "--seed", str(2**64 - 1)).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sort", "--n", "100"),
+        ("bench", "--sizes", "63", "--trials", "1"),
+        ("worstcase", "--mode", "random", "--n", "63", "--samples", "3"),
+    ],
+    ids=["sort", "bench", "worstcase"],
+)
+def test_unopenable_out_fails_before_any_input_is_generated(argv, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(cli, "generate", counted)
+    monkeypatch.setattr(bench, "generate", counted)
+    out = tmp_path / "missing" / "x.out"
+    code, stdout, stderr = _in_process(*argv, "--out", str(out))
+    assert (code, stdout, calls) == (1, "", [])
+    assert stderr == f"dualheap: error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path):
+    out = tmp_path / "series.csv"
+    out.write_text("old\n")
+    assert _in_process("bench", "--sizes", "100", "--k", "101", "--out", str(out))[0] == 1
+    assert out.read_text() == ""
 
 
 def _in_process(*argv):
@@ -305,26 +351,6 @@ def test_import_loads_only_the_selection_algorithm():
     assert result.stdout == f"{loaded}\n"
 
 
-def test_lazy_names_resolve_to_their_submodule_on_every_access(monkeypatch):
-    import dualheap
-
-    assert dualheap._LAZY
-    for name, module in dualheap._LAZY.items():
-        defined = getattr(importlib.import_module(f"dualheap.{module}"), name)
-        assert getattr(dualheap, name) is defined
-        scope = {}
-        exec(f"from dualheap import {name} as imported", scope)
-        assert scope["imported"] is defined
-        assert name not in vars(dualheap)
-    # nothing is stored in the package, so a patch of the submodule shows
-    # through it and goes away with the patch
-    original = dualheap.bench.generate
-    monkeypatch.setattr(dualheap.bench, "generate", len)
-    assert dualheap.generate is len
-    monkeypatch.undo()
-    assert dualheap.generate is original
-
-
 def test_unknown_package_name_raises():
     import dualheap
 
@@ -334,22 +360,20 @@ def test_unknown_package_name_raises():
         from dualheap import no_such_name  # noqa: F401
 
 
-# Every public name of the package, eager and lazy: an addition or a removal
-# shows here as a one-line diff.
+# Every public name of the package root: an addition or a removal shows here
+# as a one-line diff. The harness names live only in their own modules.
 PUBLIC_NAMES = """
-    ALGOS AlgoSpec BenchConfig CSV_FIELDS CSV_HEADER DEFAULT_SIZES DISTS Element ExperimentRecord
-    InternalInvariantError Metrics OracleMismatchError PIVOT_RULES PRESPLITS PhaseTally STRATEGIES
-    SelectOptions SelectOutcome SentinelArray SplitMix64 WorstCaseReport
-    build_max_heap build_min_heap construct_dualheap dh_select dh_select_copy dh_sort emit_csv emit_worstcase_csv
-    fit_growth generate hoare_partition median_index median_of_medians oracle_select parse_csv prepare_buffer
-    quickselect records_to_csv run_benchmark run_swapping_phase split_indices swap_step_budget
-    verify_partition worst_case_search_exhaustive worst_case_search_random
+    Element InternalInvariantError Metrics OracleMismatchError PRESPLITS PhaseTally STRATEGIES
+    SelectOptions SelectOutcome SentinelArray build_max_heap build_min_heap construct_dualheap
+    dh_select dh_select_copy dh_sort prepare_buffer run_swapping_phase split_indices swap_step_budget
+    verify_partition
 """.split()
 
 
 def test_public_names_are_pinned():
     import dualheap
 
-    eager = {name for name, value in vars(dualheap).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert not eager & set(dualheap._LAZY)
-    assert sorted(eager | set(dualheap._LAZY)) == PUBLIC_NAMES
+    names = {name for name, value in vars(dualheap).items() if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(names) == PUBLIC_NAMES
+    # no module __getattr__: a name the root does not define is not found through it
+    assert "__getattr__" not in vars(dualheap)

@@ -21,14 +21,14 @@ from dualheap import (
     Metrics,
     SelectOptions,
     SentinelArray,
-    SplitMix64,
     construct_dualheap,
     dh_select,
     dh_sort,
     prepare_buffer,
-    quickselect,
 )
+from dualheap.baselines import quickselect
 from dualheap.cli import main
+from dualheap.rng import SplitMix64
 
 
 def _stdout(*argv) -> str:

@@ -1,14 +1,7 @@
 import pytest
 
-from dualheap import (
-    Metrics,
-    build_max_heap,
-    build_min_heap,
-    hoare_partition,
-    median_of_medians,
-    prepare_buffer,
-    run_swapping_phase,
-)
+from dualheap import Metrics, build_max_heap, build_min_heap, prepare_buffer, run_swapping_phase
+from dualheap.baselines import hoare_partition, median_of_medians
 from dualheap.metrics import PHASES
 
 

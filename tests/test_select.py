@@ -1,7 +1,9 @@
+import ast
 import gc
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +20,11 @@ from dualheap import (
     dh_select,
     dh_select_copy,
     dh_sort,
-    generate,
-    oracle_select,
     prepare_buffer,
     verify_partition,
 )
+from dualheap.baselines import oracle_select
+from dualheap.bench import generate
 from conftest import Tagged, same_multiset
 
 
@@ -126,6 +128,25 @@ def test_select_traced_example():
     out = dh_select(prepare_buffer([3, 1, 2]), 2, SelectOptions(strategy="tree", presplit=1))
     assert out.value == 2
     assert out.split == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_block_does_what_its_comments_say():
+    block = README.read_text().split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    shown = {}  # the value of each bare expression line, by its source
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            shown[ast.unparse(statement)] = eval(compile(ast.Expression(statement.value), "README.md", "eval"), scope)
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), scope)
+    assert shown["out.value"] == 6
+    payload = shown["arr.payload()"]
+    assert payload[3] == 6 and max(payload[:3]) <= 6 <= min(payload[4:])
+    assert isinstance(shown["ctx.swap.compares"], int)
+    assert shown["dh_sort([2, 2, 1, 1])"] == [1, 1, 2, 2]
 
 
 def test_select_five_values():

@@ -218,7 +218,7 @@ def test_root_swap_phase_grows_superlinearly():
     # doubling n should more than double root-exchange swap compares
     # (the n-log-n profile of repeated root extraction), while the greedy
     # subtree exchange stays near linear
-    from dualheap import generate
+    from dualheap.bench import generate
 
     def mean_swap_compares(strategy, n, trials=8):
         total = 0
