@@ -158,8 +158,8 @@ class BenchConfig(
 ):
     """Sizes x dists x algos x trials from one master seed. ``sizes``,
     ``dists`` and ``algos`` are non-empty tuples. ``k`` None selects the
-    median address ceil(n/2); ``timing`` is opt-in, because a real
-    elapsed_ns breaks byte-reproducibility."""
+    median address ceil(n/2); any other k must fit every size. ``timing`` is
+    opt-in, because a real elapsed_ns breaks byte-reproducibility."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
@@ -175,6 +175,9 @@ class BenchConfig(
                 raise ValueError(f"{field} must not be empty")
         for n in self.sizes:
             _check_size(n)
+        if self.k is not None:
+            for n in self.sizes:
+                check_index(n, self.k)
         for dist in self.dists:
             _check_dist(dist)
         for algo in self.algos:
@@ -209,12 +212,10 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
     k. Trial input seeds are drawn from a master splitmix64 stream per
     (size, dist, trial) so that every algorithm sees the same inputs; any
     oracle mismatch aborts the whole run with a reproduction line."""
-    ks = [config.k if config.k is not None else median_index(n) for n in config.sizes]
-    for n, k in zip(config.sizes, ks):
-        check_index(n, k)
     master = SplitMix64(config.seed)
     records = []
-    for n, k in zip(config.sizes, ks):
+    for n in config.sizes:
+        k = config.k if config.k is not None else median_index(n)
         for dist in config.dists:
             trial_seeds = master.take(config.trials)
             for algo in config.algos:
@@ -385,7 +386,11 @@ def fit_growth(records, metric: str, agg: str = "mean") -> float:
     xs = []
     ys = []
     for n in sorted(groups):
-        value = statistics.fmean(groups[n]) if agg == "mean" else max(groups[n])
+        try:
+            value = statistics.fmean(groups[n]) if agg == "mean" else max(groups[n])
+        except OverflowError:
+            # fmean's sum can overflow though every value is finite
+            raise ValueError(f"metric {metric!r} is too large to average at n={n}") from None
         if value <= 0:
             raise ValueError(f"metric {metric!r} must be positive to fit, got {value} at n={n}")
         xs.append(math.log(n))

@@ -23,6 +23,7 @@ from .bench import (
     ALGOS,
     DEFAULT_SIZES,
     DISTS,
+    EXHAUSTIVE_MAX_N,
     PIVOTS,
     AlgoSpec,
     BenchConfig,
@@ -146,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_worst = subs.add_parser("worstcase", help="search for swapping-phase worst cases")
     p_worst.add_argument("--mode", default="exhaustive", choices=("exhaustive", "random"))
     # Mode flags parse to None when left out; cmd_worstcase fills in defaults.
-    p_worst.add_argument("--max-n", type=_positive, help="exhaustive mode: largest size")
+    p_worst.add_argument(
+        "--max-n", type=_positive, choices=range(1, EXHAUSTIVE_MAX_N + 1), help="exhaustive mode: largest size"
+    )
     p_worst.add_argument("--n", type=_int_list, help="random mode: comma-separated sizes")
     p_worst.add_argument("--samples", type=_positive, help="random mode: sample count")
     p_worst.add_argument("--seed", type=_seed)
@@ -173,8 +176,9 @@ def cmd_select(args) -> int:
 
 def _output(path):
     """The destination of a command's output: the ``--out`` file, opened
-    before any input is generated so that a path that cannot be opened fails
-    at once, or stdout."""
+    after the command's usage checks, so that a usage error leaves an
+    existing file as it was, and before any input is generated, so that a
+    path that cannot be opened fails at once; or stdout."""
     return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
@@ -203,18 +207,17 @@ def cmd_bench(args) -> int:
 def cmd_worstcase(args) -> int:
     _check_flags(args, "--mode", _MODE_FLAGS)
     opts = SelectOptions(args.swap, args.presplit)
+    sizes = args.n or (1023,)
+    if args.k is not None:
+        # every size before --out is opened and the first sample drawn, as
+        # BenchConfig does
+        for n in sizes:
+            check_index(n, args.k)
     with _output(args.out) as dest:
         if args.mode == "exhaustive":
             reports = worst_case_search_exhaustive(args.max_n or 8, opts)
         else:
-            sizes = args.n or (1023,)
-            samples = args.samples or 1000
-            seed = args.seed or 0
-            if args.k is not None:
-                # every size before the first sample, as run_benchmark does
-                for n in sizes:
-                    check_index(n, args.k)
-            reports = [worst_case_search_random(n, samples, seed, args.k, opts) for n in sizes]
+            reports = [worst_case_search_random(n, args.samples or 1000, args.seed or 0, args.k, opts) for n in sizes]
         emit_worstcase_csv(reports, dest)
     return 0
 

@@ -512,7 +512,9 @@ def test_sentinel_array_stays_mutable_and_compares_by_value():
     arr.buf = [0, 1, 2, 3]
     arr.n = 2
     assert arr == SentinelArray(buf=[0, 1, 2, 3], n=2)
-    assert arr != SentinelArray([0, 1, 2, 3], 3)
+    other = SentinelArray([0, 1, 2, 3], 2)
+    other.n = 1
+    assert arr != other
     timed = run_benchmark(BenchConfig(sizes=(31,), trials=1, timing=True))
     assert timed[0].elapsed_ns > 0
 

@@ -12,6 +12,7 @@ import dualheap.bench as bench
 import dualheap.cli as cli
 from dualheap.baselines import oracle_select
 from dualheap.bench import CSV_FIELDS, generate
+from dualheap.errors import OracleMismatchError
 
 REPRODUCE_FIGURES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
@@ -124,15 +125,17 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli("worstcase", "--max-n", "12").returncode == 1
     assert run_cli().returncode == 1
     # fit on values it cannot fit: a nan or an inf printed slope=nan and
-    # exited 0, a size below 1 failed with only "math domain error"
-    for n, value, message in (
-        ("63", "nan", "metric 'compares_total' must be finite to fit, got nan at n=63"),
-        ("63", "inf", "metric 'compares_total' must be finite to fit, got inf at n=63"),
-        ("0", "5", "input size must be >= 1, got 0"),
-        ("-3", "5", "input size must be >= 1, got -3"),
+    # exited 0, a size below 1 failed with only "math domain error", and
+    # finite values whose mean overflows ended in a traceback
+    for rows, message in (
+        ("63,nan", "metric 'compares_total' must be finite to fit, got nan at n=63"),
+        ("63,inf", "metric 'compares_total' must be finite to fit, got inf at n=63"),
+        ("0,5", "input size must be >= 1, got 0"),
+        ("-3,5", "input size must be >= 1, got -3"),
+        ("63,1e308\n63,1e308", "metric 'compares_total' is too large to average at n=63"),
     ):
         path = tmp_path / "series.csv"
-        path.write_text(f"n,compares_total\n{n},{value}\n127,10\n255,20\n")
+        path.write_text(f"n,compares_total\n{rows}\n127,10\n255,20\n")
         result = run_cli("fit", "--in", str(path))
         assert result.returncode == 1
         assert (result.stdout, result.stderr) == ("", f"dualheap: error: {message}\n")
@@ -205,11 +208,27 @@ def test_unopenable_out_fails_before_any_input_is_generated(argv, tmp_path, monk
     assert stderr == f"dualheap: error: [Errno 2] No such file or directory: '{out}'\n"
 
 
-def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path):
+def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path, monkeypatch):
+    def mismatch(config):
+        raise OracleMismatchError("oracle mismatch")
+
+    monkeypatch.setattr(cli, "run_benchmark", mismatch)
     out = tmp_path / "series.csv"
     out.write_text("old\n")
-    assert _in_process("bench", "--sizes", "100", "--k", "101", "--out", str(out))[0] == 1
+    assert _in_process("bench", "--sizes", "100", "--out", str(out))[0] == 2
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--max-n", "12")],
+    ids=["bench", "worstcase"],
+)
+def test_a_usage_error_leaves_out_as_it_was(argv, tmp_path):
+    out = tmp_path / "series.csv"
+    out.write_text("old\n")
+    assert _in_process(*argv, "--out", str(out))[0] == 1
+    assert out.read_text() == "old\n"
 
 
 def _in_process(*argv):

@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dualheap.core as core
-from dualheap import Metrics, PhaseTally, build_max_heap, build_min_heap, prepare_buffer, split_indices
+from dualheap import (
+    Metrics,
+    PhaseTally,
+    SentinelArray,
+    build_max_heap,
+    build_min_heap,
+    prepare_buffer,
+    split_indices,
+)
 from conftest import (
     check_heap_condition,
     reference_build_max,
@@ -274,8 +282,9 @@ def test_build_max_matches_per_node_reference(values, data):
     _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
 
 
-# Heap sizes on either side of one and of two default blocks, and a large one.
-_BLOCK_EDGES = (2047, 2048, 4095, 4096, 65535, 65536)
+# Blocked heap sizes on either side of one and of two more levels than a
+# default block holds.
+_BLOCK_EDGES = tuple(2 ** (core._BLOCK_HEIGHT + e) - d for e in (1, 2) for d in (1, 0))
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
@@ -304,9 +313,42 @@ def test_build_runs_sift_each_node_once_after_its_children(height):
             assert all(first <= last for first, last in runs), hn
 
 
+@pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
+def test_blocked_runs_span_one_level(height):
+    # the builders read a blocked run's parents and children ahead, which
+    # holds only while no sift of the run reaches a node of another
+    with _block_height(height):
+        for hn in (*range(301), *_BLOCK_EDGES):
+            runs = core._build_runs(hn)
+            if len(runs) > 1:
+                assert all(first.bit_length() == last.bit_length() for first, last in runs), hn
+
+
+def test_blocked_max_build_at_the_lowest_base():
+    # an even heap at base hn + 1 reads the guard in slot 0 as the right
+    # child of its last internal node, so a row of right children starts there
+    hn = 2 ** (core._BLOCK_HEIGHT + 1)
+    rng = random.Random(hn)
+    buf = [-1, *(rng.randrange(hn // 3) for _ in range(hn)), hn]
+    assert len(core._build_runs(hn)) > 1
+    _assert_build_matches_reference(build_max_heap, reference_build_max, buf, hn + 1, hn)
+
+
 def test_build_runs_keep_level_order_below_one_block():
     hn = 2 ** core._BLOCK_HEIGHT - 1
     assert core._build_runs(hn) == ((1, hn // 2),)
+
+
+# --- sentinel buffer ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sentinel_array_rejects_an_n_that_disagrees_with_its_buffer(n):
+    # n = 3 let the selection swap the high guard 9 into the payload; n = 5
+    # indexed past the buffer
+    with pytest.raises(ValueError, match=f"a buffer for n={n} payload elements needs {n + 2} slots, got 6"):
+        SentinelArray(buf=[0, 5, 1, 4, 2, 9], n=n)
+    assert SentinelArray(buf=[0, 5, 1, 4, 9], n=3).payload() == [5, 1, 4]
 
 
 # --- split rule --------------------------------------------------------------
