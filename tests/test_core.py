@@ -282,9 +282,10 @@ def test_build_max_matches_per_node_reference(values, data):
     _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
 
 
-# Blocked heap sizes on either side of one and of two more levels than a
+# Blocked heap sizes on either side of one and of two levels more than a
 # default block holds.
-_BLOCK_EDGES = tuple(2 ** (core._BLOCK_HEIGHT + e) - d for e in (1, 2) for d in (1, 0))
+_H = core._BLOCK_HEIGHT
+_BLOCK_EDGES = (2 ** (_H + 1) - 1, 2 ** (_H + 1), 2 ** (_H + 2) - 1, 2 ** (_H + 2))
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
@@ -315,8 +316,8 @@ def test_build_runs_sift_each_node_once_after_its_children(height):
 
 @pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
 def test_blocked_runs_span_one_level(height):
-    # the builders read a blocked run's parents and children ahead, which
-    # holds only while no sift of the run reaches a node of another
+    # the builders read a blocked run's parents and children ahead, which is
+    # sound only while the sifts of one run touch disjoint subtrees
     with _block_height(height):
         for hn in (*range(301), *_BLOCK_EDGES):
             runs = core._build_runs(hn)
