@@ -257,10 +257,10 @@ def _block_height(height):
             core._build_runs.cache_clear()
 
 
-def _assert_build_matches_reference(build, reference, buf, base, hn):
+def _assert_build_matches_reference(build, reference, buf, base, hn, heights=_BLOCK_HEIGHTS):
     """``build`` leaves the buffer and counters exactly as ``reference`` does,
-    at every block height, for the heap of ``hn`` nodes over ``base``."""
-    for height in _BLOCK_HEIGHTS:
+    at each of ``heights``, for the heap of ``hn`` nodes over ``base``."""
+    for height in heights:
         got, ref_buf = list(buf), list(buf)
         ctx, ref_ctx = Metrics(), Metrics()
         with _block_height(height):
@@ -282,21 +282,34 @@ def test_build_max_matches_per_node_reference(values, data):
     _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
 
 
-# Blocked heap sizes on either side of one and of two levels more than a
-# default block holds.
-_H = core._BLOCK_HEIGHT
-_BLOCK_EDGES = (2 ** (_H + 1) - 1, 2 ** (_H + 1), 2 ** (_H + 2) - 1, 2 ** (_H + 2))
+def _block_edges(height):
+    """Heap sizes on either side of one and of two levels more than a block
+    of ``height`` levels holds: the smallest heaps that height blocks."""
+    return tuple(2 ** (height + e) - d for e in (1, 2) for d in (1, 0))
 
 
-@pytest.mark.parametrize("n", _BLOCK_EDGES)
-def test_builds_match_reference_across_block_edges(n):
+_BLOCK_EDGES = _block_edges(core._BLOCK_HEIGHT)
+
+# The block edges of the default height and of a lower one (10, the default
+# before blocks grew to 14 levels), each built at the height that blocks it.
+_EDGE_CASES = [
+    pytest.param(n, height, id=str(n))
+    for height in (10, core._BLOCK_HEIGHT)
+    for n in _block_edges(height)
+]
+
+
+@pytest.mark.parametrize(("n", "height"), _EDGE_CASES)
+def test_builds_match_reference_across_block_edges(n, height):
     rng = random.Random(n)
     values = [rng.randrange(n // 3) for _ in range(n)]
     off = 3
     buf = [-1] * off + [-1, *values, n] + [n] * 2
-    assert core._build_runs(n) != ((1, n // 2),)
-    _assert_build_matches_reference(build_min_heap, reference_build_min, buf, off, n)
-    _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n)
+    with _block_height(height):
+        assert core._build_runs(n) != ((1, n // 2),)
+    heights = (height, *_BLOCK_HEIGHTS)
+    _assert_build_matches_reference(build_min_heap, reference_build_min, buf, off, n, heights)
+    _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n, heights)
 
 
 @pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
