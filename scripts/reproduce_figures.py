@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the three benchmark series the comparison plots are built
+"""Regenerate the four benchmark series the comparison plots are built
 from, as CSV files plus a per-series summary table on stdout:
 
 * swap_strategies.csv  - swapping-phase compares/moves for the tree,
@@ -8,16 +8,25 @@ from, as CSV files plus a per-series summary table on stdout:
   whole-array constructions before the split;
 * selection_algorithms.csv - totals for dualheap select vs quickselect
   (first and random pivots) vs quickselect with the median-of-medians
-  estimator.
+  estimator;
+* sorter.csv           - dh_sort's compares and moves per element at
+  presplit 0, 1 and 2, the compares per element of a counted ``sorted()``,
+  and the sorting bound log2(n!) per element, each a mean over the same
+  random permutations.
 
 Plotting is left to downstream tools (the CSVs are tidy long-format).
 """
 
+import csv
+import functools
+import math
 import statistics
 from pathlib import Path
 
-from dualheap.bench import AlgoSpec, BenchConfig, emit_csv, run_benchmark
+from dualheap import InternalInvariantError, Metrics, SelectOptions, dh_sort
+from dualheap.bench import AlgoSpec, BenchConfig, emit_csv, generate, run_benchmark
 from dualheap.cli import _int_list, _Parser, _positive, _seed
+from dualheap.rng import SplitMix64
 
 SERIES = {
     "swap_strategies": (
@@ -61,6 +70,67 @@ def summarize(name, records, metrics):
             print("  " + row)
 
 
+def counted_sorted(values):
+    """``sorted(values)`` and the number of compares it made."""
+    compares = 0
+
+    def cmp(a, b):
+        nonlocal compares
+        compares += 1
+        return (a > b) - (a < b)
+
+    return sorted(values, key=functools.cmp_to_key(cmp)), compares
+
+
+def sorter_series(sizes, trials, seed):
+    """Rows of (n, series, compares per element, moves per element), each a
+    mean over ``trials`` random permutations per size whose seeds come from
+    one master stream, as ``run_benchmark`` draws them. ``dh_sort`` runs the
+    tree strategy; its output must equal ``sorted()``'s."""
+    master = SplitMix64(seed)
+    rows = []
+    for n in sizes:
+        sums = {presplit: [0, 0] for presplit in (0, 1, 2)}
+        sorted_compares = 0
+        for trial_seed in master.take(trials):
+            values = generate(n, "random", trial_seed)
+            expected, compares = counted_sorted(values)
+            sorted_compares += compares
+            for presplit, total in sums.items():
+                ctx = Metrics()
+                if dh_sort(values, SelectOptions("tree", presplit), ctx) != expected:
+                    raise InternalInvariantError(f"dh_sort disagrees with sorted() (n={n}, seed={trial_seed})")
+                total[0] += ctx.compares_total
+                total[1] += ctx.moves_total
+        per_elem = trials * n
+        for presplit, (compares, moves) in sums.items():
+            rows.append((n, f"dh_sort[presplit={presplit}]", compares / per_elem, moves / per_elem))
+        rows.append((n, "sorted()", sorted_compares / per_elem, None))
+        rows.append((n, "log2(n!)", math.lgamma(n + 1) / math.log(2) / n, None))
+    return rows
+
+
+def write_sorter(rows, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("n", "series", "compares_per_elem", "moves_per_elem"))
+        for n, series, compares, moves in rows:
+            writer.writerow((n, series, f"{compares:.4f}", "" if moves is None else f"{moves:.4f}"))
+
+
+def summarize_sorter(rows):
+    print("\nsorter (mean per element over trials)")
+    sizes = list(dict.fromkeys(row[0] for row in rows))
+    header = "series".ljust(36) + "".join(f"{f'n={n}':>14}" for n in sizes)
+    for column, metric in ((2, "compares_per_elem"), (3, "moves_per_elem")):
+        print(f"  {metric}:")
+        print("  " + header)
+        for series in dict.fromkeys(row[1] for row in rows):
+            cells = [row[column] for row in rows if row[1] == series]
+            if None not in cells:
+                print("  " + series.ljust(36) + "".join(f"{cell:>14.2f}" for cell in cells))
+
+
 def main():
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=_int_list, default="1023,4095,16383")
@@ -88,6 +158,12 @@ def main():
             summarize(name, records, ("compares_swap", "moves_swap"))
         else:
             summarize(name, records, ("compares_total", "moves_total"))
+
+    rows = sorter_series(args.sizes, args.trials, args.seed)
+    path = out_dir / "sorter.csv"
+    write_sorter(rows, path)
+    print(f"wrote {path} ({len(rows)} rows)")
+    summarize_sorter(rows)
 
 
 if __name__ == "__main__":

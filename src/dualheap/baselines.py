@@ -15,7 +15,7 @@ from .rng import SplitMix64, check_seed
 PIVOT_RULES = ("first", "random", "median_of_medians")
 
 # Segments at or below this length resolve their median estimate by a direct
-# counted insertion sort instead of recursing on group medians.
+# counted insertion sort instead of another round of group medians.
 _MOM_DIRECT_LIMIT = 25
 _MOM_GROUP = 5
 
@@ -26,89 +26,79 @@ def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, tally: PhaseTal
     positions lo..j and >= pivot-class at j+1..hi.
 
     The scans stop on the pivot's own occurrences, so they never leave the
-    segment; no sentinel is consulted.
+    segment; no sentinel is consulted. Each scan compares once per slot it
+    visits and visits no slot twice, so the count comes from where the scans
+    stopped: a segment of L slots costs L + 1 compares, or L + 2 when the
+    scans cross with i = j + 1.
     """
-    i = lo - 1
-    j = hi + 1
-    c = 0
+    i = lo
+    j = hi
     m = 0
     while True:
-        while True:
+        while buf[j] > pivot_value:
             j -= 1
-            c += 1
-            if not buf[j] > pivot_value:
-                break
-        while True:
+        while buf[i] < pivot_value:
             i += 1
-            c += 1
-            if not buf[i] < pivot_value:
-                break
         if i >= j:
-            tally.compares += c
+            tally.compares += (hi + 1 - j) + (i - lo + 1)
             tally.moves += m
             return j
         buf[i], buf[j] = buf[j], buf[i]
         m += 2
+        i += 1
+        j -= 1
 
 
-def _median_by_insertion(values: list[Element], tally: PhaseTally) -> Element:
-    """Lower median of a short list via counted insertion sort on a scratch
-    copy (scratch writes are temporary traffic, not buffer moves)."""
-    vals = list(values)
+def _median_by_insertion(vals: list[Element], tally: PhaseTally) -> Element:
+    """Lower median of a short fresh list, sorted in place by counted
+    insertion (scratch writes are temporary traffic, not buffer moves). An
+    insert compares once per slot it reads: from i - 1 down to where it
+    stops, or down to slot 0."""
+    c = 0
     for i in range(1, len(vals)):
         v = vals[i]
         j = i - 1
-        while j >= 0:
-            tally.compares += 1
-            if vals[j] > v:
-                vals[j + 1] = vals[j]
-                j -= 1
-            else:
-                break
+        while j >= 0 and vals[j] > v:
+            vals[j + 1] = vals[j]
+            j -= 1
         vals[j + 1] = v
+        c += i - max(j, 0)
+    tally.compares += c
     return vals[(len(vals) + 1) // 2 - 1]
-
-
-def _mom(values: list[Element], tally: PhaseTally) -> Element:
-    if len(values) <= _MOM_DIRECT_LIMIT:
-        return _median_by_insertion(values, tally)
-    medians = [
-        _median_by_insertion(values[g : g + _MOM_GROUP], tally)
-        for g in range(0, len(values), _MOM_GROUP)
-    ]
-    return _mom(medians, tally)
 
 
 def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
     """Median estimate for buf[lo..hi]: medians of groups of five (tail
-    group may be shorter), then recursively the median of those medians.
+    group may be shorter), round after round, until at most
+    ``_MOM_DIRECT_LIMIT`` values are left, whose median is the estimate.
     The returned value always occurs in the segment and its rank is
     centrally bounded, which is what caps quickselect's recursion depth."""
     if hi < lo:
         raise ValueError("median_of_medians needs a non-empty segment")
-    return _mom(buf[lo : hi + 1], tally)
+    values = buf[lo : hi + 1]
+    while len(values) > _MOM_DIRECT_LIMIT:
+        values = [
+            _median_by_insertion(values[g : g + _MOM_GROUP], tally)
+            for g in range(0, len(values), _MOM_GROUP)
+        ]
+    return _median_by_insertion(values, tally)
 
 
 def _anchor_pivot(buf, lo: int, hi: int, pivot: str, stream: SplitMix64 | None, tally: PhaseTally) -> Element:
     """Choose the pivot per the rule and move one occurrence of it to
     position lo, which guarantees the crossing scan's boundary lands
-    strictly left of hi (so both recursion sides are non-empty)."""
+    strictly left of hi (so both recursion sides are non-empty). The
+    median-of-medians rule takes the first slot that holds its value, at a
+    count of one compare per slot read up to it."""
+    r = lo
     if pivot == "random":
-        r = lo + stream.below(hi - lo + 1)
-        if r != lo:
-            buf[lo], buf[r] = buf[r], buf[lo]
-            tally.moves += 2
+        r += stream.below(hi - lo + 1)
     elif pivot == "median_of_medians":
-        v = median_of_medians(buf, lo, hi, tally)
-        r = lo
-        while True:
-            tally.compares += 1
-            if buf[r] == v:
-                break
-            r += 1
-        if r != lo:
-            buf[lo], buf[r] = buf[r], buf[lo]
-            tally.moves += 2
+        r = buf.index(median_of_medians(buf, lo, hi, tally), lo, hi + 1)
+        tally.compares += r - lo + 1
+    if r != lo:
+        buf[lo], buf[r] = buf[r], buf[lo]
+        tally.moves += 2
     return buf[lo]
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 from hypothesis import settings
 
 from dualheap import InternalInvariantError
+from dualheap.rng import SplitMix64
 from dualheap.swaps import _REACH, swap_step_budget
 
 # Keep test runs reproducible; the library's own determinism is asserted
@@ -188,3 +189,94 @@ def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> None:
         if not buf[ps - 1] > buf[pl + 1]:
             return
     raise InternalInvariantError(f"swapping phase exceeded its step budget of {budget}")
+
+
+def reference_hoare_partition(buf, lo, hi, pivot_value, tally) -> int:
+    """The crossing scan with a compare counted at every step: the reference
+    ``baselines.hoare_partition`` must match in buffer, boundary and
+    counters."""
+    i = lo - 1
+    j = hi + 1
+    c = 0
+    m = 0
+    while True:
+        while True:
+            j -= 1
+            c += 1
+            if not buf[j] > pivot_value:
+                break
+        while True:
+            i += 1
+            c += 1
+            if not buf[i] < pivot_value:
+                break
+        if i >= j:
+            tally.compares += c
+            tally.moves += m
+            return j
+        buf[i], buf[j] = buf[j], buf[i]
+        m += 2
+
+
+def reference_median_by_insertion(values, tally):
+    """Lower median by insertion sort on a copy, a tally write per compare."""
+    vals = list(values)
+    for i in range(1, len(vals)):
+        v = vals[i]
+        j = i - 1
+        while j >= 0:
+            tally.compares += 1
+            if vals[j] > v:
+                vals[j + 1] = vals[j]
+                j -= 1
+            else:
+                break
+        vals[j + 1] = v
+    return vals[(len(vals) + 1) // 2 - 1]
+
+
+def reference_mom(values, tally):
+    """Median of medians by recursion on the group medians: groups of five,
+    a direct insertion median at 25 values or fewer."""
+    if len(values) <= 25:
+        return reference_median_by_insertion(values, tally)
+    medians = [reference_median_by_insertion(values[g : g + 5], tally) for g in range(0, len(values), 5)]
+    return reference_mom(medians, tally)
+
+
+def reference_anchor_pivot(buf, lo, hi, pivot, stream, tally):
+    """Pivot choice and exchange into ``lo``; the median-of-medians rule
+    finds its value's first slot by a counted scan."""
+    if pivot == "random":
+        r = lo + stream.below(hi - lo + 1)
+        if r != lo:
+            buf[lo], buf[r] = buf[r], buf[lo]
+            tally.moves += 2
+    elif pivot == "median_of_medians":
+        v = reference_mom(buf[lo : hi + 1], tally)
+        r = lo
+        while True:
+            tally.compares += 1
+            if buf[r] == v:
+                break
+            r += 1
+        if r != lo:
+            buf[lo], buf[r] = buf[r], buf[lo]
+            tally.moves += 2
+    return buf[lo]
+
+
+def reference_quickselect(buf, n, k, pivot, seed, tally):
+    """Quickselect over buf[1..n] from the per-step-counting kernels above:
+    the reference ``baselines.quickselect`` must match in buffer, value and
+    its ``other`` counters."""
+    stream = SplitMix64(seed) if pivot == "random" else None
+    lo, hi = 1, n
+    while lo < hi:
+        value = reference_anchor_pivot(buf, lo, hi, pivot, stream, tally)
+        b = reference_hoare_partition(buf, lo, hi, value, tally)
+        if k <= b:
+            hi = b
+        else:
+            lo = b + 1
+    return buf[k]

@@ -1,13 +1,21 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualheap import Metrics, PhaseTally, prepare_buffer
-from dualheap.baselines import hoare_partition, median_of_medians, oracle_select, quickselect
-from dualheap.bench import generate
-from conftest import same_multiset
+from dualheap import Metrics, PhaseTally, SentinelArray, prepare_buffer
+from dualheap.baselines import (
+    PIVOT_RULES,
+    _anchor_pivot,
+    hoare_partition,
+    median_of_medians,
+    oracle_select,
+    quickselect,
+)
+from dualheap.bench import DISTS, generate
+from conftest import reference_quickselect, same_multiset
 
 
 class RangeTracker(list):
@@ -77,7 +85,79 @@ def test_hoare_stays_inside_segment_plus_sentinels():
     assert buf.hi <= 64
 
 
+def _segments_with_ties():
+    """Every permutation of n <= 7, then every tuple of values from
+    {1, 2, 3} up to length 6."""
+    for n in range(1, 8):
+        yield from itertools.permutations(range(1, n + 1))
+    for length in range(1, 7):
+        yield from itertools.product((1, 2, 3), repeat=length)
+
+
+def test_hoare_partition_costs_its_length_plus_one_or_two():
+    # each scan compares once per slot it visits; they cross at i = j + 1
+    # (L + 2) or meet on one slot holding the pivot value (L + 1)
+    extra = Counter()
+    for values in _segments_with_ties():
+        length = len(values)
+        for pivot_value in set(values):
+            # the guards are None, so a scan that left the segment would raise
+            tally = PhaseTally()
+            hoare_partition([None, *values, None], 1, length, pivot_value, tally)
+            extra[tally.compares - length] += 1
+    assert extra == {2: 36485, 1: 6732}
+
+
+def test_mom_anchor_counts_the_offset_of_the_first_slot_holding_the_pivot():
+    inputs = [*itertools.product((1, 2, 3), repeat=6), *(generate(n, "fewvalues", seed=n) for n in (26, 64, 255))]
+    for values in inputs:
+        lo, hi = 2, len(values) + 1
+        buf = [None, 0, *values, None]
+        estimate = PhaseTally()
+        value = median_of_medians(buf, lo, hi, estimate)
+        first = buf.index(value, lo)
+        expected = buf[:]
+        expected[lo], expected[first] = expected[first], expected[lo]
+        tally = PhaseTally()
+        assert _anchor_pivot(buf, lo, hi, "median_of_medians", None, tally) == value
+        assert buf == expected
+        assert tally.compares == estimate.compares + first - lo + 1
+        assert tally.moves == (0 if first == lo else 2)
+
+
 # --- quickselect -------------------------------------------------------------
+
+
+def _assert_quickselect_matches_reference(values, k, pivot):
+    n = len(values)
+    arr = SentinelArray(buf=[0, *values, n + 1], n=n)
+    ref = arr.buf[:]
+    ctx = Metrics()
+    tally = PhaseTally()
+    value = quickselect(arr, k, pivot, ctx, seed=17)
+    assert value == reference_quickselect(ref, n, k, pivot, 17, tally)
+    assert arr.buf == ref
+    assert (ctx.other.compares, ctx.other.moves) == (tally.compares, tally.moves)
+    assert ctx.compares_total == ctx.other.compares
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_quickselect_matches_reference_exhaustively(pivot):
+    for n in range(1, 8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for k in range(1, n + 1):
+                _assert_quickselect_matches_reference(perm, k, pivot)
+
+
+@pytest.mark.parametrize("pivot", PIVOT_RULES)
+def test_quickselect_matches_reference_across_families(pivot):
+    for dist in DISTS:
+        for n in (26, 64, 255, 1000, 4095):
+            values = generate(n, dist, seed=n)
+            for k in (1, (n + 1) // 2, n):
+                _assert_quickselect_matches_reference(values, k, pivot)
+
+
 
 
 def test_quickselect_examples():

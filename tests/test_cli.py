@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import importlib.util
 import io
+import math
 import subprocess
 import sys
 import types
@@ -10,9 +12,11 @@ import pytest
 
 import dualheap.bench as bench
 import dualheap.cli as cli
+from dualheap import Metrics, SelectOptions, dh_sort
 from dualheap.baselines import oracle_select
 from dualheap.bench import CSV_FIELDS, generate
 from dualheap.errors import OracleMismatchError
+from dualheap.rng import SplitMix64
 
 REPRODUCE_FIGURES = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
 
@@ -325,6 +329,33 @@ def test_reproduce_figures_series_specs_construct():
         "presplit": ["dhselect"] * 3,
         "selection_algorithms": ["dhselect", "quickselect-first", "quickselect-random", "quickselect-mom"],
     }
+
+
+def test_reproduce_figures_writes_the_sorter_series(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(REPRODUCE_FIGURES), "--sizes", "3,7", "--trials", "2", "--seed", "5"]
+        + ["--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    with open(tmp_path / "sorter.csv", newline="") as handle:
+        rows = {(int(row["n"]), row["series"]): row for row in csv.DictReader(handle)}
+    series = ["dh_sort[presplit=0]", "dh_sort[presplit=1]", "dh_sort[presplit=2]", "sorted()", "log2(n!)"]
+    assert list(rows) == [(n, name) for n in (3, 7) for name in series]
+    for n in (3, 7):
+        assert rows[n, "log2(n!)"]["compares_per_elem"] == f"{math.log2(math.factorial(n)) / n:.4f}"
+        assert rows[n, "sorted()"]["moves_per_elem"] == rows[n, "log2(n!)"]["moves_per_elem"] == ""
+    # the 7-element inputs are the master stream's third and fourth draws
+    inputs = [generate(7, "random", seed) for seed in SplitMix64(5).take(4)[2:]]
+    for presplit in (0, 1, 2):
+        ctxs = [Metrics() for _ in inputs]
+        for values, ctx in zip(inputs, ctxs):
+            dh_sort(values, SelectOptions("tree", presplit), ctx)
+        row = rows[7, f"dh_sort[presplit={presplit}]"]
+        assert row["compares_per_elem"] == f"{sum(ctx.compares_total for ctx in ctxs) / 14:.4f}"
+        assert row["moves_per_elem"] == f"{sum(ctx.moves_total for ctx in ctxs) / 14:.4f}"
+    assert "sorter (mean per element over trials)" in result.stdout
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,45 @@ def test_builds_exhaustive_small_n():
             assert mctx.compares_total <= 3 * n
 
 
+def _build_bounds(n):
+    """The most compares and moves one build of n nodes makes: 2(n - s2(n))
+    and n - s2(n) + n // 2, where s2(n) is n's binary digit sum. Every
+    internal node costs 2 compares per level it reads below it, a one-child
+    node's guard read included; the sum of the node heights of a heap of n
+    nodes is n - s2(n)."""
+    s2 = bin(n).count("1")
+    return 2 * (n - s2), n - s2 + n // 2
+
+
+@pytest.mark.parametrize("build", [build_min_heap, build_max_heap], ids=["min", "max"])
+def test_build_worst_case_is_exact_over_every_permutation(build):
+    for n in range(1, 9):
+        base = 0 if build is build_min_heap else n + 1
+        most_compares = most_moves = 0
+        for perm in itertools.permutations(range(1, n + 1)):
+            tally = PhaseTally()
+            build([0, *perm, n + 1], base, n, tally)
+            most_compares = max(most_compares, tally.compares)
+            most_moves = max(most_moves, tally.moves)
+        assert (most_compares, most_moves) == _build_bounds(n)
+
+
+@pytest.mark.parametrize("n", [1023, 65535])
+def test_reverse_heap_order_reaches_the_build_bounds_at_full_heaps(n):
+    # a descending buffer puts the largest value at the min-rooted heap's
+    # root and the smallest at the max-rooted heap's (node j at buf[n + 1 - j])
+    for build, base in ((build_min_heap, 0), (build_max_heap, n + 1)):
+        tally = PhaseTally()
+        build([0, *range(n, 0, -1), n + 1], base, n, tally)
+        assert (tally.compares, tally.moves) == _build_bounds(n)
+
+
+def test_reverse_heap_order_falls_short_of_the_compare_bound_at_1024():
+    tally = PhaseTally()
+    build_min_heap([0, *range(1024, 0, -1), 1025], 0, 1024, tally)
+    assert (tally.compares, _build_bounds(1024)[0]) == (2030, 2046)
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
 def test_build_min_invariants_random(values):
     arr = prepare_buffer(values)
