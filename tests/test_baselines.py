@@ -109,13 +109,18 @@ def test_hoare_partition_costs_its_length_plus_one_or_two():
 
 
 def test_mom_anchor_counts_the_offset_of_the_first_slot_holding_the_pivot():
-    inputs = [*itertools.product((1, 2, 3), repeat=6), *(generate(n, "fewvalues", seed=n) for n in (26, 64, 255))]
+    # ties before and after the first slot that holds the estimate, in one
+    # insertion median (length 6) and after rounds of group medians
+    inputs = [
+        *itertools.product((1, 2, 3), repeat=6),
+        *(generate(n, "fewvalues", seed=n) for n in (26, 64, 255)),
+    ]
     for values in inputs:
         lo, hi = 2, len(values) + 1
         buf = [None, 0, *values, None]
         estimate = PhaseTally()
         value = median_of_medians(buf, lo, hi, estimate)
-        first = buf.index(value, lo)
+        first = next(p for p in range(lo, hi + 1) if buf[p] == value)
         expected = buf[:]
         expected[lo], expected[first] = expected[first], expected[lo]
         tally = PhaseTally()
@@ -138,7 +143,6 @@ def _assert_quickselect_matches_reference(values, k, pivot):
     assert value == reference_quickselect(ref, n, k, pivot, 17, tally)
     assert arr.buf == ref
     assert (ctx.other.compares, ctx.other.moves) == (tally.compares, tally.moves)
-    assert ctx.compares_total == ctx.other.compares
 
 
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
@@ -156,8 +160,6 @@ def test_quickselect_matches_reference_across_families(pivot):
             values = generate(n, dist, seed=n)
             for k in (1, (n + 1) // 2, n):
                 _assert_quickselect_matches_reference(values, k, pivot)
-
-
 
 
 def test_quickselect_examples():
