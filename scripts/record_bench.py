@@ -9,7 +9,8 @@ checkout and once in the change checkout (this one by default); the side
 that runs first alternates from pair to pair, so a slow spell of the host
 does not land on one side only. The result line of every run (the last line
 run.py prints) is kept as it is, with the commit, interpreter and core count
-that run.py reports. The record's platform block says whether bytecode
+that run.py reports; where run.py reports the commit as "unknown", git is
+asked for the checkout's. The record's platform block says whether bytecode
 writing was off. A summary gives, per metric, the median of each side, the
 parent's quartiles, the number of pairs in which the change read lower and
 whether the pairs show a gain by the claim rule (``gain_shown``);
@@ -91,6 +92,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
 
 
+def checkout_commit(checkout: Path, reported: str) -> str:
+    """The commit run.py reported for a checkout. run.py reads .git itself
+    and reports "unknown" for a ``git archive`` copy or a ``git worktree``
+    checkout, whose .git is a file; then the commit is git's answer for the
+    checkout, or "unknown" if git fails or finds a repository whose top is
+    not the checkout (a copy unpacked inside another repository)."""
+    if reported != "unknown":
+        return reported
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True
+        )
+    except OSError:
+        return reported
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return reported
+    return lines[1]
+
+
 def gain_shown(parent: list[float], change: list[float], better: str) -> bool:
     """Whether the pairs carry a claimed gain: the change reads better
     (``better`` is "lower" or "higher") in at least nine tenths of the pairs,
@@ -166,7 +187,7 @@ def main(argv=None) -> int:
                         "seed": seed,
                         "side": side,
                         "order": position,
-                        "commit": env["git_commit"],
+                        "commit": checkout_commit(checkouts[side], env["git_commit"]),
                         "interpreter": f"{env['implementation']} {env['python']}",
                         "cpu_count": env["cpu_count"],
                         "result": result,

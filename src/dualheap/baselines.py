@@ -67,20 +67,63 @@ def _median_by_insertion(vals: list[Element], tally: PhaseTally) -> Element:
     return vals[(len(vals) + 1) // 2 - 1]
 
 
+def _median_of_five(a, b, c, d, e) -> tuple[Element, int]:
+    """``_median_by_insertion`` on [a, b, c, d, e], written out: the same
+    compares in the same order (earlier value > later value), the same
+    lower median and its count, returned instead of added to a tally. Each
+    insert re-sorts the prefix into a..d; the last one only finds the
+    median."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        if a > c:
+            a, b, c = c, a, b
+        else:
+            b, c = c, b
+        n = 3
+    else:
+        n = 2
+    if c > d:
+        if b > d:
+            if a > d:
+                a, b, c, d = d, a, b, c
+            else:
+                b, c, d = d, b, c
+            n += 3
+        else:
+            c, d = d, c
+            n += 2
+    else:
+        n += 1
+    if d > e:
+        if c > e:
+            if b > e:
+                a > e  # the insert's last compare; the median is b either way
+                return b, n + 4
+            return e, n + 3
+        return c, n + 2
+    return c, n + 1
+
+
 def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
     """Median estimate for buf[lo..hi]: medians of groups of five (tail
     group may be shorter), round after round, until at most
     ``_MOM_DIRECT_LIMIT`` values are left, whose median is the estimate.
     The returned value always occurs in the segment and its rank is
-    centrally bounded, which is what caps quickselect's recursion depth."""
+    centrally bounded, which is what caps quickselect's recursion depth.
+    Full groups run through ``_median_of_five`` in group order, and each
+    round adds their summed count once."""
     if hi < lo:
         raise ValueError("median_of_medians needs a non-empty segment")
     values = buf[lo : hi + 1]
     while len(values) > _MOM_DIRECT_LIMIT:
-        values = [
-            _median_by_insertion(values[g : g + _MOM_GROUP], tally)
-            for g in range(0, len(values), _MOM_GROUP)
-        ]
+        full = len(values) - len(values) % _MOM_GROUP
+        medians, counts = zip(*map(_median_of_five, *(values[r:full:_MOM_GROUP] for r in range(_MOM_GROUP))))
+        tally.compares += sum(counts)
+        tail = values[full:]
+        values = list(medians)
+        if tail:
+            values.append(_median_by_insertion(tail, tally))
     return _median_by_insertion(values, tally)
 
 

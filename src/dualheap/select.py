@@ -145,17 +145,13 @@ def dh_select_copy(values, k: int, opts: SelectOptions | None = None, ctx: Metri
 def verify_partition(arr: SentinelArray, k: int) -> bool:
     """True iff positions 1..k-1 hold values <= buf[k] and positions
     k+1..n hold values >= buf[k]. A k outside 1..n raises ``IndexError``,
-    as it does for ``dh_select``: positions 0 and n+1 hold the guards."""
+    as it does for ``dh_select``: positions 0 and n+1 hold the guards. Each
+    side is one C-level scan, which answers the same for totally ordered
+    elements."""
     check_index(arr.n, k)
     buf = arr.buf
     v = buf[k]
-    for i in range(1, k):
-        if buf[i] > v:
-            return False
-    for i in range(k + 1, arr.n + 1):
-        if buf[i] < v:
-            return False
-    return True
+    return not (max(buf[1:k], default=v) > v or min(buf[k + 1 : arr.n + 1], default=v) < v)
 
 
 def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:

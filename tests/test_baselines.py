@@ -9,13 +9,14 @@ from dualheap import Metrics, PhaseTally, SentinelArray, prepare_buffer
 from dualheap.baselines import (
     PIVOT_RULES,
     _anchor_pivot,
+    _median_of_five,
     hoare_partition,
     median_of_medians,
     oracle_select,
     quickselect,
 )
 from dualheap.bench import DISTS, generate
-from conftest import reference_quickselect, same_multiset
+from conftest import Tagged, reference_median_by_insertion, reference_quickselect, same_multiset
 
 
 class RangeTracker(list):
@@ -156,7 +157,8 @@ def test_quickselect_matches_reference_exhaustively(pivot):
 @pytest.mark.parametrize("pivot", PIVOT_RULES)
 def test_quickselect_matches_reference_across_families(pivot):
     for dist in DISTS:
-        for n in (26, 64, 255, 1000, 4095):
+        # 26 through 29 leave tail groups of 1 to 4 values, 255 and 4095 none
+        for n in (26, 27, 28, 29, 64, 255, 1000, 4095):
             values = generate(n, dist, seed=n)
             for k in (1, (n + 1) // 2, n):
                 _assert_quickselect_matches_reference(values, k, pivot)
@@ -249,6 +251,31 @@ def test_mom_rank_bounds_random():
         value = median_of_medians(buf, 1, n, PhaseTally())
         rank = sorted(values).index(value) + 1
         assert 0.2 * n <= rank <= 0.8 * n
+
+
+class _Logged(Tagged):
+    """A ``Tagged`` whose ``>`` logs its operands' tags in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, key, tag, log):
+        super().__init__(key, tag)
+        self.log = log
+
+    def __gt__(self, other):
+        self.log.append((self.tag, other.tag))
+        return super().__gt__(other)
+
+
+def test_median_of_five_matches_the_insertion_median_on_every_tuple():
+    # all 3,125 tuples over {1..5}, ties included: the same compares in the
+    # same order and operand order, the same median object and count
+    for keys in itertools.product(range(1, 6), repeat=5):
+        kernel_log, reference_log = [], []
+        median, count = _median_of_five(*(_Logged(key, tag, kernel_log) for tag, key in enumerate(keys)))
+        tally = PhaseTally()
+        expected = reference_median_by_insertion([_Logged(key, tag, reference_log) for tag, key in enumerate(keys)], tally)
+        assert (median.tag, count, kernel_log) == (expected.tag, tally.compares, reference_log), keys
 
 
 def test_mom_empty_segment_rejected():

@@ -186,7 +186,7 @@ def _build_bounds(n):
 
 @pytest.mark.parametrize("build", [build_min_heap, build_max_heap], ids=["min", "max"])
 def test_build_worst_case_is_exact_over_every_permutation(build):
-    for n in range(1, 9):
+    for n in range(1, 10):
         base = 0 if build is build_min_heap else n + 1
         most_compares = most_moves = 0
         for perm in itertools.permutations(range(1, n + 1)):
@@ -222,15 +222,22 @@ def test_build_min_invariants_random(values):
     assert same_multiset(arr.payload(), values)
     assert arr.buf[1] == min(values)
     assert ctx.compares_total <= 3 * len(values)
+    most_compares, most_moves = _build_bounds(len(values))
+    assert ctx.construct.compares <= most_compares
+    assert ctx.construct.moves <= most_moves
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=200))
 def test_build_max_invariants_random(values):
     arr = prepare_buffer(values)
-    build_max_heap(arr.buf, arr.n + 1, arr.n, PhaseTally())
+    tally = PhaseTally()
+    build_max_heap(arr.buf, arr.n + 1, arr.n, tally)
     assert is_max_heap(arr)
     assert same_multiset(arr.payload(), values)
     assert arr.buf[arr.n] == max(values)
+    most_compares, most_moves = _build_bounds(len(values))
+    assert tally.compares <= most_compares
+    assert tally.moves <= most_moves
 
 
 @given(st.lists(st.integers(-99, 99), min_size=1, max_size=150))

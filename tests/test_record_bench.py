@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -119,10 +120,15 @@ def test_record_bench_rejects_workloads_before_any_run(tmp_path, workloads, mess
     assert not (tmp_path / "BENCH_t.json").exists()
 
 
-def _summarize(parent, change):
+def _load():
     spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _summarize(parent, change):
+    module = _load()
     entries = [
         {"workload": "select-large", "pair": pair, "side": side,
          "result": {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": value}}}}
@@ -151,3 +157,40 @@ def test_gain_shown_follows_the_claim_rule(change, lower, shown):
     summary = _summarize(PARENT, change)
     assert summary["change_lower_pairs"] == lower
     assert summary["gain_shown"] is shown
+
+
+def _git(*args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_record_bench_asks_git_for_a_commit_run_py_reports_as_unknown(tmp_path, monkeypatch):
+    # run.py reads .git itself: a worktree, whose .git is a file, and a copy
+    # without .git both read "unknown"
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git("-C", str(repo), "init", "-q")
+    _git("-C", str(repo), "commit", "-q", "--allow-empty", "-m", "first")
+    _git("-C", str(repo), "worktree", "add", "-q", "--detach", str(tmp_path / "parent"))
+    (tmp_path / "change").mkdir()
+    (repo / "copy").mkdir()
+    head = _git("-C", str(repo), "rev-parse", "HEAD")
+
+    module = _load()
+    env = {"git_commit": "unknown", "python": "3.x", "implementation": "CPython", "cpu_count": 2}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"latency_tail_s": {"value": 0.1}}}
+    monkeypatch.setattr(module, "run_once", lambda checkout, workload, seed, seconds: (env, result))
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workloads", "sort-mid",
+            "--seeds", "7-8", "--tag", "t", "--out-dir", str(tmp_path)]
+    assert module.main(args) == 0
+    entries = json.loads((tmp_path / "BENCH_t.json").read_text())["entries"]
+    assert [(e["side"], e["commit"]) for e in entries] == [
+        ("parent", head), ("change", "unknown"), ("change", "unknown"), ("parent", head),
+    ]
+    # a copy inside another repository is not that repository's HEAD, and a
+    # commit run.py did read is kept
+    assert module.checkout_commit(repo / "copy", "unknown") == "unknown"
+    assert module.checkout_commit(repo, "abc123") == "abc123"

@@ -374,6 +374,17 @@ def test_verify_partition_examples():
     assert not verify_partition(prepare_buffer([3, 1, 2]), 2)
 
 
+def test_verify_partition_matches_its_definition_exhaustively():
+    # every tuple over {1, 2, 3} up to length 6 and every k: violations on
+    # either side, at either end, and ties with buf[k]
+    for n in range(1, 7):
+        for values in itertools.product((1, 2, 3), repeat=n):
+            for k in range(1, n + 1):
+                v = values[k - 1]
+                expected = all(x <= v for x in values[: k - 1]) and all(x >= v for x in values[k:])
+                assert verify_partition(prepare_buffer(list(values)), k) is expected, (values, k)
+
+
 @pytest.mark.parametrize(
     "k, error", [(0, IndexError), (4, IndexError), (5, IndexError), (True, TypeError), (2.0, TypeError), ("2", TypeError)]
 )
