@@ -327,7 +327,7 @@ def worst_case_search_exhaustive(max_n: int, opts: SelectOptions | None = None) 
     for n in range(1, max_n + 1):
         # permutations of 1..n have known extremes; skip prepare_buffer's scans
         instances = (
-            (SentinelArray(buf=[1, *perm, n], n=n), k, None, perm)
+            (SentinelArray([1, *perm, n]), k, None, perm)
             for perm in itertools.permutations(range(1, n + 1))
             for k in range(1, n + 1)
         )
@@ -354,7 +354,7 @@ def worst_case_search_random(
     check_index(n, k)
     # each sample is a permutation of 1..n, as in exhaustive mode
     instances = (
-        (SentinelArray(buf=[1, *values, n], n=n), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
+        (SentinelArray([1, *values, n]), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
         for sample_seed in SplitMix64(seed).take(samples)
         for values in [generate(n, "random", sample_seed)]
     )

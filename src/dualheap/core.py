@@ -31,32 +31,31 @@ bit-for-bit across implementations.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .metrics import PhaseTally
 
 Element = int
 
 
 class SentinelArray:
-    """``n`` payload elements at positions 1..n plus the two guard slots.
-    Mutable: ``buf`` may be replaced, say by an instrumented sequence. A
-    buffer of any length but ``n + 2`` raises ``ValueError``: the selection
-    would swap a guard into the payload or index past the buffer."""
+    """A buffer of ``n + 2`` slots: ``n`` payload elements at positions 1..n
+    between the two guard slots. ``n`` is read from the buffer, so ``buf``
+    may be replaced, say by an instrumented sequence, and the payload size
+    follows it."""
 
-    __slots__ = ("buf", "n")
+    __slots__ = ("buf",)
 
-    def __init__(self, buf: list[Element], n: int):
-        if len(buf) != n + 2:
-            raise ValueError(f"a buffer for n={n} payload elements needs {n + 2} slots, got {len(buf)}")
+    def __init__(self, buf: list[Element]):
         self.buf = buf
-        self.n = n
+
+    @property
+    def n(self) -> int:
+        return len(self.buf) - 2
 
     def __eq__(self, other):
-        return type(other) is SentinelArray and (self.buf, self.n) == (other.buf, other.n)
+        return type(other) is SentinelArray and self.buf == other.buf
 
     def payload(self) -> list[Element]:
-        return self.buf[1 : self.n + 1]
+        return self.buf[1:-1]
 
 
 def check_int(what: str, value) -> None:
@@ -88,42 +87,36 @@ def split_indices(n: int, k: int) -> tuple[int, int]:
 # n = 262143 took 0.89, 0.87, 0.89, 0.97, 1.03 and 1.15x its time at height
 # 10 at heights 12, 13, 14, 15, 16 and 18 (CPython 3.11.7, 2 vCPUs): flat up
 # to 14, slower once a block outgrows L2. 14 is the tallest flat height, so
-# the most heaps stay one run.
+# the most heaps stay unblocked (``hn >> _BLOCK_HEIGHT`` zero).
 _BLOCK_HEIGHT = 14
 
 
-@lru_cache(maxsize=256)
 def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
-    """Node-index runs ``(first, last)`` in the order the builders sift them.
+    """Node-index runs ``(first, last)``, each sifted from ``last`` down to
+    ``first``, in the order the builders sift a blocked heap.
 
     Every internal node (1 .. hn//2) appears once, after both of its
-    children. A heap of ``_BLOCK_HEIGHT`` levels or fewer is one run, in
-    level order, sifted from ``last`` down to ``first``. A taller heap is
-    built one subtree of ``_BLOCK_HEIGHT`` levels at a time, each bottom-up,
-    and then the levels above those subtrees, so each subtree is finished
-    while its elements are still cached. Each run of a taller heap is one
+    children. The heap is built one subtree of ``_BLOCK_HEIGHT`` levels at a
+    time, each bottom-up, and then the levels above those subtrees, so each
+    subtree is finished while its elements are still cached. Each run is one
     level, so its sifts touch disjoint subtrees: they may run in any order
-    and read the whole level ahead. No run is empty. Cached because sorting
-    builds heaps of the same few sizes thousands of times.
+    and read the whole level ahead. No run is empty.
     """
     half = hn // 2
     top = hn.bit_length() - _BLOCK_HEIGHT
-    if top <= 0:
-        spans = [(1, half)]
-    else:
-        spans = [
-            (r << i, ((r + 1) << i) - 1)
-            for r in range(1 << top, 2 << top)
-            for i in range(_BLOCK_HEIGHT - 2, -1, -1)
-        ]
-        spans += [(1 << d, (2 << d) - 1) for d in range(top - 1, -1, -1)]
+    spans = [
+        (r << i, ((r + 1) << i) - 1)
+        for r in range(1 << top, 2 << top)
+        for i in range(_BLOCK_HEIGHT - 2, -1, -1)
+    ]
+    spans += [(1 << d, (2 << d) - 1) for d in range(top - 1, -1, -1)]
     return tuple((first, min(last, half)) for first, last in spans if first <= half)
 
 
 def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) -> None:
     """Build a min-rooted heap of ``hn`` nodes, node j at ``buf[base + j]``,
-    bottom-up: sift every internal node after both of its children, one
-    subtree at a time (see ``_build_runs``).
+    bottom-up: sift every internal node after both of its children, a
+    blocked heap one subtree at a time (see ``_build_runs``).
 
     Each sift reads and writes only its own subtree, so any such order gives
     the same buffer and counters as plain level order. Each sift is Floyd's
@@ -137,12 +130,13 @@ def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
     the leaves costs one position compare. Both counts land in ``tally``
     once.
 
-    A heap of one run (at most ``_BLOCK_HEIGHT`` levels) is sifted node by
-    node. A blocked heap reads each run, one level, ahead: its parents and
-    its two rows of children as three slices, walked with one ``zip``, so
-    the buffer is indexed only where a node sinks. On a small heap, setting
-    up the slices costs more than it saves: read one level at a time, builds
-    took 3.3, 2.6, 1.7 and 1.2x as long at hn = 7, 15, 63 and 255.
+    A heap of at most ``_BLOCK_HEIGHT`` levels is sifted node by node, in
+    level order. A blocked heap reads each run, one level, ahead: its
+    parents and its two rows of children as three slices, walked with one
+    ``zip``, so the buffer is indexed only where a node sinks. On a small
+    heap, setting up the slices costs more than it saves: read one level at
+    a time, builds took 3.3, 2.6, 1.7 and 1.2x as long at hn = 7, 15, 63
+    and 255.
     """
     half = hn // 2
     if not half:
@@ -150,8 +144,7 @@ def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
     inner = base + half
     moves = 0
     descents = 0
-    runs = _build_runs(hn)
-    if len(runs) == 1:
+    if not hn >> _BLOCK_HEIGHT:
         for p in range(inner, base, -1):
             v = buf[p]
             c = 2 * p - base
@@ -178,7 +171,7 @@ def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
                     c = j
                 buf[c] = v
     else:
-        for lo, hi in runs:
+        for lo, hi in _build_runs(hn):
             p0 = base + lo
             p1 = base + hi
             c0 = 2 * p0 - base
@@ -226,8 +219,7 @@ def build_max_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
     inner = base - half
     moves = 0
     descents = 0
-    runs = _build_runs(hn)
-    if len(runs) == 1:
+    if not hn >> _BLOCK_HEIGHT:
         for p in range(inner, base):
             v = buf[p]
             c = 2 * p - base
@@ -254,7 +246,7 @@ def build_max_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
                     c = j
                 buf[c] = v
     else:
-        for lo, hi in runs:
+        for lo, hi in _build_runs(hn):
             p0 = base - hi
             p1 = base - lo
             c0 = 2 * p0 - base

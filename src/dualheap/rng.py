@@ -75,7 +75,11 @@ class SplitMix64:
 
     def take(self, count: int) -> list[int]:
         """The next ``count`` outputs, exactly as ``count`` calls of
-        ``next_u64`` would return them, leaving the same state."""
+        ``next_u64`` would return them, leaving the same state. A bad
+        ``count`` raises before the state moves."""
+        check_int("count", count)
+        if count < 0:
+            raise ValueError(f"expected a count of at least 0, got {count}")
         out: list[int] = []
         ones, mask, steps = _lane_constants()
         state = self.state
@@ -98,6 +102,9 @@ class SplitMix64:
         return out
 
     def below(self, bound: int) -> int:
+        check_int("bound", bound)
+        if bound < 1:
+            raise ValueError(f"expected a bound of at least 1, got {bound}")
         # Plain modulo reduction: the tiny bias is irrelevant here and keeps
         # the stream trivially reproducible in other languages.
         return self.next_u64() % bound

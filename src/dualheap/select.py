@@ -89,7 +89,7 @@ def prepare_buffer(values) -> SentinelArray:
         raise TypeError(f"elements must be totally ordered, but two cannot be compared: {exc}") from exc
     buf[0] = lo
     buf[-1] = hi
-    return SentinelArray(buf=buf, n=n)
+    return SentinelArray(buf)
 
 
 def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, tally: PhaseTally) -> None:
@@ -151,7 +151,7 @@ def verify_partition(arr: SentinelArray, k: int) -> bool:
     check_index(arr.n, k)
     buf = arr.buf
     v = buf[k]
-    return not (max(buf[1:k], default=v) > v or min(buf[k + 1 : arr.n + 1], default=v) < v)
+    return not (max(buf[1:k], default=v) > v or min(buf[k + 1 : -1], default=v) < v)
 
 
 def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:

@@ -53,7 +53,7 @@ def criterion_01():
             for k in range(1, n + 1):
                 expected = oracle_select(perm, k)
                 for opts in option_grid:
-                    arr = SentinelArray([1, *perm, n], n)
+                    arr = SentinelArray([1, *perm, n])
                     out = dh_select(arr, k, opts)
                     if out.value != expected or not verify_partition(arr, k):
                         return False, (

@@ -136,7 +136,7 @@ def test_mom_anchor_counts_the_offset_of_the_first_slot_holding_the_pivot():
 
 def _assert_quickselect_matches_reference(values, k, pivot):
     n = len(values)
-    arr = SentinelArray(buf=[0, *values, n + 1], n=n)
+    arr = SentinelArray([0, *values, n + 1])
     ref = arr.buf[:]
     ctx = Metrics()
     tally = PhaseTally()

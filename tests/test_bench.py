@@ -66,6 +66,25 @@ def test_take_equals_repeated_next_u64(count):
         assert block.state == stream.state
 
 
+@pytest.mark.parametrize(
+    ("call", "arg", "error"),
+    [
+        ("take", -4, ValueError),
+        ("take", True, TypeError),
+        ("take", 2.0, TypeError),
+        ("below", 0, ValueError),
+        ("below", -3, ValueError),
+        ("below", True, TypeError),
+        ("below", 2.0, TypeError),
+    ],
+)
+def test_take_and_below_reject_a_bad_argument_before_drawing(call, arg, error):
+    stream = SplitMix64(7)
+    with pytest.raises(error, match="count" if call == "take" else "bound"):
+        getattr(stream, call)(arg)
+    assert stream.state == 7
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 10_000))
 def test_take_equals_repeated_next_u64_for_any_seed(seed, count):
     block = SplitMix64(seed)
@@ -508,13 +527,13 @@ def test_worstcase_report_round_trips_through_a_row():
 
 
 def test_sentinel_array_stays_mutable_and_compares_by_value():
-    arr = SentinelArray([0, 2, 1, 3], 2)
+    arr = SentinelArray([0, 2, 1, 3])
     arr.buf = [0, 1, 2, 3]
-    arr.n = 2
-    assert arr == SentinelArray(buf=[0, 1, 2, 3], n=2)
-    other = SentinelArray([0, 1, 2, 3], 2)
-    other.n = 1
-    assert arr != other
+    assert arr == SentinelArray([0, 1, 2, 3])
+    assert arr != SentinelArray([0, 2, 1, 3])
+    arr.buf = [0, 1, 3]
+    assert (arr.n, arr.payload()) == (1, [1])
+    assert arr != SentinelArray([0, 1, 2, 3])
     timed = run_benchmark(BenchConfig(sizes=(31,), trials=1, timing=True))
     assert timed[0].elapsed_ns > 0
 
@@ -527,7 +546,7 @@ def test_worstcase_exhaustive_n3_visits_18_instances():
     assert report.n == 3
     assert report.instances_tested == 18
     # the witness reproduces the reported maximum
-    arr = SentinelArray([1, *report.argmax_permutation, 3], 3)
+    arr = SentinelArray([1, *report.argmax_permutation, 3])
     ctx = Metrics()
     dh_select(arr, report.argmax_k, SelectOptions(), ctx)
     assert ctx.swap.compares == report.max_compares_swap

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import random
 from unittest import mock
@@ -14,9 +13,12 @@ from dualheap import (
     SentinelArray,
     build_max_heap,
     build_min_heap,
+    dh_select,
     prepare_buffer,
     split_indices,
+    verify_partition,
 )
+from dualheap.baselines import quickselect
 from conftest import (
     check_heap_condition,
     reference_build_max,
@@ -291,16 +293,9 @@ def _guarded_segment(values, data):
 _BLOCK_HEIGHTS = (core._BLOCK_HEIGHT, 1, 2, 3)
 
 
-@contextlib.contextmanager
 def _block_height(height):
-    """Build with another block height; the cached runs are dropped on the
-    way in and out, since they were computed for the other height."""
-    with mock.patch.object(core, "_BLOCK_HEIGHT", height):
-        core._build_runs.cache_clear()
-        try:
-            yield
-        finally:
-            core._build_runs.cache_clear()
+    """Build with another block height."""
+    return mock.patch.object(core, "_BLOCK_HEIGHT", height)
 
 
 def _assert_build_matches_reference(build, reference, buf, base, hn, heights=_BLOCK_HEIGHTS):
@@ -330,18 +325,24 @@ def test_build_max_matches_per_node_reference(values, data):
 
 def _block_edges(height):
     """Heap sizes on either side of one and of two levels more than a block
-    of ``height`` levels holds: the smallest heaps that height blocks."""
+    of ``height`` levels holds: where a blocked heap gains a level above its
+    subtrees. The smallest heap that height blocks is ``2**height``."""
     return tuple(2 ** (height + e) - d for e in (1, 2) for d in (1, 0))
 
 
 _BLOCK_EDGES = _block_edges(core._BLOCK_HEIGHT)
 
 # The block edges of the default height and of a lower one (10, the default
-# before blocks grew to 14 levels), each built at the height that blocks it.
+# before blocks grew to 14 levels), each built at the height that blocks it,
+# then each height's largest unblocked and smallest blocked heap.
 _EDGE_CASES = [
     pytest.param(n, height, id=str(n))
     for height in (10, core._BLOCK_HEIGHT)
     for n in _block_edges(height)
+] + [
+    pytest.param(n, height, id=str(n))
+    for height in (10, core._BLOCK_HEIGHT)
+    for n in (2**height - 1, 2**height)
 ]
 
 
@@ -351,17 +352,25 @@ def test_builds_match_reference_across_block_edges(n, height):
     values = [rng.randrange(n // 3) for _ in range(n)]
     off = 3
     buf = [-1] * off + [-1, *values, n] + [n] * 2
-    with _block_height(height):
-        assert core._build_runs(n) != ((1, n // 2),)
+    # each builder asks for the run table exactly when height blocks the heap
+    with _block_height(height), mock.patch.object(core, "_build_runs", wraps=core._build_runs) as runs:
+        build_min_heap(list(buf), off, n, PhaseTally())
+        build_max_heap(list(buf), off + n + 1, n, PhaseTally())
+    assert runs.call_count == (2 if n >= 2**height else 0)
     heights = (height, *_BLOCK_HEIGHTS)
     _assert_build_matches_reference(build_min_heap, reference_build_min, buf, off, n, heights)
     _assert_build_matches_reference(build_max_heap, reference_build_max, buf, off + n + 1, n, heights)
 
 
+def _blocked_sizes(height):
+    """The heap sizes the run-table tests check: those ``height`` blocks."""
+    return [hn for hn in (*range(301), 2**core._BLOCK_HEIGHT, *_BLOCK_EDGES) if hn >> height]
+
+
 @pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
 def test_build_runs_sift_each_node_once_after_its_children(height):
     with _block_height(height):
-        for hn in (*range(301), *_BLOCK_EDGES):
+        for hn in _blocked_sizes(height):
             runs = core._build_runs(hn)
             order = [j for first, last in runs for j in range(last, first - 1, -1)]
             assert sorted(order) == list(range(1, hn // 2 + 1)), hn
@@ -378,10 +387,9 @@ def test_blocked_runs_span_one_level(height):
     # the builders read a blocked run's parents and children ahead, which is
     # sound only while the sifts of one run touch disjoint subtrees
     with _block_height(height):
-        for hn in (*range(301), *_BLOCK_EDGES):
+        for hn in _blocked_sizes(height):
             runs = core._build_runs(hn)
-            if len(runs) > 1:
-                assert all(first.bit_length() == last.bit_length() for first, last in runs), hn
+            assert all(first.bit_length() == last.bit_length() for first, last in runs), hn
 
 
 def test_blocked_max_build_at_the_lowest_base():
@@ -390,25 +398,31 @@ def test_blocked_max_build_at_the_lowest_base():
     hn = 2 ** (core._BLOCK_HEIGHT + 1)
     rng = random.Random(hn)
     buf = [-1, *(rng.randrange(hn // 3) for _ in range(hn)), hn]
-    assert len(core._build_runs(hn)) > 1
+    assert hn >> core._BLOCK_HEIGHT
     _assert_build_matches_reference(build_max_heap, reference_build_max, buf, hn + 1, hn)
-
-
-def test_build_runs_keep_level_order_below_one_block():
-    hn = 2 ** core._BLOCK_HEIGHT - 1
-    assert core._build_runs(hn) == ((1, hn // 2),)
 
 
 # --- sentinel buffer ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_sentinel_array_rejects_an_n_that_disagrees_with_its_buffer(n):
-    # n = 3 let the selection swap the high guard 9 into the payload; n = 5
-    # indexed past the buffer
-    with pytest.raises(ValueError, match=f"a buffer for n={n} payload elements needs {n + 2} slots, got 6"):
-        SentinelArray(buf=[0, 5, 1, 4, 2, 9], n=n)
-    assert SentinelArray(buf=[0, 5, 1, 4, 9], n=3).payload() == [5, 1, 4]
+def test_sentinel_array_takes_n_from_a_replaced_buffer():
+    # n is the buffer's length less its two guards, so a buffer swapped in
+    # after construction carries its own n: none is left over to let the
+    # selection swap a guard into the payload or index past the buffer
+    payload = [5, 1, 4, 2]
+    arr = SentinelArray([0, 3, 9])
+    for select in (lambda arr, k: dh_select(arr, k).value, quickselect):
+        for k in range(1, 5):
+            arr.buf = [0, *payload, 9]
+            assert (arr.n, arr.payload()) == (4, payload)
+            assert select(arr, k) == sorted(payload)[k - 1]
+            assert verify_partition(arr, k)
+            assert (arr.buf[0], arr.buf[-1], sorted(arr.payload())) == (0, 9, sorted(payload))
+        for k in (0, 5):
+            with pytest.raises(IndexError):
+                select(arr, k)
+            with pytest.raises(IndexError):
+                verify_partition(arr, k)
 
 
 # --- split rule --------------------------------------------------------------

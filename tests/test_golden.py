@@ -119,7 +119,7 @@ def test_library_counts_digest():
             for k in range(1, n + 1):
                 for opts in options:
                     ctx = Metrics()
-                    arr = SentinelArray([0, *perm, n + 1], n)
+                    arr = SentinelArray([0, *perm, n + 1])
                     out = dh_select(arr, k, opts, ctx)
                     digest.update(repr((arr.buf, out.value, out.split, ctx.snapshot())).encode())
     stream = SplitMix64(13)

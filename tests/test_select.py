@@ -469,7 +469,7 @@ def test_select_three_matches_the_general_path():
                 for strategy in ("tree", "branch", "root"):
                     want = _guarded_buffer(ranks, below, above, off)
                     want_ctx = Metrics()
-                    arr = SentinelArray(buf=want, n=len(want) - 2)
+                    arr = SentinelArray(want)
                     select._select_segment(arr, off, n, 2, SelectOptions(strategy, presplit), want_ctx)
                     assert _keys_and_tags(got) == _keys_and_tags(want), (ranks, below, above, strategy, presplit)
                     assert got_ctx.snapshot() == want_ctx.snapshot(), (ranks, below, above, strategy, presplit)
