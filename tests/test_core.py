@@ -364,7 +364,7 @@ def test_builds_match_reference_across_block_edges(n, height):
 
 def _blocked_sizes(height):
     """The heap sizes the run-table tests check: those ``height`` blocks."""
-    return [hn for hn in (*range(301), 2**core._BLOCK_HEIGHT, *_BLOCK_EDGES) if hn >> height]
+    return [hn for hn in (*range(301), 2**height, *_BLOCK_EDGES) if hn >> height]
 
 
 @pytest.mark.parametrize("height", _BLOCK_HEIGHTS)
