@@ -405,6 +405,25 @@ def test_blocked_max_build_at_the_lowest_base():
 # --- sentinel buffer ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_sentinel_array_rejects_an_n_that_disagrees_with_its_buffer(n):
+    # n = 3 would let the selection swap the high guard 9 into the payload;
+    # n = 5 would index past the buffer. n is not taken at construction and
+    # cannot be assigned later, so it is always the buffer's own
+    with pytest.raises(TypeError):
+        SentinelArray(buf=[0, 5, 1, 4, 2, 9], n=n)
+    arr = SentinelArray(buf=[0, 5, 1, 4, 2, 9])
+    with pytest.raises(AttributeError):
+        arr.n = n
+    assert (arr.n, arr.payload()) == (4, [5, 1, 4, 2])
+    assert SentinelArray(buf=[0, 5, 1, 4, 9]).payload() == [5, 1, 4]
+    for k in range(1, 5):
+        arr = SentinelArray([0, 5, 1, 4, 2, 9])
+        assert dh_select(arr, k).value == [1, 2, 4, 5][k - 1]
+        assert verify_partition(arr, k)
+        assert (arr.buf[0], arr.buf[-1]) == (0, 9)
+
+
 def test_sentinel_array_takes_n_from_a_replaced_buffer():
     # n is the buffer's length less its two guards, so a buffer swapped in
     # after construction carries its own n: none is left over to let the
