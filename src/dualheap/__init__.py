@@ -9,7 +9,7 @@ bench runner and its CSV records) and ``dualheap.rng`` (the seeded stream).
 """
 
 from .core import Element, SentinelArray, build_max_heap, build_min_heap, split_indices
-from .errors import InternalInvariantError, OracleMismatchError
+from .errors import InternalInvariantError
 from .metrics import Metrics, PhaseTally
 from .select import (
     PRESPLITS,
@@ -17,7 +17,6 @@ from .select import (
     SelectOutcome,
     construct_dualheap,
     dh_select,
-    dh_select_copy,
     dh_sort,
     prepare_buffer,
     verify_partition,

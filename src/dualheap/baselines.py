@@ -6,8 +6,6 @@ partition and pivot kernels count in the tally they are handed. The oracle
 is never counted; it exists to check everything else.
 """
 
-from __future__ import annotations
-
 from .core import Element, SentinelArray, check_index
 from .metrics import Metrics, PhaseTally
 from .rng import SplitMix64, check_seed

@@ -8,8 +8,6 @@ reported as zero unless explicitly requested, so identical configurations
 produce byte-identical CSV.
 """
 
-from __future__ import annotations
-
 import csv
 import itertools
 import math

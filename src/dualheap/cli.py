@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 internal invariant violation
 (oracle mismatch or step-budget breach).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import csv
@@ -231,8 +229,8 @@ def cmd_fit(args) -> int:
             raise ValueError(f"{args.source} has no {args.metric!r} column")
         rows = []
         for row in reader:
-            fields = {"n": int(row["n"])}
-            fields[args.metric] = float(row[args.metric])
+            # n last, so that fitting n against itself keeps it an int
+            fields = {args.metric: float(row[args.metric]), "n": int(row["n"])}
             rows.append(SimpleNamespace(**fields))
     slope = fit_growth(rows, args.metric, args.agg)
     print(f"slope={slope:.6f}")

@@ -29,8 +29,6 @@ child (strict comparisons), which keeps counter values reproducible
 bit-for-bit across implementations.
 """
 
-from __future__ import annotations
-
 from .metrics import PhaseTally
 
 Element = int

@@ -14,8 +14,6 @@ tally it writes, so a kernel called on its own counts wherever its caller
 points it.
 """
 
-from __future__ import annotations
-
 PHASES = ("construct", "swap", "other")
 
 

@@ -7,11 +7,9 @@ phase then exchanges values until the two roots agree. Afterwards position
 k holds the k-th smallest value and the buffer is partitioned around it.
 
 ``dh_select`` mutates its buffer in place; the partition is part of the
-contract, not an accident. ``dh_select_copy`` wraps it for callers that
-want their input untouched.
+contract, not an accident. ``prepare_buffer`` copies its input, so callers
+that want their input untouched select on ``prepare_buffer(values)``.
 """
-
-from __future__ import annotations
 
 import operator
 from collections import namedtuple
@@ -135,11 +133,6 @@ def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx
         ctx = Metrics()
     shn = _select_segment(arr, 0, arr.n, k, opts, ctx)
     return SelectOutcome(value=arr.buf[k], split=shn, metrics=ctx)
-
-
-def dh_select_copy(values, k: int, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> SelectOutcome:
-    """Convenience wrapper that leaves the caller's sequence untouched."""
-    return dh_select(prepare_buffer(values), k, opts, ctx)
 
 
 def verify_partition(arr: SentinelArray, k: int) -> bool:

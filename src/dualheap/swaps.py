@@ -38,10 +38,12 @@ step has yet written. A pair's re-sinks stay inside its own two subtrees,
 and sibling subtrees are disjoint.
 
 Compares and moves gather in locals and land in the tally once per phase
-(and before the step-budget error). Measured on prototypes (in-process,
-2 vCPUs, CPython 3.11.7), this loop read 0.88-0.90x the time of the
-recursive walk with per-node sifts on ``dh_sort`` at n = 16383 and
-0.79x on the swap phase alone at n = 262143 with ``tree``. Three other
+(and before the step-budget error); the two moves of each exchange are
+added from the exchange count, which the phase returns. Measured on
+prototypes (in-process, 2 vCPUs, CPython 3.11.7), this loop read
+0.88-0.90x the time of the recursive walk with per-node sifts on
+``dh_sort`` at n = 16383 and 0.79x on the swap phase alone at
+n = 262143 with ``tree``. Three other
 designs gave the same buffers and counts and were slower than it:
 
 * finding a step's pairs first and exchanging them in reverse: 1.12-1.13x
@@ -52,8 +54,6 @@ designs gave the same buffers and counts and were slower than it:
   per pair: 1.11-1.15x on ``dh_sort`` at n = 16383, and 1.13-1.15x on
   ``dh_select`` at n = 4095 and n = 262143.
 """
-
-from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .metrics import PhaseTally
@@ -72,12 +72,16 @@ def swap_step_budget(n: int) -> int:
     return n * (1 + n.bit_length())
 
 
-def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: PhaseTally) -> None:
+def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: PhaseTally) -> tuple[int, int]:
     """Swap between the two heaps of the segment at positions off+1 .. off+n,
     split after ``shn`` elements: walk from the roots, reaching as far as
     the strategy allows, until the small-heap root no longer exceeds the
     large-heap root. Every compare and move, guard included, is counted in
     ``tally``.
+
+    Returns ``(exchanges, guard_steps)``: the node pairs exchanged, and the
+    walks from the roots that the guard loop started; ``(0, 0)`` when the
+    roots start in order. ``root`` exchanges one pair per step.
 
     Both heaps must satisfy their heap condition. The sibling-pair guard may
     read one slot past the large heap; that slot is the high guard and can
@@ -89,17 +93,17 @@ def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: Ph
     pl = off + shn
     tally.compares += 1
     if not buf[ps - 1] > buf[pl + 1]:
-        return
+        return 0, 0
     reach = _REACH[strategy]
     lhn = n - shn
     budget = swap_step_budget(n)
     inner_s = ps - shn // 2
     inner_l = pl + lhn // 2
-    compares = moves = 0
+    compares = moves = exchanges = 0
     stack = []
     push = stack.append
     pop = stack.pop
-    for _ in range(budget):
+    for steps in range(1, budget + 1):
         # (0, 0) ends the step; a walked pair is pushed with its slot negated
         push((0, 0))
         s = ps - 1
@@ -170,7 +174,7 @@ def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: Ph
                 buf[c] = w
                 if c != l:
                     moves += 1
-                moves += 2
+                exchanges += 1
                 s, l = pop()
                 if s >= 0:
                     break
@@ -178,10 +182,10 @@ def run_swapping_phase(buf, off: int, n: int, shn: int, strategy: str, tally: Ph
         compares += 1
         if not buf[ps - 1] > buf[pl + 1]:
             tally.compares += compares
-            tally.moves += moves
-            return
+            tally.moves += moves + 2 * exchanges
+            return exchanges, steps
     tally.compares += compares
-    tally.moves += moves
+    tally.moves += moves + 2 * exchanges
     raise InternalInvariantError(
         f"swapping phase exceeded its step budget of {budget} "
         f"(strategy={strategy}, shn={shn}, lhn={lhn})"

@@ -145,13 +145,15 @@ def reference_build_max(buf, base, hn, tally) -> None:
         sift_down_max(buf, base, hn, i, tally)
 
 
-def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> None:
+def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> tuple[int, int]:
     """The swapping phase as a recursive walk with per-node re-sinks: the
-    reference ``run_swapping_phase`` must match in buffer and counters.
+    reference ``run_swapping_phase`` must match in buffer, counters and its
+    ``(exchanges, guard_steps)``.
 
     At a node pair the walk picks the greedy children and walks that pair
     first if its values are inverted, then (reach 2) the sibling pair if
-    inverted; it then exchanges its own pair and re-sinks both values.
+    inverted; it then exchanges its own pair and re-sinks both values. It
+    returns the number of pairs it exchanged.
     """
     ps = off + shn + 1
     pl = off + shn
@@ -159,6 +161,7 @@ def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> None:
     lhn = n - shn
 
     def walk(ks, kl):
+        exchanges = 1
         js = 2 * ks
         jl = 2 * kl
         if reach and js <= shn and jl <= lhn:
@@ -168,26 +171,28 @@ def reference_swapping_phase(buf, off, n, shn, strategy, tally) -> None:
             if buf[pl + jl + 1] < buf[pl + jl]:
                 jl += 1
             if buf[ps - js] > buf[pl + jl]:
-                walk(js, jl)
+                exchanges += walk(js, jl)
                 if reach > 1:
                     c += 1
                     if buf[ps - (js ^ 1)] > buf[pl + (jl ^ 1)]:
-                        walk(js ^ 1, jl ^ 1)
+                        exchanges += walk(js ^ 1, jl ^ 1)
             tally.compares += c
         buf[ps - ks], buf[pl + kl] = buf[pl + kl], buf[ps - ks]
         tally.moves += 2
         sift_down_max(buf, ps, shn, ks, tally)
         sift_down_min(buf, pl, lhn, kl, tally)
+        return exchanges
 
     tally.compares += 1
     if not buf[ps - 1] > buf[pl + 1]:
-        return
+        return 0, 0
     budget = swap_step_budget(n)
-    for _ in range(budget):
-        walk(1, 1)
+    exchanges = 0
+    for steps in range(1, budget + 1):
+        exchanges += walk(1, 1)
         tally.compares += 1
         if not buf[ps - 1] > buf[pl + 1]:
-            return
+            return exchanges, steps
     raise InternalInvariantError(f"swapping phase exceeded its step budget of {budget}")
 
 

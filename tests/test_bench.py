@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dualheap.bench as bench
-from dualheap import Metrics, OracleMismatchError, SelectOptions, SentinelArray, dh_select, prepare_buffer
+from dualheap import Metrics, SelectOptions, SentinelArray, dh_select, prepare_buffer
 from dualheap.baselines import quickselect
 from dualheap.bench import (
     AlgoSpec,
@@ -22,6 +22,7 @@ from dualheap.bench import (
     worst_case_search_random,
 )
 from dualheap.cli import main
+from dualheap.errors import OracleMismatchError
 from dualheap.rng import SplitMix64
 
 

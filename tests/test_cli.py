@@ -113,6 +113,9 @@ def test_fit_reads_bench_csv(tmp_path):
     assert fit.stdout.startswith("slope=")
     slope = float(fit.stdout.split("=")[1])
     assert 0.8 <= slope <= 1.3
+    # the size column against itself: it stays an int, and grows as itself
+    itself = run_cli("fit", "--in", str(path), "--metric", "n")
+    assert (itself.returncode, itself.stdout, itself.stderr) == (0, "slope=1.000000\n", "")
 
 
 def test_fit_usage_error_on_missing_column(tmp_path):
@@ -390,15 +393,14 @@ def test_import_does_not_load_statistics():
 
 def test_import_loads_only_the_selection_algorithm():
     # the harness modules take about half of a fresh import to compile; the
-    # selection algorithm uses none of them
-    code = (
-        "import sys; bare = set(sys.modules); import dualheap; "
-        "print(sorted(name for name in set(sys.modules) - bare if name.split('.')[0] in ('dualheap', 'csv')))"
-    )
+    # selection algorithm uses none of them, and no module outside the
+    # package either (not even __future__, whose import is not free)
+    code = "import sys; bare = set(sys.modules); import dualheap; print(sorted(set(sys.modules) - bare))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     loaded = ["dualheap", "dualheap.core", "dualheap.errors", "dualheap.metrics", "dualheap.select", "dualheap.swaps"]
     assert result.stdout == f"{loaded}\n"
+    assert "__future__" not in result.stdout
 
 
 def test_unknown_package_name_raises():
@@ -413,9 +415,9 @@ def test_unknown_package_name_raises():
 # Every public name of the package root: an addition or a removal shows here
 # as a one-line diff. The harness names live only in their own modules.
 PUBLIC_NAMES = """
-    Element InternalInvariantError Metrics OracleMismatchError PRESPLITS PhaseTally STRATEGIES
+    Element InternalInvariantError Metrics PRESPLITS PhaseTally STRATEGIES
     SelectOptions SelectOutcome SentinelArray build_max_heap build_min_heap construct_dualheap
-    dh_select dh_select_copy dh_sort prepare_buffer run_swapping_phase split_indices swap_step_budget
+    dh_select dh_sort prepare_buffer run_swapping_phase split_indices swap_step_budget
     verify_partition
 """.split()
 

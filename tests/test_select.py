@@ -18,7 +18,6 @@ from dualheap import (
     build_min_heap,
     construct_dualheap,
     dh_select,
-    dh_select_copy,
     dh_sort,
     prepare_buffer,
     verify_partition,
@@ -65,12 +64,11 @@ NAN = float("nan")
     "call",
     [
         lambda: dh_select(prepare_buffer([3.0, NAN, 1.0, 2.0, 5.0]), 3),
-        lambda: dh_select_copy([3.0, NAN, 1.0, 2.0, 5.0], 3),
         lambda: dh_sort([NAN, 1.0, 0.5]),
         lambda: prepare_buffer([NAN]),
         lambda: prepare_buffer([1.0, 2.0, NAN]),
     ],
-    ids=["dh_select", "dh_select_copy", "dh_sort", "lone_nan", "nan_last"],
+    ids=["dh_select", "dh_sort", "lone_nan", "nan_last"],
 )
 def test_nan_breaks_the_total_order_contract(call):
     with pytest.raises(ValueError, match="totally ordered"):
@@ -223,13 +221,6 @@ def test_select_partition_side_effect():
     assert out.value == 3
     assert verify_partition(arr, 4)
     assert same_multiset(arr.payload(), range(10))
-
-
-def test_select_copy_leaves_input_alone():
-    values = [9, 4, 6, 1]
-    out = dh_select_copy(values, 2)
-    assert out.value == 4
-    assert values == [9, 4, 6, 1]
 
 
 def test_parity_both_split_paths():

@@ -19,6 +19,7 @@ from dualheap import (
     swap_step_budget,
     verify_partition,
 )
+from dualheap.bench import generate
 from conftest import Tagged, check_heap_condition, reference_swapping_phase, same_multiset
 
 
@@ -45,7 +46,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
     # small side [3], large side [1, 2]: one exchange then one sift
     arr = make_dualheap([3, 1, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(arr.buf, 0, 3, 1, exchange, ctx.swap)
+    assert run_swapping_phase(arr.buf, 0, 3, 1, exchange, ctx.swap) == (1, 1)
     assert arr.payload() == [1, 2, 3]
     assert check_heap_condition(arr.buf, 0, 3, 1)
     assert arr.buf[2] == 2  # the large-heap root
@@ -54,7 +55,7 @@ def test_tiny_instance_all_strategies_agree(exchange):
 def test_root_swap_both_singletons():
     arr = make_dualheap([5, 2], shn=1)
     ctx = Metrics()
-    run_swapping_phase(arr.buf, 0, 2, 1, "root", ctx.swap)
+    assert run_swapping_phase(arr.buf, 0, 2, 1, "root", ctx.swap) == (1, 1)
     assert arr.payload() == [2, 5]
     assert ctx.moves_total == 2
 
@@ -64,7 +65,7 @@ def test_guard_false_means_no_invocation():
     arr = make_dualheap([1, 2, 3, 4, 5], shn=3)
     before = arr.buf[:]
     ctx = Metrics()
-    run_swapping_phase(arr.buf, 0, 5, 3, "tree", ctx.swap)
+    assert run_swapping_phase(arr.buf, 0, 5, 3, "tree", ctx.swap) == (0, 0)
     assert arr.buf == before
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
@@ -73,7 +74,7 @@ def test_guard_false_means_no_invocation():
 def test_all_equal_values_never_swap():
     arr = make_dualheap([4, 4, 4, 4], shn=3)
     ctx = Metrics()
-    run_swapping_phase(arr.buf, 0, 4, 3, "branch", ctx.swap)
+    assert run_swapping_phase(arr.buf, 0, 4, 3, "branch", ctx.swap) == (0, 0)
     assert ctx.swap.compares == 1
     assert ctx.swap.moves == 0
 
@@ -157,15 +158,15 @@ def test_costs_positive_when_anything_swapped():
 def _loop_and_reference(buf, off, n, k, strategy, presplit):
     """Build the dualheap of the segment at off+1 .. off+n, then run the
     swap loop on it and the recursive reference on a copy. Returns each
-    side's buffer and swap tally."""
+    side's buffer, swap tally and ``(exchanges, guard_steps)``."""
     shn = k if k & 1 else k - 1
     select._build_dualheap(buf, off, n, shn, presplit, PhaseTally())
     ref = list(buf)
     got = PhaseTally()
     want = PhaseTally()
-    run_swapping_phase(buf, off, n, shn, strategy, got)
-    reference_swapping_phase(ref, off, n, shn, strategy, want)
-    return (buf, got.compares, got.moves), (ref, want.compares, want.moves)
+    got_pair = run_swapping_phase(buf, off, n, shn, strategy, got)
+    want_pair = reference_swapping_phase(ref, off, n, shn, strategy, want)
+    return (buf, got.compares, got.moves, got_pair), (ref, want.compares, want.moves, want_pair)
 
 
 @pytest.mark.parametrize("strategy", swaps.STRATEGIES)
@@ -211,6 +212,53 @@ def test_loop_matches_reference_on_ties_inside_a_larger_buffer(ranks, k, below, 
             assert [(x.key, x.tag) for x in got[0]] == [(x.key, x.tag) for x in want[0]], (strategy, presplit)
 
 
+# --- exchanges and guard steps ----------------------------------------------
+
+
+def _swap_pairs(strategy, n, seeds):
+    """The swap phase's ``(exchanges, guard_steps)`` after a presplit-1
+    construction at the median k, one pair per seed of a random input."""
+    pairs = []
+    for seed in seeds:
+        arr = prepare_buffer(generate(n, "random", seed))
+        shn = construct_dualheap(arr, (n + 1) // 2)
+        pairs.append(run_swapping_phase(arr.buf, 0, n, shn, strategy, PhaseTally()))
+    return pairs
+
+
+def test_root_exchanges_one_pair_per_guard_step():
+    # root never descends below the roots, so each step is one exchange
+    for n in range(1, 8):
+        for perm in itertools.permutations(range(1, n + 1)):
+            for shn in range(1, n + 1, 2):
+                arr = make_dualheap(perm, shn)
+                exchanges, steps = run_swapping_phase(arr.buf, 0, n, shn, "root", PhaseTally())
+                assert exchanges == steps, (perm, shn)
+    [(exchanges, steps)] = _swap_pairs("root", 65535, (0,))
+    assert exchanges == steps > 0
+
+
+# Seeds 0, 1 and 2. Exchanges grow about linearly for every strategy
+# (about 0.1 per element); guard steps grow slowly for tree and fastest for
+# root, which makes one exchange per step.
+SWAP_PAIRS = {
+    ("tree", 1023): [(112, 4), (103, 4), (111, 5)],
+    ("tree", 4095): [(450, 6), (427, 5), (420, 5)],
+    ("tree", 16383): [(1741, 8), (1757, 7), (1747, 7)],
+    ("branch", 1023): [(95, 17), (87, 16), (87, 16)],
+    ("branch", 4095): [(358, 49), (348, 49), (361, 48)],
+    ("branch", 16383): [(1412, 150), (1415, 150), (1391, 149)],
+    ("root", 1023): [(90, 90), (83, 83), (78, 78)],
+    ("root", 4095): [(339, 339), (333, 333), (336, 336)],
+    ("root", 16383): [(1345, 1345), (1352, 1352), (1340, 1340)],
+}
+
+
+@pytest.mark.parametrize(("strategy", "n"), SWAP_PAIRS)
+def test_exchanges_and_guard_steps_are_pinned(strategy, n):
+    assert _swap_pairs(strategy, n, (0, 1, 2)) == SWAP_PAIRS[strategy, n]
+
+
 # --- growth character --------------------------------------------------------
 
 
@@ -218,7 +266,6 @@ def test_root_swap_phase_grows_superlinearly():
     # doubling n should more than double root-exchange swap compares
     # (the n-log-n profile of repeated root extraction), while the greedy
     # subtree exchange stays near linear
-    from dualheap.bench import generate
 
     def mean_swap_compares(strategy, n, trials=8):
         total = 0
