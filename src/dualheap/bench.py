@@ -293,23 +293,27 @@ _WITNESS_PRINT_LIMIT = 64
 
 
 def _worst_case(n: int, instances, opts: SelectOptions | None) -> WorstCaseReport:
-    """Run dh_select on each ``(buffer, k, seed, permutation)`` instance and
-    report the first one with the most swapping-phase comparisons."""
+    """Run dh_select on each ``(permutation, k, seed)`` instance, a
+    permutation of 1..n with a selection index and the seed that generated
+    it (None if none did), and report the first one with the most
+    swapping-phase comparisons. The witness permutation is reported only up
+    to ``_WITNESS_PRINT_LIMIT`` elements; a larger one is left to its seed."""
     best = -1
-    for count, (arr, k, seed, perm) in enumerate(instances, 1):
+    for count, (perm, k, seed) in enumerate(instances, 1):
         ctx = Metrics()
-        dh_select(arr, k, opts, ctx)
+        # a permutation of 1..n has known extremes; skip prepare_buffer's scans
+        dh_select(SentinelArray([1, *perm, n]), k, opts, ctx)
         if ctx.swap.compares > best:
             best = ctx.swap.compares
-            witness = k, seed, perm
-    k, seed, perm = witness
+            witness = perm, k, seed
+    perm, k, seed = witness
     return WorstCaseReport(
         n=n,
         instances_tested=count,
         max_compares_swap=best,
         argmax_k=k,
         argmax_seed=seed,
-        argmax_permutation=perm,
+        argmax_permutation=tuple(perm) if n <= _WITNESS_PRINT_LIMIT else (),
     )
 
 
@@ -323,12 +327,7 @@ def worst_case_search_exhaustive(max_n: int, opts: SelectOptions | None = None) 
         raise ValueError(f"exhaustive mode is bounded to 1..{EXHAUSTIVE_MAX_N}, got {max_n}")
     reports = []
     for n in range(1, max_n + 1):
-        # permutations of 1..n have known extremes; skip prepare_buffer's scans
-        instances = (
-            (SentinelArray([1, *perm, n]), k, None, perm)
-            for perm in itertools.permutations(range(1, n + 1))
-            for k in range(1, n + 1)
-        )
+        instances = ((perm, k, None) for perm in itertools.permutations(range(1, n + 1)) for k in range(1, n + 1))
         reports.append(_worst_case(n, instances, opts))
     return reports
 
@@ -350,12 +349,7 @@ def worst_case_search_random(
     if k is None:
         k = median_index(n)
     check_index(n, k)
-    # each sample is a permutation of 1..n, as in exhaustive mode
-    instances = (
-        (SentinelArray([1, *values, n]), k, sample_seed, tuple(values) if n <= _WITNESS_PRINT_LIMIT else ())
-        for sample_seed in SplitMix64(seed).take(samples)
-        for values in [generate(n, "random", sample_seed)]
-    )
+    instances = ((generate(n, "random", sample_seed), k, sample_seed) for sample_seed in SplitMix64(seed).take(samples))
     return _worst_case(n, instances, opts)
 
 
@@ -363,22 +357,22 @@ def emit_worstcase_csv(reports, dest) -> None:
     _write_csv(WORSTCASE_FIELDS, reports, dest)
 
 
-def fit_growth(records, metric: str, agg: str = "mean") -> float:
-    """Least-squares slope of log(metric) against log(n) over per-size
-    aggregates (means, or maxima for worst-case style data). Needs at least
+def fit_growth(points, metric: str, agg: str = "mean") -> float:
+    """Least-squares slope of log(value) against log(n) over per-size
+    aggregates (means, or maxima for worst-case style data) of ``(n, value)``
+    points; ``metric`` names the values in error messages. Needs at least
     three distinct sizes; each n must be an int of at least 1, each value
     finite and each aggregate positive."""
     import statistics  # only fitting needs it, and it is slow to import
     if agg not in ("mean", "max"):
         raise ValueError(f"agg must be 'mean' or 'max', got {agg!r}")
     groups: dict[int, list[float]] = {}
-    for record in records:
-        _check_size(record.n)
-        value = float(getattr(record, metric))
+    for n, value in points:
+        _check_size(n)
         # a nan or an inf would fit as slope=nan, and max() can pass over a nan
         if not math.isfinite(value):
-            raise ValueError(f"metric {metric!r} must be finite to fit, got {value} at n={record.n}")
-        groups.setdefault(record.n, []).append(value)
+            raise ValueError(f"metric {metric!r} must be finite to fit, got {value} at n={n}")
+        groups.setdefault(n, []).append(value)
     if len(groups) < 3:
         raise ValueError(f"growth fitting needs >= 3 distinct sizes, got {len(groups)}")
     xs = []

@@ -15,7 +15,6 @@ import csv
 import sys
 from functools import cache
 from itertools import chain
-from types import SimpleNamespace
 
 from .bench import (
     ALGOS,
@@ -222,17 +221,19 @@ def cmd_worstcase(args) -> int:
 
 def cmd_fit(args) -> int:
     with open(args.source, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "n" not in reader.fieldnames:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if "n" not in header:
             raise ValueError(f"{args.source} has no 'n' column")
-        if args.metric not in reader.fieldnames:
+        if args.metric not in header:
             raise ValueError(f"{args.source} has no {args.metric!r} column")
-        rows = []
-        for row in reader:
-            # n last, so that fitting n against itself keeps it an int
-            fields = {args.metric: float(row[args.metric]), "n": int(row["n"])}
-            rows.append(SimpleNamespace(**fields))
-    slope = fit_growth(rows, args.metric, args.agg)
+        n_column, metric_column = header.index("n"), header.index(args.metric)
+        points = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != len(header):
+                raise ValueError(f"{args.source} line {reader.line_num}: expected {len(header)} cells, got {len(row)}")
+            points.append((int(row[n_column]), float(row[metric_column])))
+    slope = fit_growth(points, args.metric, args.agg)
     print(f"slope={slope:.6f}")
     return 0
 

@@ -187,8 +187,8 @@ def test_criterion_04_swap_strategy_ordering():
 
 def criterion_05():
     records = strategy_records()
-    root_slope = fit_growth([r for r in records if r.swap_strategy == "root"], "compares_swap")
-    tree_slope = fit_growth([r for r in records if r.swap_strategy == "tree"], "compares_swap")
+    root_slope = fit_growth([(r.n, r.compares_swap) for r in records if r.swap_strategy == "root"], "compares_swap")
+    tree_slope = fit_growth([(r.n, r.compares_swap) for r in records if r.swap_strategy == "tree"], "compares_swap")
     detail = f"swap-compare growth slopes: root={root_slope:.3f} (>=1.05), tree={tree_slope:.3f} (<=1.05)"
     if root_slope < 1.05:
         return False, detail

@@ -518,13 +518,16 @@ def test_worstcase_report_round_trips_through_a_row():
     reports = [
         worst_case_search_exhaustive(3)[-1],
         worst_case_search_random(15, 20, 3),
+        worst_case_search_random(64, 2, 3),
+        worst_case_search_random(65, 2, 3),
         worst_case_search_random(127, 2, 3),
     ]
     rows = _emitted_rows(bench.emit_worstcase_csv, reports)
     assert rows == [list(bench.WORSTCASE_FIELDS), *(report.to_row() for report in reports)]
     # exhaustive mode has no seed; a witness above 64 elements is its seed alone
     assert rows[1][4:] == ["", " ".join(map(str, reports[0].argmax_permutation))]
-    assert rows[3][4:] == [str(reports[2].argmax_seed), ""]
+    assert rows[3][5].split() == list(map(str, generate(64, "random", reports[2].argmax_seed)))
+    assert [row[4:] for row in rows[4:]] == [[str(report.argmax_seed), ""] for report in reports[3:]]
 
 
 def test_sentinel_array_stays_mutable_and_compares_by_value():
@@ -587,38 +590,14 @@ def test_worstcase_random_deterministic_and_reproducible():
 # --- growth fitting ----------------------------------------------------------
 
 
-def _records_with_totals(pairs):
-    return [
-        ExperimentRecord(
-            algo="synthetic",
-            swap_strategy="",
-            presplit=None,
-            n=n,
-            k=1,
-            dist="sorted",
-            seed=0,
-            trial=0,
-            compares_construct=0,
-            moves_construct=0,
-            compares_swap=0,
-            moves_swap=0,
-            compares_total=value,
-            moves_total=0,
-            elapsed_ns=0,
-            correct=True,
-        )
-        for n, value in pairs
-    ]
-
-
 def test_fit_growth_exact_linear():
-    records = _records_with_totals([(n, 7 * n) for n in (256, 1024, 4096)])
-    assert abs(fit_growth(records, "compares_total") - 1.0) <= 0.01
+    points = [(n, 7 * n) for n in (256, 1024, 4096)]
+    assert abs(fit_growth(points, "compares_total") - 1.0) <= 0.01
 
 
 def test_fit_growth_nlogn():
     sizes = (1024, 4096, 16384)
-    records = _records_with_totals([(n, n * round(math.log2(n))) for n in sizes])
+    points = [(n, n * round(math.log2(n))) for n in sizes]
     # longhand least squares on the three exact log-log points
     xs = [math.log(n) for n in sizes]
     ys = [math.log(n * round(math.log2(n))) for n in sizes]
@@ -628,18 +607,17 @@ def test_fit_growth_nlogn():
         (x - xbar) ** 2 for x in xs
     )
     assert abs(expected - 1.1214) <= 0.001  # frozen from the formula above
-    assert abs(fit_growth(records, "compares_total") - expected) <= 0.01
+    assert abs(fit_growth(points, "compares_total") - expected) <= 0.01
 
 
 def test_fit_growth_constant():
-    records = _records_with_totals([(n, 12) for n in (100, 1000, 10000)])
-    assert abs(fit_growth(records, "compares_total")) <= 0.01
+    points = [(n, 12) for n in (100, 1000, 10000)]
+    assert abs(fit_growth(points, "compares_total")) <= 0.01
 
 
 def test_fit_growth_needs_three_sizes():
-    records = _records_with_totals([(256, 10), (512, 20)])
     with pytest.raises(ValueError):
-        fit_growth(records, "compares_total")
+        fit_growth([(256, 10), (512, 20)], "compares_total")
 
 
 @pytest.mark.parametrize(
@@ -658,14 +636,12 @@ def test_fit_growth_needs_three_sizes():
 @pytest.mark.parametrize("agg", ["mean", "max"])
 def test_fit_growth_rejects_values_it_cannot_fit(pairs, message, agg):
     with pytest.raises(ValueError, match=message):
-        fit_growth(_records_with_totals(pairs), "compares_total", agg)
+        fit_growth(pairs, "compares_total", agg)
 
 
 def test_fit_growth_mean_vs_max_aggregates():
-    records = _records_with_totals(
-        [(256, 10), (256, 30), (1024, 40), (1024, 120), (4096, 160), (4096, 480)]
-    )
-    mean_slope = fit_growth(records, "compares_total", agg="mean")
-    max_slope = fit_growth(records, "compares_total", agg="max")
+    points = [(256, 10), (256, 30), (1024, 40), (1024, 120), (4096, 160), (4096, 480)]
+    mean_slope = fit_growth(points, "compares_total", agg="mean")
+    max_slope = fit_growth(points, "compares_total", agg="max")
     assert abs(mean_slope - 1.0) <= 0.01
     assert abs(max_slope - 1.0) <= 0.01
