@@ -287,8 +287,8 @@ WORSTCASE_FIELDS = WorstCaseReport._fields
 
 EXHAUSTIVE_MAX_N = 9
 
-# Random-mode witnesses above this size are reproduced from the seed rather
-# than printed inline.
+# A witness above this size is reproduced from its seed rather than printed
+# inline; only random mode reaches it.
 _WITNESS_PRINT_LIMIT = 64
 
 

@@ -240,20 +240,6 @@ def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path, monkeypatc
     assert out.read_text() == ""
 
 
-@pytest.mark.parametrize("row", ["40", "40,20,99"], ids=["short", "long"])
-def test_fit_rejects_a_row_whose_length_differs_from_the_header(tmp_path, row):
-    # a one-cell row ended in a TypeError traceback; a three-cell row was fitted
-    path = tmp_path / "series.csv"
-    path.write_text(f"n,compares_total\n10,5\n\n20,10\n{row}\n80,40\n")
-    result = run_cli("fit", "--in", str(path))
-    cells = len(row.split(","))
-    message = f"dualheap: error: {path} line 5: expected 2 cells, got {cells}\n"
-    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
-    # the blank line is skipped, as it always was
-    path.write_text("n,compares_total\n10,5\n\n20,10\n40,20\n80,40\n")
-    assert run_cli("fit", "--in", str(path)).stdout == "slope=1.000000\n"
-
-
 @pytest.mark.parametrize(
     "argv",
     [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--max-n", "12")],
