@@ -194,39 +194,34 @@ def median_index(n: int) -> int:
     return (n + 1) // 2
 
 
-def _run_trial(algo: AlgoSpec, values: list[int], k: int, seed: int) -> tuple[int, Metrics, int, bool]:
-    ctx = Metrics()
-    arr = prepare_buffer(values)
-    start = time.perf_counter_ns()
-    value = algo.select(arr, k, seed, ctx)
-    elapsed_ns = time.perf_counter_ns() - start
-    correct = value == oracle_select(values, k) and verify_partition(arr, k)
-    return value, ctx, elapsed_ns, correct
-
-
 def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
-    """Run sizes x dists x algos x trials, one checked record per trial: the
-    value must equal the oracle's and the buffer must be partitioned about
-    k. Trial input seeds are drawn from a master splitmix64 stream per
-    (size, dist, trial) so that every algorithm sees the same inputs; any
-    oracle mismatch aborts the whole run with a reproduction line."""
+    """Run sizes x dists x algos x trials, one checked record per trial.
+    Each (size, dist, trial) input is generated once, from a seed drawn off
+    one master splitmix64 stream, and checked by the oracle once: every
+    algorithm runs on its own copy and must return the oracle's value with
+    the buffer partitioned about k. Rows are grouped by algorithm within
+    each (size, dist); a mismatch aborts the run with a reproduction line."""
     master = SplitMix64(config.seed)
     records = []
     for n in config.sizes:
         k = config.k if config.k is not None else median_index(n)
         for dist in config.dists:
-            trial_seeds = master.take(config.trials)
-            for algo in config.algos:
-                for trial in range(config.trials):
-                    seed = trial_seeds[trial]
-                    values = generate(n, dist, seed)
-                    value, ctx, elapsed_ns, correct = _run_trial(algo, values, k, seed)
-                    if not correct:
+            series = [[] for _ in config.algos]
+            for trial, seed in enumerate(master.take(config.trials)):
+                values = generate(n, dist, seed)
+                expected = oracle_select(values, k)
+                for algo, rows in zip(config.algos, series):
+                    ctx = Metrics()
+                    arr = prepare_buffer(values)
+                    start = time.perf_counter_ns()
+                    value = algo.select(arr, k, seed, ctx)
+                    elapsed_ns = time.perf_counter_ns() - start
+                    if not (value == expected and verify_partition(arr, k)):
                         raise OracleMismatchError(
                             f"oracle mismatch: algo={algo.label} n={n} k={k} "
                             f"dist={dist} seed={seed} got={value}"
                         )
-                    records.append(
+                    rows.append(
                         ExperimentRecord(
                             algo=algo.label,
                             swap_strategy=algo.strategy if algo.name == "dhselect" else "",
@@ -246,6 +241,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                             correct=True,
                         )
                     )
+            records += itertools.chain.from_iterable(series)
     return records
 
 

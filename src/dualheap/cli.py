@@ -232,7 +232,10 @@ def cmd_fit(args) -> int:
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) != len(header):
                 raise ValueError(f"{args.source} line {reader.line_num}: expected {len(header)} cells, got {len(row)}")
-            points.append((int(row[n_column]), float(row[metric_column])))
+            try:
+                points.append((int(row[n_column]), float(row[metric_column])))
+            except ValueError as exc:
+                raise ValueError(f"{args.source} line {reader.line_num}: {exc}") from None
     slope = fit_growth(points, args.metric, args.agg)
     print(f"slope={slope:.6f}")
     return 0

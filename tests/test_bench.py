@@ -271,6 +271,44 @@ def test_run_benchmark_shares_inputs_across_algos():
     assert [r.seed for r in tree] == [r.seed for r in root]
 
 
+def test_run_benchmark_handles_each_input_once(monkeypatch):
+    # one input and one oracle answer per (size, dist, trial), whatever the
+    # number of algorithms; the rows stay grouped by algorithm
+    calls = dict.fromkeys(("generate", "oracle_select"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(bench, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bench, name, counted)
+    algos = (AlgoSpec(strategy="root"), AlgoSpec("quickselect", pivot="random"), AlgoSpec("quickselect-mom"))
+    config = BenchConfig(sizes=(31, 64), dists=("random", "organpipe"), algos=algos, trials=3, seed=2)
+    records = run_benchmark(config)
+    assert calls == {"generate": 12, "oracle_select": 12}
+    assert [(r.algo, r.trial) for r in records] == [(a.label, t) for _ in range(4) for a in algos for t in range(3)]
+    # each algorithm's rows are those of a run with that algorithm alone
+    for algo in algos:
+        alone = run_benchmark(config._replace(algos=(algo,)))
+        assert [r for r in records if r.algo == algo.label] == alone, algo.label
+
+
+def test_run_benchmark_reports_the_first_failing_trial(monkeypatch):
+    # the second algorithm fails trial 0 and the first fails trial 1: the
+    # run stops at trial 0, whichever algorithm comes first
+    seeds = SplitMix64(7).take(2)
+    wrong = {("first", seeds[1]), ("random", seeds[0])}
+
+    def flaky(arr, k, pivot, ctx, seed=0):
+        value = quickselect(arr, k, pivot, ctx, seed=seed)
+        return value + 1 if (pivot, seed) in wrong else value
+
+    monkeypatch.setattr(bench, "quickselect", flaky)
+    algos = (AlgoSpec("quickselect"), AlgoSpec("quickselect", pivot="random"))
+    with pytest.raises(OracleMismatchError) as err:
+        run_benchmark(BenchConfig(sizes=(31,), algos=algos, trials=2, seed=7))
+    assert str(err.value) == f"oracle mismatch: algo=quickselect-random n=31 k=16 dist=random seed={seeds[0]} got=17"
+
+
 def test_run_benchmark_oracle_gate_aborts_with_repro(monkeypatch):
     monkeypatch.setattr(bench, "oracle_select", lambda values, k: object())
     with pytest.raises(OracleMismatchError) as err:

@@ -163,6 +163,20 @@ def test_fit_rejects_a_row_whose_length_differs_from_the_header(tmp_path, row):
 
 
 @pytest.mark.parametrize(
+    "row, error",
+    [("63.0,10", "invalid literal for int() with base 10: '63.0'"), ("40,x", "could not convert string to float: 'x'")],
+    ids=["n", "metric"],
+)
+def test_fit_names_the_line_of_a_cell_it_cannot_parse(tmp_path, row, error):
+    # the parse error alone named neither the file nor the line
+    path = tmp_path / "series.csv"
+    path.write_text(f"n,compares_total\n10,5\n\n20,10\n{row}\n80,40\n")
+    result = run_cli("fit", "--in", str(path))
+    message = f"dualheap: error: {path} line 5: {error}\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--mode", "random", "--n", "100", "--k", "101")],
     ids=["bench", "worstcase"],

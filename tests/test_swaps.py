@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -257,6 +258,65 @@ SWAP_PAIRS = {
 @pytest.mark.parametrize(("strategy", "n"), SWAP_PAIRS)
 def test_exchanges_and_guard_steps_are_pinned(strategy, n):
     assert _swap_pairs(strategy, n, (0, 1, 2)) == SWAP_PAIRS[strategy, n]
+
+
+# --- exchanges against misplaced values --------------------------------------
+
+
+def _misplaced(arr, shn):
+    """m, the values that must cross the split after construction: shn less
+    the multiset intersection of the small side with the shn smallest."""
+    payload = arr.payload()
+    kept = Counter(payload[:shn]) & Counter(sorted(payload)[:shn])
+    return shn - sum(kept.values())
+
+
+def _check_exchanges_against_misplaced(values):
+    """For every k and presplit, construct, count m, then run each strategy
+    on a copy: root makes exactly m exchanges and none makes fewer. Returns
+    the number of swap phases run."""
+    n = len(values)
+    runs = 0
+    for k in range(1, n + 1):
+        for presplit in select.PRESPLITS:
+            arr = prepare_buffer(values)
+            shn = construct_dualheap(arr, k, presplit)
+            m = _misplaced(arr, shn)
+            for strategy in swaps.STRATEGIES:
+                exchanges, _ = run_swapping_phase(list(arr.buf), 0, n, shn, strategy, PhaseTally())
+                assert exchanges == m if strategy == "root" else exchanges >= m, (values, k, presplit, strategy)
+                runs += 1
+    return runs
+
+
+def test_root_exchanges_equal_the_misplaced_values_on_permutations():
+    # an exchange moves one value out of each side, so it lowers m by at most
+    # one; root's always lowers it by exactly one
+    runs = sum(
+        _check_exchanges_against_misplaced(perm)
+        for n in range(1, 8)
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+    assert runs == 362_871
+
+
+def test_root_exchanges_equal_the_misplaced_values_on_ties():
+    runs = sum(
+        _check_exchanges_against_misplaced(values)
+        for length in range(1, 8)
+        for values in itertools.product((1, 2, 3), repeat=length)
+    )
+    assert runs == 191_916
+
+
+@pytest.mark.parametrize("n", (1023, 4095, 16383))
+def test_root_exchanges_equal_the_misplaced_values_on_the_pinned_seeds(n):
+    for seed in (0, 1, 2):
+        arr = prepare_buffer(generate(n, "random", seed))
+        m = _misplaced(arr, construct_dualheap(arr, (n + 1) // 2))
+        assert SWAP_PAIRS["root", n][seed][0] == m
+        for strategy in swaps.STRATEGIES:
+            assert SWAP_PAIRS[strategy, n][seed][0] >= m
 
 
 # --- growth character --------------------------------------------------------
