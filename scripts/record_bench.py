@@ -76,6 +76,23 @@ def _workloads(text: str) -> list[str]:
     return _once_each(names, "workloads")
 
 
+def _seconds(text: str) -> float:
+    """A run length in seconds: finite and above 0, so that every run can
+    end and measure something. A nan fails both comparisons."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds above 0, got {text}")
+    return value
+
+
+def _checkout(text: str) -> Path:
+    """A checkout to run: a directory that holds perfbench/run.py."""
+    path = Path(text).resolve()
+    if not (path / "perfbench" / "run.py").is_file():
+        raise argparse.ArgumentTypeError(f"{text} has no perfbench/run.py")
+    return path
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced run.py run: (the environment it reports, its result
     line)."""
@@ -164,16 +181,16 @@ def summarize(entries: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = _Parser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
+    parser.add_argument("--parent", type=_checkout, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=_checkout, default=str(ROOT), help="checkout of the change (default: this one)")
     parser.add_argument("--workloads", type=_workloads, required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", type=_seeds, required=True, help="seeds, e.g. 961-965 or 1,4,9")
-    parser.add_argument("--seconds", type=float, default=30.0, help="measured seconds per run")
+    parser.add_argument("--seconds", type=_seconds, default=30.0, help="measured seconds per run")
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where BENCH_<tag>.json goes")
     args = parser.parse_args(argv)
 
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    checkouts = {"parent": args.parent, "change": args.change}
     entries = []
     for workload in args.workloads:
         for pair, seed in enumerate(args.seeds):

@@ -24,26 +24,26 @@ import statistics
 from pathlib import Path
 
 from dualheap import InternalInvariantError, Metrics, SelectOptions, dh_sort
-from dualheap.bench import AlgoSpec, BenchConfig, emit_csv, generate, run_benchmark
+from dualheap.bench import BenchConfig, emit_csv, generate, run_benchmark
 from dualheap.cli import _int_list, _Parser, _positive, _seed
 from dualheap.rng import SplitMix64
 
 SERIES = {
     "swap_strategies": (
-        AlgoSpec(strategy="tree"),
-        AlgoSpec(strategy="branch"),
-        AlgoSpec(strategy="root"),
+        SelectOptions(strategy="tree"),
+        SelectOptions(strategy="branch"),
+        SelectOptions(strategy="root"),
     ),
     "presplit": (
-        AlgoSpec(presplit=0),
-        AlgoSpec(presplit=1),
-        AlgoSpec(presplit=2),
+        SelectOptions(presplit=0),
+        SelectOptions(presplit=1),
+        SelectOptions(presplit=2),
     ),
     "selection_algorithms": (
-        AlgoSpec("dhselect"),
-        AlgoSpec("quickselect", pivot="first"),
-        AlgoSpec("quickselect", pivot="random"),
-        AlgoSpec("quickselect-mom"),
+        SelectOptions(),
+        "quickselect-first",
+        "quickselect-random",
+        "quickselect-mom",
     ),
 }
 

@@ -23,8 +23,6 @@ from .rng import SplitMix64, check_seed
 from .select import SelectOptions, dh_select, prepare_buffer, verify_partition
 
 DISTS = ("random", "sorted", "reverse", "organpipe", "allequal", "fewvalues")
-ALGOS = ("dhselect", "quickselect", "quickselect-mom")
-PIVOTS = ("first", "random")  # the pivot rules a "quickselect" series can name
 
 DEFAULT_SIZES = (1023, 4095, 16383)
 
@@ -108,56 +106,38 @@ class ExperimentRecord(
 CSV_FIELDS = ExperimentRecord._fields
 
 
-class AlgoSpec(
-    namedtuple("AlgoSpec", ("name", "strategy", "presplit", "pivot"), defaults=("dhselect", "tree", 1, "first"))
-):
-    """One algorithm configuration under test. The ``label`` qualifies
-    quickselect with its pivot rule so series stay distinguishable in a
-    single CSV."""
+# The quickselect configurations under test, by the CSV algo cell each
+# writes, with the pivot rule each runs; a dh_select one is a SelectOptions.
+QUICKSELECT_PIVOTS = {"quickselect-first": "first", "quickselect-random": "random", "quickselect-mom": "median_of_medians"}
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.name not in ALGOS:
-            raise ValueError(f"unknown algo {self.name!r}, expected one of {ALGOS}")
-        if self.pivot not in PIVOTS:
-            raise ValueError(f"pivot must be one of {PIVOTS}, got {self.pivot!r}")
-        if SelectOptions(self.strategy, self.presplit) != SelectOptions() and self.name != "dhselect":
-            raise ValueError(f"strategy and presplit apply only to dhselect, not to {self.name!r}")
-        # AlgoSpec.pivot is the field's accessor; the default is in _field_defaults
-        if self.pivot != self._field_defaults["pivot"] and self.name != "quickselect":
-            raise ValueError(f"pivot applies only to quickselect, not to {self.name!r}")
-        return self
+def algo_label(algo) -> str:
+    """The CSV ``algo`` cell of a configuration under test."""
+    return "dhselect" if isinstance(algo, SelectOptions) else algo
 
-    @property
-    def label(self) -> str:
-        if self.name == "quickselect":
-            return f"quickselect-{self.pivot}"
-        return self.name
 
-    def select(self, arr: SentinelArray, k: int, seed: int, ctx: Metrics):
-        """Run this configuration on a prepared buffer and return the k-th
-        smallest value. ``seed`` feeds the random quickselect pivot."""
-        if self.name == "dhselect":
-            return dh_select(arr, k, SelectOptions(self.strategy, self.presplit), ctx).value
-        if self.name == "quickselect":
-            return quickselect(arr, k, self.pivot, ctx, seed=seed)
-        return quickselect(arr, k, "median_of_medians", ctx)
+def run_algo(algo, arr: SentinelArray, k: int, seed: int, ctx: Metrics):
+    """Run a configuration under test, a ``SelectOptions`` or a name in
+    ``QUICKSELECT_PIVOTS``, on a prepared buffer and return the k-th
+    smallest value. ``seed`` feeds the random quickselect pivot."""
+    if isinstance(algo, SelectOptions):
+        return dh_select(arr, k, algo, ctx).value
+    return quickselect(arr, k, QUICKSELECT_PIVOTS[algo], ctx, seed=seed)
 
 
 class BenchConfig(
     namedtuple(
         "BenchConfig",
         ("sizes", "dists", "algos", "trials", "seed", "k", "timing"),
-        defaults=(DEFAULT_SIZES, ("random",), (AlgoSpec(),), 3, 0, None, False),
+        defaults=(DEFAULT_SIZES, ("random",), (SelectOptions(),), 3, 0, None, False),
     )
 ):
     """Sizes x dists x algos x trials from one master seed. ``sizes``,
-    ``dists`` and ``algos`` are non-empty tuples. ``k`` None selects the
-    median address ceil(n/2); any other k must fit every size. ``timing`` is
-    opt-in, because a real elapsed_ns breaks byte-reproducibility."""
+    ``dists`` and ``algos`` are non-empty tuples; each algo is a
+    ``SelectOptions`` or a name in ``QUICKSELECT_PIVOTS``. ``k`` None
+    selects the median address ceil(n/2); any other k must fit every size.
+    ``timing`` is opt-in, because a real elapsed_ns breaks
+    byte-reproducibility."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
@@ -166,7 +146,7 @@ class BenchConfig(
         self = super().__new__(cls, *args, **kwargs)
         for field in ("sizes", "dists", "algos"):
             series = getattr(self, field)
-            # exactly a tuple: a namedtuple such as an AlgoSpec would iterate its fields
+            # exactly a tuple: a namedtuple such as a SelectOptions would iterate its fields
             if type(series) is not tuple:
                 raise TypeError(f"{field} must be a tuple, not {type(series).__name__} ({series!r})")
             if not series:
@@ -179,8 +159,10 @@ class BenchConfig(
         for dist in self.dists:
             _check_dist(dist)
         for algo in self.algos:
-            if not isinstance(algo, AlgoSpec):
-                raise TypeError(f"each algo must be an AlgoSpec, not {type(algo).__name__} ({algo!r})")
+            if not isinstance(algo, (SelectOptions, str)):
+                raise TypeError(f"each algo must be a SelectOptions or a name, not {type(algo).__name__} ({algo!r})")
+            if isinstance(algo, str) and algo not in QUICKSELECT_PIVOTS:
+                raise ValueError(f"unknown algo {algo!r}, expected a SelectOptions or one of {tuple(QUICKSELECT_PIVOTS)}")
         check_int("trials", self.trials)
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
@@ -202,6 +184,8 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
     the buffer partitioned about k. Rows are grouped by algorithm within
     each (size, dist); a mismatch aborts the run with a reproduction line."""
     master = SplitMix64(config.seed)
+    # each algorithm's algo, swap_strategy and presplit cells
+    cells = [(algo_label(algo), *(algo if isinstance(algo, SelectOptions) else ("", None))) for algo in config.algos]
     records = []
     for n in config.sizes:
         k = config.k if config.k is not None else median_index(n)
@@ -210,22 +194,22 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
             for trial, seed in enumerate(master.take(config.trials)):
                 values = generate(n, dist, seed)
                 expected = oracle_select(values, k)
-                for algo, rows in zip(config.algos, series):
+                for algo, (label, strategy, presplit), rows in zip(config.algos, cells, series):
                     ctx = Metrics()
                     arr = prepare_buffer(values)
                     start = time.perf_counter_ns()
-                    value = algo.select(arr, k, seed, ctx)
+                    value = run_algo(algo, arr, k, seed, ctx)
                     elapsed_ns = time.perf_counter_ns() - start
                     if not (value == expected and verify_partition(arr, k)):
                         raise OracleMismatchError(
-                            f"oracle mismatch: algo={algo.label} n={n} k={k} "
+                            f"oracle mismatch: algo={label} n={n} k={k} "
                             f"dist={dist} seed={seed} got={value}"
                         )
                     rows.append(
                         ExperimentRecord(
-                            algo=algo.label,
-                            swap_strategy=algo.strategy if algo.name == "dhselect" else "",
-                            presplit=algo.presplit if algo.name == "dhselect" else None,
+                            algo=label,
+                            swap_strategy=strategy,
+                            presplit=presplit,
                             n=n,
                             k=k,
                             dist=dist,

@@ -17,18 +17,16 @@ from functools import cache
 from itertools import chain
 
 from .bench import (
-    ALGOS,
     DEFAULT_SIZES,
     DISTS,
     EXHAUSTIVE_MAX_N,
-    PIVOTS,
-    AlgoSpec,
     BenchConfig,
     emit_csv,
     emit_worstcase_csv,
     fit_growth,
     generate,
     median_index,
+    run_algo,
     run_benchmark,
     worst_case_search_exhaustive,
     worst_case_search_random,
@@ -86,19 +84,19 @@ def _add_dualheap_flags(sub):
     sub.add_argument("--presplit", type=int, default=1, choices=PRESPLITS)
 
 
-def _add_algo_flags(sub):
-    sub.add_argument("--algo", default="dhselect", choices=ALGOS)
-    _add_dualheap_flags(sub)
-    sub.add_argument("--pivot", default="first", choices=PIVOTS, help="quickselect pivot rule")
-    # None marks a flag left out, so _algo can tell a flag that does not
-    # apply to --algo from a default.
-    sub.set_defaults(swap=None, presplit=None, pivot=None)
-
-
 # The flags that configure each choice of --algo and of worstcase --mode;
 # giving any other is an error. A flag left out parses to None.
 _ALGO_FLAGS = {"dhselect": ("--swap", "--presplit"), "quickselect": ("--pivot",), "quickselect-mom": ()}
 _MODE_FLAGS = {"exhaustive": ("--max-n",), "random": ("--n", "--samples", "--seed", "--k")}
+
+
+def _add_algo_flags(sub):
+    sub.add_argument("--algo", default="dhselect", choices=_ALGO_FLAGS)
+    _add_dualheap_flags(sub)
+    sub.add_argument("--pivot", default="first", choices=("first", "random"), help="quickselect pivot rule")
+    # None marks a flag left out, so _algo can tell a flag that does not
+    # apply to --algo from a default.
+    sub.set_defaults(swap=None, presplit=None, pivot=None)
 
 
 def _check_flags(args, option: str, table: dict[str, tuple[str, ...]]) -> None:
@@ -108,10 +106,12 @@ def _check_flags(args, option: str, table: dict[str, tuple[str, ...]]) -> None:
             raise ValueError(f"{flag} does not apply to {option} {choice}")
 
 
-def _algo(args) -> AlgoSpec:
+def _algo(args):
     _check_flags(args, "--algo", _ALGO_FLAGS)
-    fields = {"strategy": args.swap, "presplit": args.presplit, "pivot": args.pivot}
-    return AlgoSpec(name=args.algo, **{name: value for name, value in fields.items() if value is not None})
+    if args.algo != "dhselect":
+        return f"quickselect-{args.pivot or 'first'}" if args.algo == "quickselect" else args.algo
+    fields = {"strategy": args.swap, "presplit": args.presplit}
+    return SelectOptions(**{name: value for name, value in fields.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_select(args) -> int:
     arr = prepare_buffer(generate(args.n, args.dist, args.seed))
     k = args.k if args.k is not None else median_index(args.n)
-    print(_algo(args).select(arr, k, args.seed, Metrics()))
+    print(run_algo(_algo(args), arr, k, args.seed, Metrics()))
     return 0
 
 
@@ -220,8 +220,10 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    with open(args.source, newline="") as handle:
-        reader = csv.reader(handle)
+    with open(args.source, "rb") as handle:
+        # decoded line by line, so that a line that is not UTF-8 can be named
+        reader = csv.reader(line.decode() for line in handle.read().splitlines(keepends=True))
+    try:
         header = next(reader, [])
         if "n" not in header:
             raise ValueError(f"{args.source} has no 'n' column")
@@ -236,6 +238,9 @@ def cmd_fit(args) -> int:
                 points.append((int(row[n_column]), float(row[metric_column])))
             except ValueError as exc:
                 raise ValueError(f"{args.source} line {reader.line_num}: {exc}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        # the reader counts a line it has parsed, not one that did not decode
+        raise ValueError(f"{args.source} line {reader.line_num + isinstance(exc, UnicodeDecodeError)}: {exc}") from None
     slope = fit_growth(points, args.metric, args.agg)
     print(f"slope={slope:.6f}")
     return 0
@@ -255,10 +260,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"dualheap: internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
-        print(f"dualheap: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"dualheap: error: {exc}", file=sys.stderr)
         return 1
 
