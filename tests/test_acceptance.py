@@ -26,7 +26,7 @@ from dualheap import (
     verify_partition,
 )
 from dualheap.baselines import oracle_select, quickselect
-from dualheap.bench import AlgoSpec, BenchConfig, fit_growth, generate, run_benchmark, worst_case_search_exhaustive
+from dualheap.bench import BenchConfig, fit_growth, generate, run_benchmark, worst_case_search_exhaustive
 from dualheap.rng import SplitMix64
 from conftest import check_heap_condition, reference_build_max, reference_build_min
 
@@ -145,7 +145,7 @@ def strategy_records():
     config = BenchConfig(
         sizes=SIZES,
         dists=("random",),
-        algos=tuple(AlgoSpec(strategy=s) for s in STRATEGIES),
+        algos=tuple(SelectOptions(strategy=s) for s in STRATEGIES),
         trials=100,
         seed=40,
     )
@@ -212,7 +212,7 @@ def _presplit_means(sizes, trials, seed):
     config = BenchConfig(
         sizes=sizes,
         dists=("random",),
-        algos=tuple(AlgoSpec(presplit=p) for p in PRESPLITS),
+        algos=tuple(SelectOptions(presplit=p) for p in PRESPLITS),
         trials=trials,
         seed=seed,
     )
@@ -261,11 +261,7 @@ def criterion_07():
     config = BenchConfig(
         sizes=(4095,),
         dists=("random",),
-        algos=(
-            AlgoSpec("quickselect", pivot="random"),
-            AlgoSpec("dhselect"),
-            AlgoSpec("quickselect-mom"),
-        ),
+        algos=("quickselect-random", SelectOptions(), "quickselect-mom"),
         trials=200,
         seed=70,
     )

@@ -10,13 +10,14 @@ import dualheap.bench as bench
 from dualheap import Metrics, SelectOptions, SentinelArray, dh_select, prepare_buffer
 from dualheap.baselines import quickselect
 from dualheap.bench import (
-    AlgoSpec,
     BenchConfig,
     CSV_FIELDS,
     ExperimentRecord,
+    algo_label,
     emit_csv,
     fit_growth,
     generate,
+    run_algo,
     run_benchmark,
     worst_case_search_exhaustive,
     worst_case_search_random,
@@ -193,27 +194,10 @@ def test_generate_rejects_bad_spec():
 
 
 @pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
-        ({"presplit": 3}, "presplit must be one of"),
-        ({"name": "quickselect", "strategy": "root", "presplit": 2}, "apply only to dhselect"),
-        ({"name": "quickselect", "presplit": 0}, "apply only to dhselect"),
-        ({"name": "quickselect-mom", "strategy": "branch"}, "apply only to dhselect"),
-        ({"name": "dhselect", "pivot": "random"}, "pivot applies only to quickselect"),
-        ({"name": "quickselect-mom", "pivot": "random"}, "pivot applies only to quickselect"),
-    ],
-)
-def test_algo_spec_rejects_fields_that_are_invalid_or_do_not_apply(fields, message):
-    with pytest.raises(ValueError, match=message):
-        AlgoSpec(**fields)
-
-
-@pytest.mark.parametrize(
     "spec, good, bad, message",
     [
         (BenchConfig(), {"dists": ("sorted",)}, {"dists": ()}, "dists must not be empty"),
-        (AlgoSpec(), {"strategy": "root"}, {"pivot": "random"}, "pivot applies only to quickselect"),
+        (BenchConfig(), {"algos": ("quickselect-mom",)}, {"algos": ("quickselect-last",)}, "unknown algo"),
         (BenchConfig(), {"trials": 1}, {"trials": 0}, "need at least one trial, got 0"),
         (BenchConfig(), {"seed": 2**64 - 1}, {"seed": 2**64}, "expected a seed in 0..18446744073709551615"),
         (SelectOptions(), {"presplit": 2}, {"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
@@ -232,7 +216,7 @@ def test_spec_replace_runs_the_constructor_checks(spec, good, bad, message):
 
 
 def test_run_benchmark_three_trials():
-    config = BenchConfig(sizes=(63,), dists=("random",), algos=(AlgoSpec(),), trials=3, seed=9)
+    config = BenchConfig(sizes=(63,), dists=("random",), algos=(SelectOptions(),), trials=3, seed=9)
     records = run_benchmark(config)
     assert len(records) == 3
     assert all(r.correct for r in records)
@@ -251,7 +235,7 @@ def test_run_benchmark_deterministic():
     config = BenchConfig(
         sizes=(31, 63),
         dists=("random", "organpipe"),
-        algos=(AlgoSpec(), AlgoSpec("quickselect", pivot="random")),
+        algos=(SelectOptions(), "quickselect-random"),
         trials=2,
         seed=4,
     )
@@ -261,7 +245,7 @@ def test_run_benchmark_deterministic():
 def test_run_benchmark_shares_inputs_across_algos():
     config = BenchConfig(
         sizes=(63,),
-        algos=(AlgoSpec(strategy="tree"), AlgoSpec(strategy="root")),
+        algos=(SelectOptions(strategy="tree"), SelectOptions(strategy="root")),
         trials=2,
         seed=1,
     )
@@ -281,15 +265,16 @@ def test_run_benchmark_handles_each_input_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(bench, name, counted)
-    algos = (AlgoSpec(strategy="root"), AlgoSpec("quickselect", pivot="random"), AlgoSpec("quickselect-mom"))
+    algos = (SelectOptions(strategy="root"), "quickselect-random", "quickselect-mom")
     config = BenchConfig(sizes=(31, 64), dists=("random", "organpipe"), algos=algos, trials=3, seed=2)
     records = run_benchmark(config)
     assert calls == {"generate": 12, "oracle_select": 12}
-    assert [(r.algo, r.trial) for r in records] == [(a.label, t) for _ in range(4) for a in algos for t in range(3)]
+    labels = [algo_label(algo) for algo in algos]
+    assert [(r.algo, r.trial) for r in records] == [(label, t) for _ in range(4) for label in labels for t in range(3)]
     # each algorithm's rows are those of a run with that algorithm alone
     for algo in algos:
         alone = run_benchmark(config._replace(algos=(algo,)))
-        assert [r for r in records if r.algo == algo.label] == alone, algo.label
+        assert [r for r in records if r.algo == algo_label(algo)] == alone, algo
 
 
 def test_run_benchmark_reports_the_first_failing_trial(monkeypatch):
@@ -303,10 +288,24 @@ def test_run_benchmark_reports_the_first_failing_trial(monkeypatch):
         return value + 1 if (pivot, seed) in wrong else value
 
     monkeypatch.setattr(bench, "quickselect", flaky)
-    algos = (AlgoSpec("quickselect"), AlgoSpec("quickselect", pivot="random"))
+    algos = ("quickselect-first", "quickselect-random")
     with pytest.raises(OracleMismatchError) as err:
         run_benchmark(BenchConfig(sizes=(31,), algos=algos, trials=2, seed=7))
     assert str(err.value) == f"oracle mismatch: algo=quickselect-random n=31 k=16 dist=random seed={seeds[0]} got=17"
+
+
+@pytest.mark.parametrize("algo", [SelectOptions("root", 2), *bench.QUICKSELECT_PIVOTS], ids=str)
+def test_run_algo_runs_what_the_configuration_names(algo):
+    values = generate(255, "random", 3)
+    arr, ctx = prepare_buffer(values), Metrics()
+    expected_arr, expected_ctx = prepare_buffer(values), Metrics()
+    if isinstance(algo, SelectOptions):
+        expected = dh_select(expected_arr, 128, algo, expected_ctx).value
+    else:
+        expected = quickselect(expected_arr, 128, bench.QUICKSELECT_PIVOTS[algo], expected_ctx, seed=3)
+    assert run_algo(algo, arr, 128, 3, ctx) == expected == 128
+    assert arr.buf == expected_arr.buf
+    assert ctx.snapshot() == expected_ctx.snapshot()
 
 
 def test_run_benchmark_oracle_gate_aborts_with_repro(monkeypatch):
@@ -320,19 +319,18 @@ def test_run_benchmark_oracle_gate_aborts_with_repro(monkeypatch):
 
 @pytest.mark.parametrize(
     "algo",
-    [AlgoSpec("quickselect"), AlgoSpec("quickselect", pivot="random"), AlgoSpec("quickselect-mom")],
-    ids=lambda algo: algo.label,
+    ["quickselect-first", "quickselect-random", "quickselect-mom"],
 )
 def test_run_benchmark_partition_gate_covers_every_algo(algo, monkeypatch):
     # the right value with the buffer left as it was: only the partition check sees it
     monkeypatch.setattr(bench, "quickselect", lambda arr, k, *args, **kwargs: sorted(arr.payload())[k - 1])
-    with pytest.raises(OracleMismatchError, match="algo=" + algo.label):
+    with pytest.raises(OracleMismatchError, match="algo=" + algo):
         run_benchmark(BenchConfig(sizes=(31,), algos=(algo,), trials=1, seed=7))
 
 
 def test_run_benchmark_phase_buckets_for_baselines():
     records = run_benchmark(
-        BenchConfig(sizes=(63,), algos=(AlgoSpec("quickselect-mom"),), trials=1)
+        BenchConfig(sizes=(63,), algos=("quickselect-mom",), trials=1)
     )
     r = records[0]
     assert r.algo == "quickselect-mom"
@@ -395,7 +393,7 @@ def test_emit_csv_line_counts(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     records = run_benchmark(
-        BenchConfig(sizes=(31,), algos=(AlgoSpec(), AlgoSpec("quickselect")), trials=2, seed=3)
+        BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=2, seed=3)
     )
     path = tmp_path / "roundtrip.csv"
     emit_csv(records, path)
@@ -413,11 +411,8 @@ def test_timing_defaults_to_zero_for_reproducibility():
 # Each frozen spec: every field given positionally, the same value given by
 # keywords that leave defaulted fields out, and a keyword that changes it.
 FROZEN_SPECS = {
-    "AlgoSpec": (
-        AlgoSpec, ("quickselect", "tree", 1, "random"), {"pivot": "random", "name": "quickselect"}, {"pivot": "first"}
-    ),
     "BenchConfig": (
-        BenchConfig, ((1023, 4095, 16383), ("random",), (AlgoSpec(),), 3, 0, None, False), {}, {"trials": 4}
+        BenchConfig, ((1023, 4095, 16383), ("random",), (SelectOptions(),), 3, 0, None, False), {}, {"trials": 4}
     ),
     "SelectOptions": (SelectOptions, ("tree", 1), {}, {"presplit": 2}),
 }
@@ -436,9 +431,8 @@ def test_frozen_spec_is_an_immutable_hashable_value(cls, args, kwargs, change):
 
 
 def test_frozen_spec_defaults():
-    assert AlgoSpec() == AlgoSpec("dhselect", "tree", 1, "first")
-    assert AlgoSpec("quickselect-mom") == AlgoSpec(name="quickselect-mom", pivot="first")
     assert BenchConfig(trials=1).sizes == bench.DEFAULT_SIZES
+    assert BenchConfig(trials=1).algos == (SelectOptions(),)
     assert SelectOptions() == SelectOptions(strategy="tree", presplit=1)
 
 
@@ -447,13 +441,17 @@ def test_frozen_spec_defaults():
     [
         (generate, (0, "sorted"), {}, "input size must be >= 1, got 0"),
         (generate, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
-        (AlgoSpec, ("heapselect",), {}, "unknown algo 'heapselect', expected one of " + repr(bench.ALGOS)),
-        (AlgoSpec, ("quickselect",), {"pivot": "last"}, "pivot must be one of ('first', 'random'), got 'last'"),
-        (AlgoSpec, ("quickselect",), {"presplit": 0}, "strategy and presplit apply only to dhselect, not to "
-         "'quickselect'"),
-        (AlgoSpec, ("dhselect",), {"pivot": "random"}, "pivot applies only to quickselect, not to 'dhselect'"),
-        (AlgoSpec, ("dhselect",), {"strategy": "spiral"}, "unknown swap strategy 'spiral', expected one of "
-         "('tree', 'branch', 'root')"),
+        # an algo is a SelectOptions or the name of a quickselect series in the
+        # CSV: neither the dhselect label nor the CLI's --algo quickselect is one
+        (BenchConfig, (), {"algos": ("heapselect",)}, "unknown algo 'heapselect', expected a SelectOptions or one "
+         "of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
+        (BenchConfig, (), {"algos": ("quickselect-last",)}, "unknown algo 'quickselect-last', expected a "
+         "SelectOptions or one of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
+        (BenchConfig, (), {"algos": ("dhselect",)}, "unknown algo 'dhselect', expected a SelectOptions or one of "
+         + repr(tuple(bench.QUICKSELECT_PIVOTS))),
+        (BenchConfig, (), {"algos": (SelectOptions(), "quickselect")}, "unknown algo 'quickselect', expected a "
+         "SelectOptions or one of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
+        (SelectOptions, ("spiral",), {}, "unknown swap strategy 'spiral', expected one of ('tree', 'branch', 'root')"),
         (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
         (quickselect, (prepare_buffer([5, 3, 9]), 2, "last"), {}, "unknown pivot rule 'last', expected one of "
          "('first', 'random', 'median_of_medians')"),
@@ -486,7 +484,9 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         # presplit counts heap builds; a bool or float would leak into the counts and the CSV
         (SelectOptions, (), {"presplit": True}, "presplit must be an int, not bool (True)"),
         (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
-        (AlgoSpec, ("dhselect",), {"presplit": 2.0}, "presplit must be an int, not float (2.0)"),
+        # the class in place of an instance of it
+        (BenchConfig, (), {"algos": (SelectOptions,)}, "each algo must be a SelectOptions or a name, not type "
+         "(<class 'dualheap.select.SelectOptions'>)"),
         # a bool size was written to the CSV as "true", which fit cannot read back
         (generate, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
         (generate, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
@@ -499,20 +499,21 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (worst_case_search_random, (5, True, 0), {}, "samples must be an int, not bool (True)"),
         (worst_case_search_random, (5, 2.5, 0), {}, "samples must be an int, not float (2.5)"),
         (worst_case_search_random, (5.0, 5, 0), {}, "input size must be an int, not float (5.0)"),
-        # a str algo failed with AttributeError after the first trials; a truthy
+        # a plain tuple equals a SelectOptions but is no configuration; a truthy
         # non-bool timing wrote a real elapsed_ns
         (generate, (5, "random", 1.5), {}, "seed must be an int, not float (1.5)"),
         (quickselect, (prepare_buffer([5, 3, 9]), 2), {"seed": True}, "seed must be an int, not bool (True)"),
-        (BenchConfig, (), {"algos": (AlgoSpec(), "dhselect")}, "each algo must be an AlgoSpec, not str ('dhselect')"),
+        (BenchConfig, (), {"algos": (("tree", 1),)}, "each algo must be a SelectOptions or a name, not tuple "
+         "(('tree', 1))"),
         (BenchConfig, (), {"timing": "no"}, "timing must be a bool, not str ('no')"),
         (BenchConfig, (), {"timing": 1}, "timing must be a bool, not int (1)"),
-        # a scalar series was iterated: "unknown dist 'r'", an AlgoSpec's own fields, or
+        # a scalar series was iterated: "unknown dist 'r'", a SelectOptions' own fields, or
         # Python's "'int' object is not iterable"; a list made the spec unhashable
         (BenchConfig, (), {"sizes": 31}, "sizes must be a tuple, not int (31)"),
         (BenchConfig, (), {"sizes": [31]}, "sizes must be a tuple, not list ([31])"),
         (BenchConfig, (), {"dists": "random"}, "dists must be a tuple, not str ('random')"),
-        (BenchConfig, (), {"algos": AlgoSpec()}, "algos must be a tuple, not AlgoSpec "
-         "(AlgoSpec(name='dhselect', strategy='tree', presplit=1, pivot='first'))"),
+        (BenchConfig, (), {"algos": SelectOptions()}, "algos must be a tuple, not SelectOptions "
+         "(SelectOptions(strategy='tree', presplit=1))"),
     ],
 )
 def test_spec_type_messages(cls, args, kwargs, message):
@@ -530,7 +531,7 @@ def _emitted_rows(emit, records) -> list[list[str]]:
 
 
 def test_experiment_record_round_trips_through_a_row():
-    records = run_benchmark(BenchConfig(sizes=(31,), algos=(AlgoSpec(), AlgoSpec("quickselect")), trials=1, seed=5))
+    records = run_benchmark(BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=1, seed=5))
     assert [r.presplit for r in records] == [1, None]
     failed = ExperimentRecord(
         algo="quickselect-first", swap_strategy="", presplit=None, n=3, k=2, dist="sorted", seed=7, trial=0,

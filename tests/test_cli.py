@@ -176,6 +176,31 @@ def test_fit_names_the_line_of_a_cell_it_cannot_parse(tmp_path, row, error):
     assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
 
 
+# a text file is decoded 8 KiB at a time; the line named is still the one
+# that holds the byte
+_PAST_THE_FIRST_BLOCK = b"".join(b"%d,%d\n" % (n, n) for n in range(1, 3000))
+
+
+@pytest.mark.parametrize(
+    "data, line, error",
+    [
+        (b"n,compares_total\n10,5\n1," + b"9" * 200_000 + b"\n", 3, "field larger than field limit (131072)"),
+        (b"\xfen,compares_total\n10,5\n", 1, "'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte"),
+        (b"n,compares_total\n" + _PAST_THE_FIRST_BLOCK + b"5,\xff\n", 3001, "'utf-8' codec can't decode byte 0xff in "
+         "position 2: invalid start byte"),
+    ],
+    ids=["field-limit", "not-utf8-header", "not-utf8"],
+)
+def test_fit_names_the_line_the_csv_reader_cannot_read(tmp_path, data, line, error):
+    # a field over the csv module's limit printed a traceback, and a byte
+    # that is not UTF-8 was reported without the file or the line
+    path = tmp_path / "series.csv"
+    path.write_bytes(data)
+    result = run_cli("fit", "--in", str(path))
+    message = f"dualheap: error: {path} line {line}: {error}\n"
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+
+
 @pytest.mark.parametrize(
     "argv",
     [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--mode", "random", "--n", "100", "--k", "101")],
@@ -354,7 +379,9 @@ def test_reproduce_figures_series_specs_construct():
     spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    labels = {name: [algo.label for algo in algos] for name, algos in module.SERIES.items()}
+    # a BenchConfig checks each algo of its series
+    configs = {name: bench.BenchConfig(algos=algos) for name, algos in module.SERIES.items()}
+    labels = {name: [bench.algo_label(algo) for algo in config.algos] for name, config in configs.items()}
     assert labels == {
         "swap_strategies": ["dhselect"] * 3,
         "presplit": ["dhselect"] * 3,

@@ -33,10 +33,10 @@ def _fake_checkouts(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
 
-def _record(tmp_path, seeds, workloads="sort-mid"):
+def _record(tmp_path, seeds, workloads="sort-mid", seconds="0.5"):
     return subprocess.run(
         [sys.executable, str(RECORD_BENCH), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--workloads", workloads, "--seeds", seeds, "--seconds", "0.5", "--tag", "t", "--out-dir", str(tmp_path)],
+         "--workloads", workloads, "--seeds", seeds, "--seconds", seconds, "--tag", "t", "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
     )
@@ -120,6 +120,32 @@ def test_record_bench_rejects_workloads_before_any_run(tmp_path, workloads, mess
     assert not (tmp_path / "BENCH_t.json").exists()
 
 
+@pytest.mark.parametrize("seconds", ["0", "-5", "nan", "inf"])
+def test_record_bench_rejects_a_run_length_before_any_run(tmp_path, seconds):
+    # an infinite run never ends, and one of 0 s or less measures nothing
+    _fake_checkouts(tmp_path)
+    result = _record(tmp_path, "7-9", seconds=seconds)
+    assert result.returncode == 1
+    assert f"argument --seconds: expected a finite number of seconds above 0, got {seconds}" in result.stderr
+    assert not (tmp_path / "calls.log").exists()
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("side, remove", [("parent", "."), ("change", "perfbench/run.py")], ids=["no-dir", "no-run-py"])
+def test_record_bench_rejects_a_checkout_before_any_run(tmp_path, side, remove):
+    # a missing parent ended in a traceback; a missing change only after the
+    # parent's first run
+    _fake_checkouts(tmp_path)
+    target = tmp_path / side / remove
+    shutil.rmtree(target) if target.is_dir() else target.unlink()
+    result = _record(tmp_path, "7-9")
+    assert result.returncode == 1
+    assert f"argument --{side}: {tmp_path / side} has no perfbench/run.py" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "calls.log").exists()
+    assert not (tmp_path / "BENCH_t.json").exists()
+
+
 def _load():
     spec = importlib.util.spec_from_file_location("record_bench", RECORD_BENCH)
     module = importlib.util.module_from_spec(spec)
@@ -175,8 +201,11 @@ def test_record_bench_asks_git_for_a_commit_run_py_reports_as_unknown(tmp_path, 
     _git("-C", str(repo), "init", "-q")
     _git("-C", str(repo), "commit", "-q", "--allow-empty", "-m", "first")
     _git("-C", str(repo), "worktree", "add", "-q", "--detach", str(tmp_path / "parent"))
-    (tmp_path / "change").mkdir()
     (repo / "copy").mkdir()
+    # main checks each checkout for a run.py before it runs anything
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").touch()
     head = _git("-C", str(repo), "rev-parse", "HEAD")
 
     module = _load()
