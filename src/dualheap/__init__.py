@@ -8,7 +8,7 @@ baselines and the oracle), ``dualheap.bench`` (the input generators, the
 bench runner and its CSV records) and ``dualheap.rng`` (the seeded stream).
 """
 
-from .core import Element, SentinelArray, build_max_heap, build_min_heap, split_indices
+from .core import SentinelArray, build_max_heap, build_min_heap, split_indices
 from .errors import InternalInvariantError
 from .metrics import Metrics, PhaseTally
 from .select import (

@@ -6,7 +6,7 @@ partition and pivot kernels count in the tally they are handed. The oracle
 is never counted; it exists to check everything else.
 """
 
-from .core import Element, SentinelArray, check_index
+from .core import SentinelArray, check_index
 from .metrics import Metrics, PhaseTally
 from .rng import SplitMix64, check_seed
 
@@ -15,10 +15,9 @@ PIVOT_RULES = ("first", "random", "median_of_medians")
 # Segments at or below this length resolve their median estimate by a direct
 # counted insertion sort instead of another round of group medians.
 _MOM_DIRECT_LIMIT = 25
-_MOM_GROUP = 5
 
 
-def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, tally: PhaseTally) -> int:
+def hoare_partition(buf, lo: int, hi: int, pivot_value, tally: PhaseTally) -> int:
     """Classic crossing scan over buf[lo..hi] around a pivot value that
     occurs in the segment. Returns j with values <= pivot-class at
     positions lo..j and >= pivot-class at j+1..hi.
@@ -47,7 +46,7 @@ def hoare_partition(buf, lo: int, hi: int, pivot_value: Element, tally: PhaseTal
         j -= 1
 
 
-def _median_by_insertion(vals: list[Element], tally: PhaseTally) -> Element:
+def _median_by_insertion(vals: list, tally: PhaseTally):
     """Lower median of a short fresh list, sorted in place by counted
     insertion (scratch writes are temporary traffic, not buffer moves). An
     insert compares once per slot it reads: from i - 1 down to where it
@@ -65,7 +64,7 @@ def _median_by_insertion(vals: list[Element], tally: PhaseTally) -> Element:
     return vals[(len(vals) + 1) // 2 - 1]
 
 
-def _median_of_five(a, b, c, d, e) -> tuple[Element, int]:
+def _median_of_five(a, b, c, d, e):
     """``_median_by_insertion`` on [a, b, c, d, e], written out: the same
     compares in the same order (earlier value > later value), the same
     lower median and its count, returned instead of added to a tally. Each
@@ -103,7 +102,7 @@ def _median_of_five(a, b, c, d, e) -> tuple[Element, int]:
     return c, n + 1
 
 
-def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
+def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally):
     """Median estimate for buf[lo..hi]: medians of groups of five (tail
     group may be shorter), round after round, until at most
     ``_MOM_DIRECT_LIMIT`` values are left, whose median is the estimate.
@@ -115,8 +114,8 @@ def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
         raise ValueError("median_of_medians needs a non-empty segment")
     values = buf[lo : hi + 1]
     while len(values) > _MOM_DIRECT_LIMIT:
-        full = len(values) - len(values) % _MOM_GROUP
-        medians, counts = zip(*map(_median_of_five, *(values[r:full:_MOM_GROUP] for r in range(_MOM_GROUP))))
+        full = len(values) - len(values) % 5
+        medians, counts = zip(*map(_median_of_five, *(values[r:full:5] for r in range(5))))
         tally.compares += sum(counts)
         tail = values[full:]
         values = list(medians)
@@ -125,7 +124,7 @@ def median_of_medians(buf, lo: int, hi: int, tally: PhaseTally) -> Element:
     return _median_by_insertion(values, tally)
 
 
-def _anchor_pivot(buf, lo: int, hi: int, pivot: str, stream: SplitMix64 | None, tally: PhaseTally) -> Element:
+def _anchor_pivot(buf, lo: int, hi: int, pivot: str, stream: SplitMix64 | None, tally: PhaseTally):
     """Choose the pivot per the rule and move one occurrence of it to
     position lo, which guarantees the crossing scan's boundary lands
     strictly left of hi (so both recursion sides are non-empty). The
@@ -145,7 +144,7 @@ def _anchor_pivot(buf, lo: int, hi: int, pivot: str, stream: SplitMix64 | None, 
 
 def quickselect(
     arr: SentinelArray, k: int, pivot: str = "first", ctx: Metrics | None = None, *, seed: int = 0
-) -> Element:
+):
     """k-th smallest via iterated partitioning, recursing only into the side
     containing k. Partitions the buffer in place like dh_select does.
 
@@ -176,7 +175,7 @@ def quickselect(
     return buf[k]
 
 
-def oracle_select(values, k: int) -> Element:
+def oracle_select(values, k: int):
     """Ground truth: k-th smallest via a full sort of a copy."""
     values = sorted(values)
     check_index(len(values), k)

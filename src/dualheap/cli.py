@@ -165,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_select(args) -> int:
-    arr = prepare_buffer(generate(args.n, args.dist, args.seed))
+    algo = _algo(args)
     k = args.k if args.k is not None else median_index(args.n)
-    print(run_algo(_algo(args), arr, k, args.seed, Metrics()))
+    check_index(args.n, k)
+    arr = prepare_buffer(generate(args.n, args.dist, args.seed))
+    print(run_algo(algo, arr, k, args.seed, Metrics()))
     return 0
 
 

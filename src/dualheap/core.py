@@ -31,8 +31,6 @@ bit-for-bit across implementations.
 
 from .metrics import PhaseTally
 
-Element = int
-
 
 class SentinelArray:
     """A buffer of ``n + 2`` slots: ``n`` payload elements at positions 1..n
@@ -42,17 +40,14 @@ class SentinelArray:
 
     __slots__ = ("buf",)
 
-    def __init__(self, buf: list[Element]):
+    def __init__(self, buf: list):
         self.buf = buf
 
     @property
     def n(self) -> int:
         return len(self.buf) - 2
 
-    def __eq__(self, other):
-        return type(other) is SentinelArray and self.buf == other.buf
-
-    def payload(self) -> list[Element]:
+    def payload(self) -> list:
         return self.buf[1:-1]
 
 
@@ -111,7 +106,7 @@ def _build_runs(hn: int) -> tuple[tuple[int, int], ...]:
     return tuple((first, min(last, half)) for first, last in spans if first <= half)
 
 
-def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) -> None:
+def build_min_heap(buf: list, base: int, hn: int, tally: PhaseTally) -> None:
     """Build a min-rooted heap of ``hn`` nodes, node j at ``buf[base + j]``,
     bottom-up: sift every internal node after both of its children, a
     blocked heap one subtree at a time (see ``_build_runs``).
@@ -205,7 +200,7 @@ def build_min_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) ->
     tally.moves += moves
 
 
-def build_max_heap(buf: list[Element], base: int, hn: int, tally: PhaseTally) -> None:
+def build_max_heap(buf: list, base: int, hn: int, tally: PhaseTally) -> None:
     """Build a max-rooted heap of ``hn`` nodes, node j at ``buf[base - j]``:
     the mirror image of build_min_heap, in the same node order and with the
     same choice of loop. The node at position p has its children at

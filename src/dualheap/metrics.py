@@ -22,9 +22,9 @@ class PhaseTally:
 
     __slots__ = ("compares", "moves")
 
-    def __init__(self, compares: int = 0, moves: int = 0):
-        self.compares = compares
-        self.moves = moves
+    def __init__(self):
+        self.compares = 0
+        self.moves = 0
 
     def __repr__(self):
         return f"PhaseTally(compares={self.compares}, moves={self.moves})"

@@ -15,7 +15,6 @@ import operator
 from collections import namedtuple
 
 from .core import (
-    Element,
     SentinelArray,
     build_max_heap,
     build_min_heap,
@@ -215,7 +214,7 @@ def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
         stack.append((off, k - 1))
 
 
-def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> list[Element]:
+def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> list:
     """Sort by recursive partitioning: select each segment's median address,
     then sort both halves. Placed partition elements act as the
     sub-segments' guards, so the initial sentinels are the only extras. The

@@ -291,6 +291,22 @@ def test_a_usage_error_leaves_out_as_it_was(argv, tmp_path):
     assert out.read_text() == "old\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("--algo", "quickselect", "--swap", "root"), "--swap does not apply to --algo quickselect"),
+        (("--k", "51"), "selection index k=51 out of range 1..50"),
+    ],
+    ids=["flag", "k"],
+)
+def test_select_usage_error_exits_before_any_input_is_generated(argv, error, monkeypatch):
+    def no_input_expected(*args):
+        raise AssertionError(f"an input was generated for {args}")
+
+    monkeypatch.setattr(cli, "generate", no_input_expected)
+    assert _in_process("select", "--n", "50", *argv) == (1, "", f"dualheap: error: {error}\n")
+
+
 def _in_process(*argv):
     """(exit code, stdout, stderr) of one in-process main call; argparse's
     own exits (--help, usage errors) count as returning their code."""
@@ -379,9 +395,9 @@ def test_reproduce_figures_series_specs_construct():
     spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # a BenchConfig checks each algo of its series
-    configs = {name: bench.BenchConfig(algos=algos) for name, algos in module.SERIES.items()}
-    labels = {name: [bench.algo_label(algo) for algo in config.algos] for name, config in configs.items()}
+    # a BenchConfig checks each algo of its series; one trial is one row per algo
+    configs = {name: bench.BenchConfig(sizes=(15,), algos=algos, trials=1) for name, algos in module.SERIES.items()}
+    labels = {name: [record.algo for record in bench.run_benchmark(config)] for name, config in configs.items()}
     assert labels == {
         "swap_strategies": ["dhselect"] * 3,
         "presplit": ["dhselect"] * 3,
@@ -470,7 +486,7 @@ def test_unknown_package_name_raises():
 # Every public name of the package root: an addition or a removal shows here
 # as a one-line diff. The harness names live only in their own modules.
 PUBLIC_NAMES = """
-    Element InternalInvariantError Metrics PRESPLITS PhaseTally STRATEGIES
+    InternalInvariantError Metrics PRESPLITS PhaseTally STRATEGIES
     SelectOptions SelectOutcome SentinelArray build_max_heap build_min_heap construct_dualheap
     dh_select dh_sort prepare_buffer run_swapping_phase split_indices swap_step_budget
     verify_partition
