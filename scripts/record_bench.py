@@ -93,6 +93,15 @@ def _checkout(text: str) -> Path:
     return path
 
 
+def _out_dir(text: str) -> Path:
+    """Where the record goes: an existing directory, checked before the
+    first run rather than when the record is written after the last."""
+    path = Path(text)
+    if not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is not a directory")
+    return path
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One untraced run.py run: (the environment it reports, its result
     line)."""
@@ -187,7 +196,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seeds, required=True, help="seeds, e.g. 961-965 or 1,4,9")
     parser.add_argument("--seconds", type=_seconds, default=30.0, help="measured seconds per run")
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
-    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where BENCH_<tag>.json goes")
+    parser.add_argument("--out-dir", type=_out_dir, default=str(ROOT), help="where BENCH_<tag>.json goes")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent, "change": args.change}

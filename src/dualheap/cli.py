@@ -93,7 +93,7 @@ _MODE_FLAGS = {"exhaustive": ("--max-n",), "random": ("--n", "--samples", "--see
 def _add_algo_flags(sub):
     sub.add_argument("--algo", default="dhselect", choices=_ALGO_FLAGS)
     _add_dualheap_flags(sub)
-    sub.add_argument("--pivot", default="first", choices=("first", "random"), help="quickselect pivot rule")
+    sub.add_argument("--pivot", choices=("first", "random"), help="quickselect pivot rule")
     # None marks a flag left out, so _algo can tell a flag that does not
     # apply to --algo from a default.
     sub.set_defaults(swap=None, presplit=None, pivot=None)

@@ -102,18 +102,11 @@ def _build_dualheap(buf, off: int, n: int, shn: int, presplit: int, tally: Phase
     build_min_heap(buf, off + shn, n - shn, tally)
 
 
-def _select_segment(arr: SentinelArray, off: int, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> int:
-    shn, _ = split_indices(n, k)
-    _build_dualheap(arr.buf, off, n, shn, opts.presplit, ctx.construct)
-    run_swapping_phase(arr.buf, off, n, shn, opts.strategy, ctx.swap)
-    return shn
-
-
 def construct_dualheap(arr: SentinelArray, k: int, presplit: int = 1, ctx: Metrics | None = None) -> int:
     """Run only the construction phase, ready for a swapping phase, and
     return the small side's size ``shn``: the buffer is then split after
-    position ``shn``, as ``core`` lays out a dual heap. Useful for
-    inspecting the phase boundary."""
+    position ``shn``, as ``core`` lays out a dual heap. ``dh_select`` is
+    this followed by ``run_swapping_phase``."""
     _check_presplit(presplit)
     if ctx is None:
         ctx = Metrics()
@@ -130,7 +123,8 @@ def dh_select(arr: SentinelArray, k: int, opts: SelectOptions | None = None, ctx
         opts = SelectOptions()
     if ctx is None:
         ctx = Metrics()
-    shn = _select_segment(arr, 0, arr.n, k, opts, ctx)
+    shn = construct_dualheap(arr, k, opts.presplit, ctx)
+    run_swapping_phase(arr.buf, 0, arr.n, shn, opts.strategy, ctx.swap)
     return SelectOutcome(value=arr.buf[k], split=shn, metrics=ctx)
 
 
@@ -147,9 +141,9 @@ def verify_partition(arr: SentinelArray, k: int) -> bool:
 
 
 def _select_three(buf, off: int, presplit: int, construct: PhaseTally, swap: PhaseTally) -> None:
-    """``_select_segment`` at n = 3, k = 2, for presplit 1 or 2, written
-    out. The small heap is the first element alone and the large heap the
-    other two, so the three strategies coincide.
+    """``_build_dualheap`` then ``run_swapping_phase`` at n = 3, k = 2, for
+    presplit 1 or 2, written out. The small heap is the first element alone
+    and the large heap the other two, so the three strategies coincide.
 
     Each sift picks the smaller child (the left one on ties), compares it
     with its parent and counts 2 compares; a one-child sift's other compare
@@ -188,11 +182,10 @@ def _sort_segments(buf, n: int, opts: SelectOptions, ctx: Metrics) -> None:
     """Select the median address of every segment, left half before right
     half, from an explicit stack of ``(off, n)`` pairs.
 
-    With a presplit, a segment of 3 elements runs its straight-line select;
-    any other segment runs the construction and swapping phases of
-    ``_select_segment`` with the split computed here, since k = (n+1)//2 is
-    always in range. Both give the same buffer and counts as
-    ``_select_segment`` at that k.
+    With a presplit, a segment of 3 elements runs its straight-line select,
+    which gives the same buffer and counts as the general path; any other
+    segment runs ``_build_dualheap`` and then ``run_swapping_phase`` with
+    the split computed here, since k = (n+1)//2 is always in range.
     """
     presplit = opts.presplit
     strategy = opts.strategy
@@ -218,7 +211,8 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
     """Sort by recursive partitioning: select each segment's median address,
     then sort both halves. Placed partition elements act as the
     sub-segments' guards, so the initial sentinels are the only extras. The
-    buffer and counts are those of ``_select_segment`` applied recursively
+    buffer and counts are those of ``_build_dualheap`` then
+    ``run_swapping_phase`` at each segment's median, applied recursively
     (see ``_sort_segments``)."""
     if opts is None:
         opts = SelectOptions()

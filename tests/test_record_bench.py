@@ -33,10 +33,11 @@ def _fake_checkouts(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
 
-def _record(tmp_path, seeds, workloads="sort-mid", seconds="0.5"):
+def _record(tmp_path, seeds, workloads="sort-mid", seconds="0.5", out_dir=None):
     return subprocess.run(
         [sys.executable, str(RECORD_BENCH), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--workloads", workloads, "--seeds", seeds, "--seconds", seconds, "--tag", "t", "--out-dir", str(tmp_path)],
+         "--workloads", workloads, "--seeds", seeds, "--seconds", seconds, "--tag", "t",
+         "--out-dir", str(out_dir or tmp_path)],
         capture_output=True,
         text=True,
     )
@@ -144,6 +145,21 @@ def test_record_bench_rejects_a_checkout_before_any_run(tmp_path, side, remove):
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "calls.log").exists()
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("name, make", [("missing", None), ("a-file", Path.touch)], ids=["missing", "file"])
+def test_record_bench_rejects_an_out_dir_before_any_run(tmp_path, name, make):
+    # a missing directory would otherwise fail only when the record is
+    # written, after every run
+    _fake_checkouts(tmp_path)
+    out_dir = tmp_path / name
+    if make:
+        make(out_dir)
+    result = _record(tmp_path, "1-2", out_dir=out_dir)
+    assert result.returncode == 1
+    assert f"argument --out-dir: {out_dir} is not a directory" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "calls.log").exists()
 
 
 def _load():

@@ -14,12 +14,13 @@ from dualheap import (
     STRATEGIES,
     Metrics,
     SelectOptions,
-    SentinelArray,
     build_min_heap,
     construct_dualheap,
     dh_select,
     dh_sort,
     prepare_buffer,
+    run_swapping_phase,
+    split_indices,
     verify_partition,
 )
 from dualheap.baselines import oracle_select
@@ -443,9 +444,17 @@ def _keys_and_tags(buf):
     return [(x.key, x.tag) for x in buf]
 
 
+def _select_at(buf, off, n, k, opts, ctx):
+    """The construction phase, then the swapping phase, on the segment at
+    off+1 .. off+n: the general path the sorter's shortcuts must match."""
+    shn, _ = split_indices(n, k)
+    select._build_dualheap(buf, off, n, shn, opts.presplit, ctx.construct)
+    run_swapping_phase(buf, off, n, shn, opts.strategy, ctx.swap)
+
+
 def test_select_three_matches_the_general_path():
     # The straight-line select is a second code path; the general
-    # _select_segment at k = 2 is its reference, for every weak order of the
+    # path at k = 2 is its reference, for every weak order of the
     # segment, both kinds of guard, a nonzero offset and every presplit
     # dh_sort sends it (presplit-0 segments take the general path).
     n = 3
@@ -460,8 +469,7 @@ def test_select_three_matches_the_general_path():
                 for strategy in ("tree", "branch", "root"):
                     want = _guarded_buffer(ranks, below, above, off)
                     want_ctx = Metrics()
-                    arr = SentinelArray(want)
-                    select._select_segment(arr, off, n, 2, SelectOptions(strategy, presplit), want_ctx)
+                    _select_at(want, off, n, 2, SelectOptions(strategy, presplit), want_ctx)
                     assert _keys_and_tags(got) == _keys_and_tags(want), (ranks, below, above, strategy, presplit)
                     assert got_ctx.snapshot() == want_ctx.snapshot(), (ranks, below, above, strategy, presplit)
                     cases += 1
@@ -469,7 +477,7 @@ def test_select_three_matches_the_general_path():
 
 
 def _reference_sort(values, opts, ctx):
-    """dh_sort as recursion over _select_segment: the reference for the
+    """dh_sort as recursion over _select_at: the reference for the
     stack driver and its n = 3 select."""
     arr = prepare_buffer(values)
 
@@ -477,7 +485,7 @@ def _reference_sort(values, opts, ctx):
         if n <= 1:
             return
         k = (n + 1) // 2
-        select._select_segment(arr, off, n, k, opts, ctx)
+        _select_at(arr.buf, off, n, k, opts, ctx)
         sort_segment(off, k - 1)
         sort_segment(off + k, n - k)
 
