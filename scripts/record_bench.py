@@ -2,21 +2,23 @@
 """Record alternating parent/change benchmark runs as ``BENCH_<tag>.json``.
 
     python3 scripts/record_bench.py --parent ../parent --workloads sort-mid \\
-        --seeds 961-967 --seconds 30 --tag mychange
+        --seeds 961-967 --tag mychange
 
 For each workload and seed, ``perfbench/run.py`` runs once in the parent
-checkout and once in the change checkout (this one by default); the side
-that runs first alternates from pair to pair, so a slow spell of the host
-does not land on one side only. The result line of every run (the last line
-run.py prints) is kept as it is, with the commit, interpreter and core count
-that run.py reports; where run.py reports the commit as "unknown", git is
-asked for the checkout's. The record's platform block says whether bytecode
-writing was off. A summary gives, per metric, the median of each side, the
-parent's quartiles, the number of pairs in which the change read lower and
-whether the pairs show a gain by the claim rule (``gain_shown``);
-and per side, the number of runs that were not ``correct`` and the total of
-failed operations. Nothing here changes what run.py measures or how its
-metrics are gated.
+checkout and once in the change checkout (this one by default), each run
+for BENCHMARK.json's ``run_seconds``; the side that runs first alternates
+from pair to pair, so a slow spell of the host does not land on one side
+only. The result line of every run (the last line run.py prints) is kept as
+it is, with the interpreter and core count that run.py reports and the
+commit git gives for the checkout before the first run: "unknown" for a
+checkout git does not know (a ``git archive`` copy), and none at all for
+one that differs from its HEAD, which is refused. The record's platform
+block says whether bytecode writing was off. A summary gives, per metric,
+the median of each side, the parent's quartiles, the number of pairs in
+which the change read lower and whether the pairs show a gain by the claim
+rule (``gain_shown``); and per side, the number of runs that were not
+``correct`` and the total of failed operations. Nothing here changes what
+run.py measures or how its metrics are gated.
 """
 
 from __future__ import annotations
@@ -76,15 +78,6 @@ def _workloads(text: str) -> list[str]:
     return _once_each(names, "workloads")
 
 
-def _seconds(text: str) -> float:
-    """A run length in seconds: finite and above 0, so that every run can
-    end and measure something. A nan fails both comparisons."""
-    value = float(text)
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a finite number of seconds above 0, got {text}")
-    return value
-
-
 def _checkout(text: str) -> Path:
     """A checkout to run: a directory that holds perfbench/run.py."""
     path = Path(text).resolve()
@@ -118,23 +111,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     return json.loads(lines[-2])["report"]["environment"], json.loads(lines[-1])
 
 
-def checkout_commit(checkout: Path, reported: str) -> str:
-    """The commit run.py reported for a checkout. run.py reads .git itself
-    and reports "unknown" for a ``git archive`` copy or a ``git worktree``
-    checkout, whose .git is a file; then the commit is git's answer for the
-    checkout, or "unknown" if git fails or finds a repository whose top is
-    not the checkout (a copy unpacked inside another repository)."""
-    if reported != "unknown":
-        return reported
+def checkout_commit(checkout: Path) -> str:
+    """git's HEAD commit for a checkout, or "unknown" if git fails or finds
+    a repository whose top is not the checkout (a copy unpacked inside
+    another repository). A checkout whose files differ from its HEAD,
+    untracked ones included, exits 1: no commit names what it would run."""
+    git = ["git", "-C", str(checkout)]
     try:
-        out = subprocess.run(
-            ["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True
-        )
+        out = subprocess.run([*git, "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True)
     except OSError:
-        return reported
+        return "unknown"
     lines = out.stdout.splitlines()
     if out.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
-        return reported
+        return "unknown"
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True, check=True).stdout
+    if status:
+        raise SystemExit(f"record_bench: {checkout} differs from its HEAD {lines[1]}:\n{status}")
     return lines[1]
 
 
@@ -194,18 +186,19 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=_checkout, default=str(ROOT), help="checkout of the change (default: this one)")
     parser.add_argument("--workloads", type=_workloads, required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", type=_seeds, required=True, help="seeds, e.g. 961-965 or 1,4,9")
-    parser.add_argument("--seconds", type=_seconds, default=30.0, help="measured seconds per run")
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     parser.add_argument("--out-dir", type=_out_dir, default=str(ROOT), help="where BENCH_<tag>.json goes")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent, "change": args.change}
+    commits = {side: checkout_commit(checkout) for side, checkout in checkouts.items()}
+    seconds = _benchmark()["run_seconds"]
     entries = []
     for workload in args.workloads:
         for pair, seed in enumerate(args.seeds):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                env, result = run_once(checkouts[side], workload, seed, args.seconds)
+                env, result = run_once(checkouts[side], workload, seed, seconds)
                 entries.append(
                     {
                         "workload": workload,
@@ -213,7 +206,7 @@ def main(argv=None) -> int:
                         "seed": seed,
                         "side": side,
                         "order": position,
-                        "commit": checkout_commit(checkouts[side], env["git_commit"]),
+                        "commit": commits[side],
                         "interpreter": f"{env['implementation']} {env['python']}",
                         "cpu_count": env["cpu_count"],
                         "result": result,
@@ -228,7 +221,7 @@ def main(argv=None) -> int:
             # their imports then compiles from source, and setup_s about doubles
             "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
-        "seconds": args.seconds,
+        "seconds": seconds,
         "entries": entries,
         "summary": summarize(entries),
     }

@@ -80,8 +80,8 @@ def _add_input_flags(sub):
 
 
 def _add_dualheap_flags(sub):
-    sub.add_argument("--swap", default="tree", choices=STRATEGIES, help="dualheap swap strategy")
-    sub.add_argument("--presplit", type=int, default=1, choices=PRESPLITS)
+    sub.add_argument("--swap", choices=STRATEGIES, help="dualheap swap strategy")
+    sub.add_argument("--presplit", type=int, choices=PRESPLITS)
 
 
 # The flags that configure each choice of --algo and of worstcase --mode;
@@ -94,9 +94,6 @@ def _add_algo_flags(sub):
     sub.add_argument("--algo", default="dhselect", choices=_ALGO_FLAGS)
     _add_dualheap_flags(sub)
     sub.add_argument("--pivot", choices=("first", "random"), help="quickselect pivot rule")
-    # None marks a flag left out, so _algo can tell a flag that does not
-    # apply to --algo from a default.
-    sub.set_defaults(swap=None, presplit=None, pivot=None)
 
 
 def _check_flags(args, option: str, table: dict[str, tuple[str, ...]]) -> None:
@@ -106,12 +103,16 @@ def _check_flags(args, option: str, table: dict[str, tuple[str, ...]]) -> None:
             raise ValueError(f"{flag} does not apply to {option} {choice}")
 
 
+def _options(args) -> SelectOptions:
+    fields = {"strategy": args.swap, "presplit": args.presplit}
+    return SelectOptions(**{name: value for name, value in fields.items() if value is not None})
+
+
 def _algo(args):
     _check_flags(args, "--algo", _ALGO_FLAGS)
     if args.algo != "dhselect":
         return f"quickselect-{args.pivot or 'first'}" if args.algo == "quickselect" else args.algo
-    fields = {"strategy": args.swap, "presplit": args.presplit}
-    return SelectOptions(**{name: value for name, value in fields.items() if value is not None})
+    return _options(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +185,7 @@ def _output(path):
 def cmd_sort(args) -> int:
     with _output(args.out) as dest:
         values = generate(args.n, args.dist, args.seed)
-        print(" ".join(map(str, dh_sort(values, SelectOptions(args.swap, args.presplit)))), file=dest)
+        print(" ".join(map(str, dh_sort(values, _options(args)))), file=dest)
     return 0
 
 
@@ -205,7 +206,7 @@ def cmd_bench(args) -> int:
 
 def cmd_worstcase(args) -> int:
     _check_flags(args, "--mode", _MODE_FLAGS)
-    opts = SelectOptions(args.swap, args.presplit)
+    opts = _options(args)
     sizes = args.n or (1023,)
     if args.k is not None:
         # every size before --out is opened and the first sample drawn, as

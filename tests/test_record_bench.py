@@ -33,11 +33,10 @@ def _fake_checkouts(tmp_path):
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
 
 
-def _record(tmp_path, seeds, workloads="sort-mid", seconds="0.5", out_dir=None):
+def _record(tmp_path, seeds, workloads="sort-mid", out_dir=None):
     return subprocess.run(
         [sys.executable, str(RECORD_BENCH), "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--workloads", workloads, "--seeds", seeds, "--seconds", seconds, "--tag", "t",
-         "--out-dir", str(out_dir or tmp_path)],
+         "--workloads", workloads, "--seeds", seeds, "--tag", "t", "--out-dir", str(out_dir or tmp_path)],
         capture_output=True,
         text=True,
     )
@@ -49,13 +48,16 @@ def test_record_bench_alternates_sides_and_keeps_every_result(tmp_path):
     assert result.returncode == 0, result.stderr
     calls = (tmp_path / "calls.log").read_text().splitlines()
     assert [call.split()[0] for call in calls] == ["parent", "change", "change", "parent", "parent", "change"]
-    assert calls[0].split()[1:] == ["--workload", "sort-mid", "--seed", "7", "--seconds", "0.5", "--trace", "0"]
+    # every run gets BENCHMARK.json's run_seconds, which the record reports
+    assert calls[0].split()[1:] == ["--workload", "sort-mid", "--seed", "7", "--seconds", "30", "--trace", "0"]
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["seconds"] == 30
     entries = record["entries"]
     assert [(e["seed"], e["side"], e["order"]) for e in entries] == [
         (7, "parent", 0), (7, "change", 1), (8, "change", 0), (8, "parent", 1), (9, "parent", 0), (9, "change", 1),
     ]
-    assert all(e["interpreter"] == "CPython 3.x" and e["cpu_count"] == 2 and e["commit"] == e["side"] for e in entries)
+    # the fake checkouts are not repositories, and the commit run.py reports is not read
+    assert all(e["interpreter"] == "CPython 3.x" and e["cpu_count"] == 2 and e["commit"] == "unknown" for e in entries)
     summary = record["summary"]["sort-mid"]["latency_tail_s"]
     assert summary["parent_median"] == pytest.approx(0.208)
     assert summary["change_median"] == pytest.approx(0.108)
@@ -117,17 +119,6 @@ def test_record_bench_rejects_workloads_before_any_run(tmp_path, workloads, mess
     result = _record(tmp_path, "7-9", workloads)
     assert result.returncode == 1
     assert message in result.stderr
-    assert not (tmp_path / "calls.log").exists()
-    assert not (tmp_path / "BENCH_t.json").exists()
-
-
-@pytest.mark.parametrize("seconds", ["0", "-5", "nan", "inf"])
-def test_record_bench_rejects_a_run_length_before_any_run(tmp_path, seconds):
-    # an infinite run never ends, and one of 0 s or less measures nothing
-    _fake_checkouts(tmp_path)
-    result = _record(tmp_path, "7-9", seconds=seconds)
-    assert result.returncode == 1
-    assert f"argument --seconds: expected a finite number of seconds above 0, got {seconds}" in result.stderr
     assert not (tmp_path / "calls.log").exists()
     assert not (tmp_path / "BENCH_t.json").exists()
 
@@ -210,18 +201,22 @@ def _git(*args):
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_record_bench_asks_git_for_a_commit_run_py_reports_as_unknown(tmp_path, monkeypatch):
-    # run.py reads .git itself: a worktree, whose .git is a file, and a copy
-    # without .git both read "unknown"
+    # run.py reads .git itself and reports "unknown" for a worktree, whose
+    # .git is a file; the record asks git for each checkout's commit instead
     repo = tmp_path / "repo"
-    repo.mkdir()
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").touch()
+    (repo / ".gitignore").write_text("__pycache__/\n")
     _git("-C", str(repo), "init", "-q")
-    _git("-C", str(repo), "commit", "-q", "--allow-empty", "-m", "first")
+    _git("-C", str(repo), "add", ".")
+    _git("-C", str(repo), "commit", "-q", "-m", "first")
     _git("-C", str(repo), "worktree", "add", "-q", "--detach", str(tmp_path / "parent"))
+    # an ignored file leaves a checkout clean
+    (tmp_path / "parent" / "perfbench" / "__pycache__").mkdir()
+    (tmp_path / "parent" / "perfbench" / "__pycache__" / "run.pyc").touch()
+    (tmp_path / "change" / "perfbench").mkdir(parents=True)
+    (tmp_path / "change" / "perfbench" / "run.py").touch()
     (repo / "copy").mkdir()
-    # main checks each checkout for a run.py before it runs anything
-    for side in ("parent", "change"):
-        (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").touch()
     head = _git("-C", str(repo), "rev-parse", "HEAD")
 
     module = _load()
@@ -235,7 +230,30 @@ def test_record_bench_asks_git_for_a_commit_run_py_reports_as_unknown(tmp_path, 
     assert [(e["side"], e["commit"]) for e in entries] == [
         ("parent", head), ("change", "unknown"), ("change", "unknown"), ("parent", head),
     ]
-    # a copy inside another repository is not that repository's HEAD, and a
-    # commit run.py did read is kept
-    assert module.checkout_commit(repo / "copy", "unknown") == "unknown"
-    assert module.checkout_commit(repo, "abc123") == "abc123"
+    # a copy inside another repository is not that repository's HEAD
+    assert module.checkout_commit(repo / "copy") == "unknown"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+@pytest.mark.parametrize(
+    "change, line", [("modified", " M perfbench/run.py"), ("untracked", "?? notes.txt")], ids=["modified", "untracked"]
+)
+def test_record_bench_rejects_a_checkout_that_differs_from_its_head_before_any_run(tmp_path, change, line):
+    # its HEAD would name a commit the runs did not measure
+    _fake_checkouts(tmp_path)
+    parent = tmp_path / "parent"
+    _git("-C", str(parent), "init", "-q")
+    _git("-C", str(parent), "add", ".")
+    _git("-C", str(parent), "commit", "-q", "-m", "first")
+    head = _git("-C", str(parent), "rev-parse", "HEAD")
+    if change == "modified":
+        with open(parent / "perfbench" / "run.py", "a") as run_py:
+            run_py.write("# edited\n")
+    else:
+        (parent / "notes.txt").touch()
+    result = _record(tmp_path, "7-9")
+    assert result.returncode == 1
+    assert f"record_bench: {parent} differs from its HEAD {head}:\n{line}\n" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "calls.log").exists()
+    assert not (tmp_path / "BENCH_t.json").exists()
