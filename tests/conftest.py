@@ -1,5 +1,7 @@
+import os
 from collections import Counter
 
+import pytest
 from hypothesis import settings
 
 from dualheap import InternalInvariantError
@@ -10,6 +12,21 @@ from dualheap.swaps import _REACH, swap_step_budget
 # elsewhere, no need for shrink-seed noise here.
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    reaped = []
+    try:
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            reaped.append(pid)
+    except ChildProcessError:
+        if not reaped:
+            return
+        pytest.fail(f"child processes left unreaped: {reaped}")
+    pytest.fail("a child process is still running")
 
 
 def same_multiset(a, b) -> bool:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -174,6 +176,20 @@ def test_builds_exhaustive_small_n():
             assert same_multiset(marr.payload(), perm)
             assert marr.buf[n] == n
             assert mctx.compares_total <= 3 * n
+
+
+def test_floyd_build_is_uniform_over_heaps():
+    # Floyd's construction preserves randomness: the n! permutations of
+    # 1..n build each of the H(n) min-heaps (OEIS A056971) n!/H(n) times.
+    for n, heaps in zip(range(1, 9), (1, 1, 2, 3, 8, 20, 80, 210)):
+        built = Counter()
+        for perm in itertools.permutations(range(1, n + 1)):
+            buf = [0, *perm, n + 1]
+            build_min_heap(buf, 0, n, PhaseTally())
+            built[tuple(buf)] += 1
+        assert all(check_heap_condition(list(buf), 0, n, 0) for buf in built)
+        assert len(built) == heaps
+        assert set(built.values()) == {math.factorial(n) // heaps}
 
 
 def _build_bounds(n):

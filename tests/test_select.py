@@ -1,14 +1,17 @@
 import ast
 import gc
 import itertools
+import os
 import random
 import re
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dualheap.parallel as parallel
 import dualheap.select as select
 from dualheap import (
     STRATEGIES,
@@ -515,6 +518,106 @@ def test_sort_matches_recursive_reference_at_2047(dist):
     # benchmark; 2000 does not.
     _same_sort_as_reference(generate(2047, dist, seed=9))
     _same_sort_as_reference(generate(2000, dist, seed=9))
+
+
+# --- dh_sort in two processes ------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count the calls of ``os.fork``; the fork itself is unchanged."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _sequential_sort(monkeypatch, values, opts):
+    """dh_sort with os.fork gone: the single-process driver."""
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        ctx = Metrics()
+        return dh_sort(values, opts, ctx), ctx.snapshot()
+
+
+def _same_sort_as_sequential(monkeypatch, values, opts):
+    want, want_counts = _sequential_sort(monkeypatch, values, opts)
+    ctx = Metrics()
+    got = dh_sort(values, opts, ctx)
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want], opts
+    assert ctx.snapshot() == want_counts, opts
+    assert sorted(map(id, got)) == sorted(map(id, values)), opts
+
+
+def _ones_and_floats(n):
+    # equal 1 and 1.0 (and 2 and 2.0, ...) tell a wrong arrangement apart
+    return [float(v) if i % 3 else v for i, v in enumerate(generate(n, "fewvalues", seed=4))]
+
+
+@pytest.mark.parametrize("n", [select._FORK_MIN_N, 16383])
+@pytest.mark.parametrize("dist", ["random", "fewvalues", "ones_and_floats"])
+def test_forked_sort_matches_the_sequential_driver(n, dist, forks, monkeypatch):
+    values = _ones_and_floats(n) if dist == "ones_and_floats" else generate(n, dist, seed=n)
+    for strategy, presplit in itertools.product(STRATEGIES, select.PRESPLITS):
+        _same_sort_as_sequential(monkeypatch, values, SelectOptions(strategy, presplit))
+    assert len(forks) == 9
+
+
+def _failing_fork():
+    raise OSError("fork refused")
+
+
+class _BrokenMarshal:
+    @staticmethod
+    def dumps(report):
+        raise ValueError("cannot send")
+
+
+def test_sort_falls_back_when_the_fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "fork", _failing_fork)
+    _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+
+
+def test_sort_discards_a_child_that_exits_nonzero(forks, monkeypatch):
+    monkeypatch.setattr(parallel, "marshal", _BrokenMarshal)
+    _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+    assert len(forks) == 1
+
+
+def test_sort_does_not_fork_while_another_thread_is_alive(forks, monkeypatch):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [Tagged(v, i) for i, v in enumerate(generate(select._FORK_MIN_N, "fewvalues", seed=4))],
+        [bool(v % 2) for v in range(select._FORK_MIN_N)],
+        generate(select._FORK_MIN_N - 1, "random", seed=4),
+    ],
+    ids=["tagged", "bool", "below_threshold"],
+)
+def test_sort_does_not_fork(values, forks, monkeypatch):
+    want, want_counts = _sequential_sort(monkeypatch, values, SelectOptions())
+    ctx = Metrics()
+    got = dh_sort(values, SelectOptions(), ctx)
+    assert list(map(id, got)) == list(map(id, want))
+    assert ctx.snapshot() == want_counts
+    assert forks == []
 
 
 # --- reference cycles --------------------------------------------------------
