@@ -612,11 +612,7 @@ def test_sort_does_not_fork_while_another_thread_is_alive(forks, monkeypatch):
     ids=["tagged", "bool", "below_threshold"],
 )
 def test_sort_does_not_fork(values, forks, monkeypatch):
-    want, want_counts = _sequential_sort(monkeypatch, values, SelectOptions())
-    ctx = Metrics()
-    got = dh_sort(values, SelectOptions(), ctx)
-    assert list(map(id, got)) == list(map(id, want))
-    assert ctx.snapshot() == want_counts
+    _same_sort_as_sequential(monkeypatch, values, SelectOptions())
     assert forks == []
 
 
