@@ -8,6 +8,7 @@ import from 6.1 to 7.0 ms, medians of 40 alternating fresh-interpreter
 pairs (CPython 3.11.7, 2 vCPUs).
 """
 
+import gc
 import marshal
 import os
 
@@ -21,15 +22,31 @@ def sort_halves(buf, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> None:
     writes its four counters and the half's arrangement, as positions in
     the half before the sort, to a pipe and exits 0, so this process
     rebuilds the half from its own objects. The halves share no slot, so
-    the buffer and counts are those of ``_sort_segments``. If the fork
-    fails or the child exits nonzero, the right half, which this process
-    never wrote, is sorted here too."""
+    the buffer and counts are those of ``_sort_segments``. If the pipe or
+    the fork fails, or the child exits nonzero, the right half, which this
+    process never wrote, is sorted here too."""
     seg = buf[k + 1 : n + 1]
-    r, w = os.pipe()
+    # The collector stays off in the child, so that a garbage cycle the
+    # caller left runs its finalizers here only, not in both processes.
+    collecting = gc.isenabled()
+    gc.disable()
+    pid = -1
     try:
-        pid = os.fork()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
     except OSError:
-        pid = -1
+        pass
+    finally:
+        if pid and collecting:
+            gc.enable()
+    if pid < 0:
+        _sort_segments(buf, [(k, n - k), (0, k - 1)], opts, ctx)
+        return
     if not pid:
         status = 1
         try:
@@ -52,7 +69,7 @@ def sort_halves(buf, n: int, k: int, opts: SelectOptions, ctx: Metrics) -> None:
             _sort_segments(buf, [(0, k - 1)], opts, ctx)
             report = pipe.read()
     finally:
-        status = pid < 0 or os.waitpid(pid, 0)[1]
+        status = os.waitpid(pid, 0)[1]
     if status:
         _sort_segments(buf, [(k, n - k)], opts, ctx)
         return

@@ -524,7 +524,16 @@ def test_sort_matches_recursive_reference_at_2047(dist):
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the host has, so dh_sort may fork."""
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def forks(two_cpus, monkeypatch):
     """Count the calls of ``os.fork``; the fork itself is unchanged."""
     calls = []
     fork = os.fork
@@ -568,8 +577,12 @@ def test_forked_sort_matches_the_sequential_driver(n, dist, forks, monkeypatch):
     assert len(forks) == 9
 
 
-def _failing_fork():
-    raise OSError("fork refused")
+def _refused(calls):
+    def refuse(*args):
+        calls.append(None)
+        raise OSError("refused")
+
+    return refuse
 
 
 class _BrokenMarshal:
@@ -578,9 +591,50 @@ class _BrokenMarshal:
         raise ValueError("cannot send")
 
 
-def test_sort_falls_back_when_the_fork_fails(monkeypatch):
-    monkeypatch.setattr(os, "fork", _failing_fork)
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_sort_falls_back_when_the_fork_or_its_pipe_fails(call, two_cpus, monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, call, _refused(calls))
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+    assert len(calls) == 1
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
+class _Finalized:
+    """Writes the pid of the process that finalizes it to ``fd``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.cycle = self
+
+    def __del__(self):
+        os.write(self.fd, b"%d\n" % os.getpid())
+
+
+def test_forked_child_does_not_collect_the_callers_garbage(forks, monkeypatch):
+    # A cycle becomes garbage just before the fork. The collector, run at
+    # nearly every allocation, must finalize it in this process only.
+    r, w = os.pipe()
+    fork = os.fork
+
+    def fork_after_garbage():
+        _Finalized(w)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_after_garbage)
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)
+    try:
+        dh_sort(generate(select._FORK_MIN_N, "random", seed=3))
+        gc.collect()
+    finally:
+        gc.set_threshold(*threshold)
+        os.close(w)
+    with open(r, "rb") as pipe:
+        assert pipe.read().split() == [b"%d" % os.getpid()]
+    assert len(forks) == 1
 
 
 def test_sort_discards_a_child_that_exits_nonzero(forks, monkeypatch):
