@@ -17,14 +17,13 @@ from, as CSV files plus a per-series summary table on stdout:
 Plotting is left to downstream tools (the CSVs are tidy long-format).
 """
 
-import csv
 import functools
 import math
 import statistics
 from pathlib import Path
 
 from dualheap import InternalInvariantError, Metrics, SelectOptions, dh_sort
-from dualheap.bench import BenchConfig, emit_csv, generate, run_benchmark
+from dualheap.bench import BenchConfig, emit_csv, generate, run_benchmark, write_csv
 from dualheap.cli import _int_list, _Parser, _positive, _seed
 from dualheap.rng import SplitMix64
 
@@ -54,20 +53,21 @@ def series_key(record):
     return record.algo
 
 
-def summarize(name, records, metrics):
-    print(f"\n{name} (mean over trials)")
-    sizes = sorted({r.n for r in records})
-    keys = list(dict.fromkeys(series_key(r) for r in records))
+def summarize(title, points, fmt):
+    """Print one table per metric of ``(metric, series, n, value)`` points:
+    a row per series, in the order first seen, and the mean of its values
+    at each size, sizes ascending, formatted by ``fmt``."""
+    tables = {}
+    for metric, series, n, value in points:
+        tables.setdefault(metric, {}).setdefault(series, {}).setdefault(n, []).append(value)
+    sizes = sorted({point[2] for point in points})
+    print(f"\n{title}")
     header = "series".ljust(36) + "".join(f"{f'n={n}':>14}" for n in sizes)
-    for metric in metrics:
+    for metric, rows in tables.items():
         print(f"  {metric}:")
         print("  " + header)
-        for key in keys:
-            row = key.ljust(36)
-            for n in sizes:
-                values = [getattr(r, metric) for r in records if series_key(r) == key and r.n == n]
-                row += f"{statistics.fmean(values):>14.0f}"
-            print("  " + row)
+        for series, cells in rows.items():
+            print("  " + series.ljust(36) + "".join(f"{statistics.fmean(cells[n]):>14{fmt}}" for n in sizes))
 
 
 def counted_sorted(values):
@@ -110,27 +110,6 @@ def sorter_series(sizes, trials, seed):
     return rows
 
 
-def write_sorter(rows, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("n", "series", "compares_per_elem", "moves_per_elem"))
-        for n, series, compares, moves in rows:
-            writer.writerow((n, series, f"{compares:.4f}", "" if moves is None else f"{moves:.4f}"))
-
-
-def summarize_sorter(rows):
-    print("\nsorter (mean per element over trials)")
-    sizes = list(dict.fromkeys(row[0] for row in rows))
-    header = "series".ljust(36) + "".join(f"{f'n={n}':>14}" for n in sizes)
-    for column, metric in ((2, "compares_per_elem"), (3, "moves_per_elem")):
-        print(f"  {metric}:")
-        print("  " + header)
-        for series in dict.fromkeys(row[1] for row in rows):
-            cells = [row[column] for row in rows if row[1] == series]
-            if None not in cells:
-                print("  " + series.ljust(36) + "".join(f"{cell:>14.2f}" for cell in cells))
-
-
 def main():
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=_int_list, default="1023,4095,16383")
@@ -154,16 +133,18 @@ def main():
         path = out_dir / f"{name}.csv"
         emit_csv(records, path)
         print(f"wrote {path} ({len(records)} rows)")
-        if name == "swap_strategies":
-            summarize(name, records, ("compares_swap", "moves_swap"))
-        else:
-            summarize(name, records, ("compares_total", "moves_total"))
+        metrics = ("compares_swap", "moves_swap") if name == "swap_strategies" else ("compares_total", "moves_total")
+        points = [(metric, series_key(r), r.n, getattr(r, metric)) for metric in metrics for r in records]
+        summarize(f"{name} (mean over trials)", points, ".0f")
 
     rows = sorter_series(args.sizes, args.trials, args.seed)
     path = out_dir / "sorter.csv"
-    write_sorter(rows, path)
+    metrics = ("compares_per_elem", "moves_per_elem")
+    cells = [(n, series, f"{c:.4f}", None if m is None else f"{m:.4f}") for n, series, c, m in rows]
+    write_csv(("n", "series", *metrics), cells, path)
     print(f"wrote {path} ({len(rows)} rows)")
-    summarize_sorter(rows)
+    points = [(m, series, n, v) for n, series, *values in rows for m, v in zip(metrics, values) if v is not None]
+    summarize("sorter (mean per element over trials)", points, ".2f")
 
 
 if __name__ == "__main__":

@@ -83,11 +83,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _to_row(record) -> list[str]:
-    """The record's CSV cells, one per field, in column order."""
-    return [_cell(value) for value in record]
-
-
 class ExperimentRecord(
     namedtuple(
         "ExperimentRecord",
@@ -100,7 +95,6 @@ class ExperimentRecord(
     record that ever reaches a CSV."""
 
     __slots__ = ()
-    to_row = _to_row
 
 
 CSV_FIELDS = ExperimentRecord._fields
@@ -224,20 +218,20 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
     return records
 
 
-def _write_csv(header, records, dest) -> None:
-    """Write a header and one row per record, LF line endings, to a path or
-    an open handle."""
+def write_csv(header, rows, dest) -> None:
+    """Write a header and then each row, its values formatted by ``_cell``,
+    with LF line endings, to a path or an open handle."""
     if not hasattr(dest, "write"):
         with open(dest, "w", newline="") as handle:
-            return _write_csv(header, records, handle)
+            return write_csv(header, rows, handle)
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(record.to_row() for record in records)
+    writer.writerows(map(_cell, row) for row in rows)
 
 
 def emit_csv(records, dest) -> None:
     """Write records with the pinned header, LF line endings."""
-    _write_csv(CSV_FIELDS, records, dest)
+    write_csv(CSV_FIELDS, records, dest)
 
 
 class WorstCaseReport(
@@ -253,7 +247,6 @@ class WorstCaseReport(
     print)."""
 
     __slots__ = ()
-    to_row = _to_row
 
 
 WORSTCASE_FIELDS = WorstCaseReport._fields
@@ -329,8 +322,13 @@ def worst_case_search_random(
     return _worst_case(n, instances, opts)
 
 
-def emit_worstcase_csv(reports, dest) -> None:
-    _write_csv(WORSTCASE_FIELDS, reports, dest)
+def check_fit_point(n: int, value: float, metric: str) -> None:
+    """Reject a point ``fit_growth`` cannot fit: n must be an int of at
+    least 1 and the value of ``metric`` finite."""
+    _check_size(n)
+    # a nan or an inf would fit as slope=nan, and max() can pass over a nan
+    if not math.isfinite(value):
+        raise ValueError(f"metric {metric!r} must be finite to fit, got {value} at n={n}")
 
 
 def fit_growth(points, metric: str, agg: str = "mean") -> float:
@@ -344,10 +342,7 @@ def fit_growth(points, metric: str, agg: str = "mean") -> float:
         raise ValueError(f"agg must be 'mean' or 'max', got {agg!r}")
     groups: dict[int, list[float]] = {}
     for n, value in points:
-        _check_size(n)
-        # a nan or an inf would fit as slope=nan, and max() can pass over a nan
-        if not math.isfinite(value):
-            raise ValueError(f"metric {metric!r} must be finite to fit, got {value} at n={n}")
+        check_fit_point(n, value, metric)
         groups.setdefault(n, []).append(value)
     if len(groups) < 3:
         raise ValueError(f"growth fitting needs >= 3 distinct sizes, got {len(groups)}")

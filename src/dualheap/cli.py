@@ -20,9 +20,10 @@ from .bench import (
     DEFAULT_SIZES,
     DISTS,
     EXHAUSTIVE_MAX_N,
+    WORSTCASE_FIELDS,
     BenchConfig,
+    check_fit_point,
     emit_csv,
-    emit_worstcase_csv,
     fit_growth,
     generate,
     median_index,
@@ -30,6 +31,7 @@ from .bench import (
     run_benchmark,
     worst_case_search_exhaustive,
     worst_case_search_random,
+    write_csv,
 )
 from .core import check_index
 from .errors import InternalInvariantError
@@ -218,7 +220,7 @@ def cmd_worstcase(args) -> int:
             reports = worst_case_search_exhaustive(args.max_n or 8, opts)
         else:
             reports = [worst_case_search_random(n, args.samples or 1000, args.seed or 0, args.k, opts) for n in sizes]
-        emit_worstcase_csv(reports, dest)
+        write_csv(WORSTCASE_FIELDS, reports, dest)
     return 0
 
 
@@ -238,9 +240,11 @@ def cmd_fit(args) -> int:
             if len(row) != len(header):
                 raise ValueError(f"{args.source} line {reader.line_num}: expected {len(header)} cells, got {len(row)}")
             try:
-                points.append((int(row[n_column]), float(row[metric_column])))
+                point = int(row[n_column]), float(row[metric_column])
+                check_fit_point(*point, args.metric)
             except ValueError as exc:
                 raise ValueError(f"{args.source} line {reader.line_num}: {exc}") from None
+            points.append(point)
     except (csv.Error, UnicodeDecodeError) as exc:
         # the reader counts a line it has parsed, not one that did not decode
         raise ValueError(f"{args.source} line {reader.line_num + isinstance(exc, UnicodeDecodeError)}: {exc}") from None

@@ -260,8 +260,7 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
         _sort_segments(arr.buf, [(0, n)], opts, ctx)
         return arr.payload()
     k = (n + 1) // 2
-    shn = construct_dualheap(arr, k, opts.presplit, ctx)
-    run_swapping_phase(arr.buf, 0, n, shn, opts.strategy, ctx.swap)
+    dh_select(arr, k, opts, ctx)
     from .parallel import sort_halves
 
     sort_halves(arr.buf, n, k, opts, ctx)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import math
 
@@ -390,14 +391,13 @@ def test_emit_csv_line_counts(tmp_path):
     assert "\r" not in text
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     records = run_benchmark(
         BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=2, seed=3)
     )
-    path = tmp_path / "roundtrip.csv"
-    emit_csv(records, path)
-    with open(path, newline="") as handle:
-        assert list(csv.reader(handle)) == [list(CSV_FIELDS), *(record.to_row() for record in records)]
+    rows = _emitted_rows(emit_csv, records)
+    assert rows[0] == list(CSV_FIELDS)
+    assert list(map(_read_record, rows[1:])) == records
 
 
 def test_timing_defaults_to_zero_for_reproducibility():
@@ -531,6 +531,23 @@ def _emitted_rows(emit, records) -> list[list[str]]:
     return list(csv.reader(out))
 
 
+def _read_record(row) -> ExperimentRecord:
+    """The record an emitted bench row was written from."""
+    algo, strategy, presplit, n, k, dist, *counts, correct = row
+    presplit = int(presplit) if presplit else None
+    return ExperimentRecord(algo, strategy, presplit, int(n), int(k), dist, *map(int, counts), correct == "true")
+
+
+def _read_report(row) -> bench.WorstCaseReport:
+    """The report an emitted worstcase row was written from."""
+    n, tested, compares, k, seed, permutation = row
+    seed = int(seed) if seed else None
+    return bench.WorstCaseReport(int(n), int(tested), int(compares), int(k), seed, tuple(map(int, permutation.split())))
+
+
+_worstcase_csv = functools.partial(bench.write_csv, bench.WORSTCASE_FIELDS)
+
+
 def test_experiment_record_round_trips_through_a_row():
     records = run_benchmark(BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=1, seed=5))
     assert [r.presplit for r in records] == [1, None]
@@ -540,9 +557,9 @@ def test_experiment_record_round_trips_through_a_row():
         elapsed_ns=0, correct=False,
     )
     cells = ["quickselect-first", "", "", "3", "2", "sorted", "7", "0", "0", "0", "0", "0", "5", "2", "0", "false"]
-    assert failed.to_row() == cells
     rows = _emitted_rows(emit_csv, [*records, failed])
-    assert rows == [list(CSV_FIELDS), *(record.to_row() for record in (*records, failed))]
+    assert rows[0] == list(CSV_FIELDS)
+    assert list(map(_read_record, rows[1:])) == [*records, failed]
     assert [row[2] for row in rows[1:3]] == ["1", ""]
     assert rows[-1] == cells
 
@@ -551,7 +568,7 @@ def test_worstcase_report_row():
     report = bench.WorstCaseReport(
         n=3, instances_tested=18, max_compares_swap=4, argmax_k=2, argmax_seed=None, argmax_permutation=()
     )
-    assert report.to_row() == ["3", "18", "4", "2", "", ""]
+    assert _emitted_rows(_worstcase_csv, [report]) == [list(bench.WORSTCASE_FIELDS), ["3", "18", "4", "2", "", ""]]
 
 
 def test_worstcase_report_round_trips_through_a_row():
@@ -562,8 +579,9 @@ def test_worstcase_report_round_trips_through_a_row():
         worst_case_search_random(65, 2, 3),
         worst_case_search_random(127, 2, 3),
     ]
-    rows = _emitted_rows(bench.emit_worstcase_csv, reports)
-    assert rows == [list(bench.WORSTCASE_FIELDS), *(report.to_row() for report in reports)]
+    rows = _emitted_rows(_worstcase_csv, reports)
+    assert rows[0] == list(bench.WORSTCASE_FIELDS)
+    assert list(map(_read_report, rows[1:])) == reports
     # exhaustive mode has no seed; a witness above 64 elements is its seed alone
     assert rows[1][4:] == ["", " ".join(map(str, reports[0].argmax_permutation))]
     assert rows[3][5].split() == list(map(str, generate(64, "random", reports[2].argmax_seed)))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import importlib.util
 import io
+import itertools
 import math
 import subprocess
 import sys
@@ -131,21 +132,14 @@ def test_usage_errors_exit_one(tmp_path):
     assert run_cli("bench", "--sizes", "0").returncode == 1
     assert run_cli("worstcase", "--max-n", "12").returncode == 1
     assert run_cli().returncode == 1
-    # fit on values it cannot fit: a nan or an inf printed slope=nan and
-    # exited 0, a size below 1 failed with only "math domain error", and
-    # finite values whose mean overflows ended in a traceback
-    for rows, message in (
-        ("63,nan", "metric 'compares_total' must be finite to fit, got nan at n=63"),
-        ("63,inf", "metric 'compares_total' must be finite to fit, got inf at n=63"),
-        ("0,5", "input size must be >= 1, got 0"),
-        ("-3,5", "input size must be >= 1, got -3"),
-        ("63,1e308\n63,1e308", "metric 'compares_total' is too large to average at n=63"),
-    ):
-        path = tmp_path / "series.csv"
-        path.write_text(f"n,compares_total\n{rows}\n127,10\n255,20\n")
-        result = run_cli("fit", "--in", str(path))
-        assert result.returncode == 1
-        assert (result.stdout, result.stderr) == ("", f"dualheap: error: {message}\n")
+    # fit on finite values whose mean overflows ended in a traceback; the
+    # mean comes from several lines, so no line is named
+    path = tmp_path / "series.csv"
+    path.write_text("n,compares_total\n63,1e308\n63,1e308\n127,10\n255,20\n")
+    result = run_cli("fit", "--in", str(path))
+    assert result.returncode == 1
+    message = "metric 'compares_total' is too large to average at n=63"
+    assert (result.stdout, result.stderr) == ("", f"dualheap: error: {message}\n")
 
 
 @pytest.mark.parametrize("row", ["40", "40,20,99"], ids=["short", "long"])
@@ -164,11 +158,20 @@ def test_fit_rejects_a_row_whose_length_differs_from_the_header(tmp_path, row):
 
 @pytest.mark.parametrize(
     "row, error",
-    [("63.0,10", "invalid literal for int() with base 10: '63.0'"), ("40,x", "could not convert string to float: 'x'")],
-    ids=["n", "metric"],
+    [
+        ("63.0,10", "invalid literal for int() with base 10: '63.0'"),
+        ("40,x", "could not convert string to float: 'x'"),
+        ("0,5", "input size must be >= 1, got 0"),
+        ("-3,5", "input size must be >= 1, got -3"),
+        ("40,nan", "metric 'compares_total' must be finite to fit, got nan at n=40"),
+        ("40,inf", "metric 'compares_total' must be finite to fit, got inf at n=40"),
+    ],
+    ids=["n", "metric", "n-zero", "n-negative", "nan", "inf"],
 )
 def test_fit_names_the_line_of_a_cell_it_cannot_parse(tmp_path, row, error):
-    # the parse error alone named neither the file nor the line
+    # the parse error alone named neither the file nor the line; a size
+    # below 1, a nan or an inf was rejected without either too (a nan or an
+    # inf once printed slope=nan and exited 0)
     path = tmp_path / "series.csv"
     path.write_text(f"n,compares_total\n10,5\n\n20,10\n{row}\n80,40\n")
     result = run_cli("fit", "--in", str(path))
@@ -430,6 +433,27 @@ def test_reproduce_figures_writes_the_sorter_series(tmp_path):
         assert row["compares_per_elem"] == f"{sum(ctx.compares_total for ctx in ctxs) / 14:.4f}"
         assert row["moves_per_elem"] == f"{sum(ctx.moves_total for ctx in ctxs) / 14:.4f}"
     assert "sorter (mean per element over trials)" in result.stdout
+    # every CSV has LF line endings; this one was the only one with CRLF
+    assert b"\r" not in (tmp_path / "sorter.csv").read_bytes()
+
+
+def test_reproduce_figures_summaries_list_sizes_ascending(tmp_path):
+    # unsorted or repeated sizes put the sorter's sizes in the order given,
+    # one cell per size given, under a header of the distinct sizes
+    result = subprocess.run(
+        [sys.executable, str(REPRODUCE_FIGURES), "--sizes", "15,7,15", "--trials", "1", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("  series ")]
+    assert len(headers) == 8  # two metrics in each of four series
+    for i in headers:
+        assert lines[i].split() == ["series", "n=7", "n=15"]
+        rows = list(itertools.takewhile(lambda line: line.startswith("  ") and not line.endswith(":"), lines[i + 1 :]))
+        assert rows
+        assert all(len(row.split()) == 3 for row in rows)
 
 
 @pytest.mark.parametrize(
