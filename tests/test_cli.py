@@ -438,8 +438,8 @@ def test_reproduce_figures_writes_the_sorter_series(tmp_path):
 
 
 def test_reproduce_figures_summaries_list_sizes_ascending(tmp_path):
-    # unsorted or repeated sizes put the sorter's sizes in the order given,
-    # one cell per size given, under a header of the distinct sizes
+    # unsorted or repeated sizes once put the sorter's cells in the order
+    # given, one per size given, under a header of the distinct sizes
     result = subprocess.run(
         [sys.executable, str(REPRODUCE_FIGURES), "--sizes", "15,7,15", "--trials", "1", "--out-dir", str(tmp_path)],
         capture_output=True,
