@@ -23,7 +23,7 @@ import statistics
 from pathlib import Path
 
 from dualheap import InternalInvariantError, Metrics, SelectOptions, dh_sort
-from dualheap.bench import BenchConfig, emit_csv, generate, run_benchmark, write_csv
+from dualheap.bench import emit_csv, generate, run_benchmark, write_csv
 from dualheap.cli import _int_list, _Parser, _positive, _seed
 from dualheap.rng import SplitMix64
 
@@ -122,14 +122,7 @@ def main():
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, algos in SERIES.items():
-        config = BenchConfig(
-            sizes=args.sizes,
-            dists=("random",),
-            algos=algos,
-            trials=args.trials,
-            seed=args.seed,
-        )
-        records = run_benchmark(config)
+        records = run_benchmark(args.sizes, ("random",), algos, args.trials, args.seed)
         path = out_dir / f"{name}.csv"
         emit_csv(records, path)
         print(f"wrote {path} ({len(records)} rows)")

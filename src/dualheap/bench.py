@@ -114,85 +114,83 @@ def run_algo(algo, arr: SentinelArray, k: int, seed: int, ctx: Metrics):
     return quickselect(arr, k, QUICKSELECT_PIVOTS[algo], ctx, seed=seed)
 
 
-class BenchConfig(
-    namedtuple(
-        "BenchConfig",
-        ("sizes", "dists", "algos", "trials", "seed", "k", "timing"),
-        defaults=(DEFAULT_SIZES, ("random",), (SelectOptions(),), 3, 0, None, False),
-    )
-):
-    """Sizes x dists x algos x trials from one master seed. ``sizes``,
-    ``dists`` and ``algos`` are non-empty tuples; each algo is a
-    ``SelectOptions`` or a name in ``QUICKSELECT_PIVOTS``. ``k`` None
-    selects the median address ceil(n/2); any other k must fit every size.
-    ``timing`` is opt-in, because a real elapsed_ns breaks
-    byte-reproducibility."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace runs __new__'s checks
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for field in ("sizes", "dists", "algos"):
-            series = getattr(self, field)
-            # exactly a tuple: a namedtuple such as a SelectOptions would iterate its fields
-            if type(series) is not tuple:
-                raise TypeError(f"{field} must be a tuple, not {type(series).__name__} ({series!r})")
-            if not series:
-                raise ValueError(f"{field} must not be empty")
-        for n in self.sizes:
-            _check_size(n)
-        if self.k is not None:
-            for n in self.sizes:
-                check_index(n, self.k)
-        for dist in self.dists:
-            _check_dist(dist)
-        for algo in self.algos:
-            if not isinstance(algo, (SelectOptions, str)):
-                raise TypeError(f"each algo must be a SelectOptions or a name, not {type(algo).__name__} ({algo!r})")
-            if isinstance(algo, str) and algo not in QUICKSELECT_PIVOTS:
-                raise ValueError(f"unknown algo {algo!r}, expected a SelectOptions or one of {tuple(QUICKSELECT_PIVOTS)}")
-        check_int("trials", self.trials)
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
-        check_seed(self.seed)
-        if not isinstance(self.timing, bool):
-            raise TypeError(f"timing must be a bool, not {type(self.timing).__name__} ({self.timing!r})")
-        return self
-
-
 def median_index(n: int) -> int:
     return (n + 1) // 2
 
 
-def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
-    """Run sizes x dists x algos x trials, one checked record per trial.
+def check_k_fits(sizes, k: int | None) -> None:
+    """Check a selection index against every size; None, the median of
+    each, always fits."""
+    if k is not None:
+        for n in sizes:
+            check_index(n, k)
+
+
+def run_benchmark(
+    sizes=DEFAULT_SIZES,
+    dists=("random",),
+    algos=(SelectOptions(),),
+    trials=3,
+    seed=0,
+    k=None,
+    timing=False,
+) -> list[ExperimentRecord]:
+    """Run sizes x dists x algos x trials from one master seed, one checked
+    record per trial. ``sizes``, ``dists`` and ``algos`` are non-empty
+    tuples; each algo is a ``SelectOptions`` or a name in
+    ``QUICKSELECT_PIVOTS``. ``k`` None selects the median address
+    ceil(n/2); any other k must fit every size. ``timing`` is opt-in,
+    because a real elapsed_ns breaks byte-reproducibility. Every argument
+    is checked before the first input is generated.
+
     Each (size, dist, trial) input is generated once, from a seed drawn off
     one master splitmix64 stream, and checked by the oracle once: every
     algorithm runs on its own copy and must return the oracle's value with
     the buffer partitioned about k. Rows are grouped by algorithm within
     each (size, dist); a mismatch aborts the run with a reproduction line."""
-    master = SplitMix64(config.seed)
+    for name, series in (("sizes", sizes), ("dists", dists), ("algos", algos)):
+        # exactly a tuple: a namedtuple such as a SelectOptions would iterate its fields
+        if type(series) is not tuple:
+            raise TypeError(f"{name} must be a tuple, not {type(series).__name__} ({series!r})")
+        if not series:
+            raise ValueError(f"{name} must not be empty")
+    for n in sizes:
+        _check_size(n)
+    check_k_fits(sizes, k)
+    for dist in dists:
+        _check_dist(dist)
+    for algo in algos:
+        if not isinstance(algo, (SelectOptions, str)):
+            raise TypeError(f"each algo must be a SelectOptions or a name, not {type(algo).__name__} ({algo!r})")
+        if isinstance(algo, str) and algo not in QUICKSELECT_PIVOTS:
+            raise ValueError(f"unknown algo {algo!r}, expected a SelectOptions or one of {tuple(QUICKSELECT_PIVOTS)}")
+    check_int("trials", trials)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    check_seed(seed)
+    if not isinstance(timing, bool):
+        raise TypeError(f"timing must be a bool, not {type(timing).__name__} ({timing!r})")
+    master = SplitMix64(seed)
     # each algorithm's algo, swap_strategy and presplit cells
-    cells = [("dhselect", *algo) if isinstance(algo, SelectOptions) else (algo, "", None) for algo in config.algos]
+    cells = [("dhselect", *algo) if isinstance(algo, SelectOptions) else (algo, "", None) for algo in algos]
     records = []
-    for n in config.sizes:
-        k = config.k if config.k is not None else median_index(n)
-        for dist in config.dists:
-            series = [[] for _ in config.algos]
-            for trial, seed in enumerate(master.take(config.trials)):
-                values = generate(n, dist, seed)
-                expected = oracle_select(values, k)
-                for algo, (label, strategy, presplit), rows in zip(config.algos, cells, series):
+    for n in sizes:
+        index = k if k is not None else median_index(n)
+        for dist in dists:
+            series = [[] for _ in algos]
+            for trial, trial_seed in enumerate(master.take(trials)):
+                values = generate(n, dist, trial_seed)
+                expected = oracle_select(values, index)
+                for algo, (label, strategy, presplit), rows in zip(algos, cells, series):
                     ctx = Metrics()
                     arr = prepare_buffer(values)
                     start = time.perf_counter_ns()
-                    value = run_algo(algo, arr, k, seed, ctx)
+                    value = run_algo(algo, arr, index, trial_seed, ctx)
                     elapsed_ns = time.perf_counter_ns() - start
-                    if not (value == expected and verify_partition(arr, k)):
+                    if not (value == expected and verify_partition(arr, index)):
                         raise OracleMismatchError(
-                            f"oracle mismatch: algo={label} n={n} k={k} "
-                            f"dist={dist} seed={seed} got={value}"
+                            f"oracle mismatch: algo={label} n={n} k={index} "
+                            f"dist={dist} seed={trial_seed} got={value}"
                         )
                     rows.append(
                         ExperimentRecord(
@@ -200,9 +198,9 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                             swap_strategy=strategy,
                             presplit=presplit,
                             n=n,
-                            k=k,
+                            k=index,
                             dist=dist,
-                            seed=seed,
+                            seed=trial_seed,
                             trial=trial,
                             compares_construct=ctx.construct.compares,
                             moves_construct=ctx.construct.moves,
@@ -210,7 +208,7 @@ def run_benchmark(config: BenchConfig) -> list[ExperimentRecord]:
                             moves_swap=ctx.swap.moves,
                             compares_total=ctx.compares_total,
                             moves_total=ctx.moves_total,
-                            elapsed_ns=elapsed_ns if config.timing else 0,
+                            elapsed_ns=elapsed_ns if timing else 0,
                             correct=True,
                         )
                     )

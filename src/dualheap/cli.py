@@ -21,8 +21,8 @@ from .bench import (
     DISTS,
     EXHAUSTIVE_MAX_N,
     WORSTCASE_FIELDS,
-    BenchConfig,
     check_fit_point,
+    check_k_fits,
     emit_csv,
     fit_growth,
     generate,
@@ -36,7 +36,7 @@ from .bench import (
 from .core import check_index
 from .errors import InternalInvariantError
 from .metrics import Metrics
-from .rng import check_seed
+from .rng import MASK64, check_seed
 from .select import PRESPLITS, SelectOptions, dh_sort, prepare_buffer
 from .swaps import STRATEGIES
 
@@ -48,15 +48,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# A converter raises ArgumentTypeError for text that is not an integer:
+# argparse reports int()'s ValueError as "invalid <converter name> value".
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a seed in 0..{MASK64}, got {text}") from None
     try:
         return check_seed(value)
     except ValueError as exc:
@@ -192,17 +197,10 @@ def cmd_sort(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = BenchConfig(
-        sizes=args.sizes,
-        dists=args.dist,
-        algos=(_algo(args),),
-        trials=args.trials,
-        seed=args.seed,
-        k=args.k,
-        timing=args.timing,
-    )
+    algos = (_algo(args),)
+    check_k_fits(args.sizes, args.k)
     with _output(args.out) as dest:
-        emit_csv(run_benchmark(config), dest)
+        emit_csv(run_benchmark(args.sizes, args.dist, algos, args.trials, args.seed, args.k, args.timing), dest)
     return 0
 
 
@@ -210,11 +208,7 @@ def cmd_worstcase(args) -> int:
     _check_flags(args, "--mode", _MODE_FLAGS)
     opts = _options(args)
     sizes = args.n or (1023,)
-    if args.k is not None:
-        # every size before --out is opened and the first sample drawn, as
-        # BenchConfig does
-        for n in sizes:
-            check_index(n, args.k)
+    check_k_fits(sizes, args.k)
     with _output(args.out) as dest:
         if args.mode == "exhaustive":
             reports = worst_case_search_exhaustive(args.max_n or 8, opts)

@@ -26,7 +26,7 @@ from dualheap import (
     verify_partition,
 )
 from dualheap.baselines import oracle_select, quickselect
-from dualheap.bench import BenchConfig, fit_growth, generate, run_benchmark, worst_case_search_exhaustive
+from dualheap.bench import fit_growth, generate, run_benchmark, worst_case_search_exhaustive
 from dualheap.rng import SplitMix64
 from conftest import check_heap_condition, reference_build_max, reference_build_min
 
@@ -142,14 +142,14 @@ def test_criterion_03_heap_condition_suite():
 
 @lru_cache(maxsize=None)
 def strategy_records():
-    config = BenchConfig(
+    records = run_benchmark(
         sizes=SIZES,
         dists=("random",),
         algos=tuple(SelectOptions(strategy=s) for s in STRATEGIES),
         trials=100,
         seed=40,
     )
-    return tuple(run_benchmark(config))
+    return tuple(records)
 
 
 def _mean(records, metric):
@@ -209,14 +209,13 @@ def test_criterion_05_root_swap_superlinearity():
 
 
 def _presplit_means(sizes, trials, seed):
-    config = BenchConfig(
+    records = run_benchmark(
         sizes=sizes,
         dists=("random",),
         algos=tuple(SelectOptions(presplit=p) for p in PRESPLITS),
         trials=trials,
         seed=seed,
     )
-    records = run_benchmark(config)
     means = {
         p: {n: _mean([r for r in records if r.presplit == p and r.n == n], "compares_total") for n in sizes}
         for p in PRESPLITS
@@ -258,14 +257,13 @@ def test_criterion_06_presplit_benefit():
 
 
 def criterion_07():
-    config = BenchConfig(
+    records = run_benchmark(
         sizes=(4095,),
         dists=("random",),
         algos=("quickselect-random", SelectOptions(), "quickselect-mom"),
         trials=200,
         seed=70,
     )
-    records = run_benchmark(config)
     qs = _mean([r for r in records if r.algo == "quickselect-random"], "compares_total")
     dhs = _mean([r for r in records if r.algo == "dhselect"], "compares_total")
     mom = _mean([r for r in records if r.algo == "quickselect-mom"], "compares_total")

@@ -11,7 +11,6 @@ import dualheap.bench as bench
 from dualheap import Metrics, SelectOptions, SentinelArray, dh_select, prepare_buffer
 from dualheap.baselines import quickselect
 from dualheap.bench import (
-    BenchConfig,
     CSV_FIELDS,
     ExperimentRecord,
     emit_csv,
@@ -108,7 +107,7 @@ def test_take_and_next_u64_continue_one_stream():
 # Every library entry point that seeds a stream, called with a seed.
 SEEDED_CALLS = {
     "generate": lambda seed: generate(9, "random", seed),
-    "BenchConfig": lambda seed: run_benchmark(BenchConfig(sizes=(9,), trials=1, seed=seed)),
+    "run_benchmark": lambda seed: run_benchmark(sizes=(9,), trials=1, seed=seed),
     "worst_case_search_random": lambda seed: worst_case_search_random(9, 2, seed),
     "quickselect": lambda seed: quickselect(prepare_buffer([5, 3, 9, 1, 7]), 3, "random", seed=seed),
 }
@@ -196,10 +195,6 @@ def test_generate_rejects_bad_spec():
 @pytest.mark.parametrize(
     "spec, good, bad, message",
     [
-        (BenchConfig(), {"dists": ("sorted",)}, {"dists": ()}, "dists must not be empty"),
-        (BenchConfig(), {"algos": ("quickselect-mom",)}, {"algos": ("quickselect-last",)}, "unknown algo"),
-        (BenchConfig(), {"trials": 1}, {"trials": 0}, "need at least one trial, got 0"),
-        (BenchConfig(), {"seed": 2**64 - 1}, {"seed": 2**64}, "expected a seed in 0..18446744073709551615"),
         (SelectOptions(), {"presplit": 2}, {"strategy": "spiral"}, "unknown swap strategy 'spiral'"),
     ],
     ids=lambda value: type(value).__name__ if hasattr(value, "_fields") else None,
@@ -216,8 +211,7 @@ def test_spec_replace_runs_the_constructor_checks(spec, good, bad, message):
 
 
 def test_run_benchmark_three_trials():
-    config = BenchConfig(sizes=(63,), dists=("random",), algos=(SelectOptions(),), trials=3, seed=9)
-    records = run_benchmark(config)
+    records = run_benchmark(sizes=(63,), dists=("random",), algos=(SelectOptions(),), trials=3, seed=9)
     assert len(records) == 3
     assert all(r.correct for r in records)
     assert all(r.n == 63 and r.k == 32 for r in records)
@@ -228,28 +222,27 @@ def test_bench_config_rejects_fewer_than_one_trial():
     # like `bench --trials 0`, which exits 1, not an empty CSV
     for trials in (0, -2):
         with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
-            BenchConfig(sizes=(31,), trials=trials)
+            run_benchmark(sizes=(31,), trials=trials)
 
 
 def test_run_benchmark_deterministic():
-    config = BenchConfig(
-        sizes=(31, 63),
-        dists=("random", "organpipe"),
-        algos=(SelectOptions(), "quickselect-random"),
-        trials=2,
-        seed=4,
-    )
-    assert run_benchmark(config) == run_benchmark(config)
+    config = {
+        "sizes": (31, 63),
+        "dists": ("random", "organpipe"),
+        "algos": (SelectOptions(), "quickselect-random"),
+        "trials": 2,
+        "seed": 4,
+    }
+    assert run_benchmark(**config) == run_benchmark(**config)
 
 
 def test_run_benchmark_shares_inputs_across_algos():
-    config = BenchConfig(
+    records = run_benchmark(
         sizes=(63,),
         algos=(SelectOptions(strategy="tree"), SelectOptions(strategy="root")),
         trials=2,
         seed=1,
     )
-    records = run_benchmark(config)
     tree = [r for r in records if r.swap_strategy == "tree"]
     root = [r for r in records if r.swap_strategy == "root"]
     assert [r.seed for r in tree] == [r.seed for r in root]
@@ -266,14 +259,14 @@ def test_run_benchmark_handles_each_input_once(monkeypatch):
 
         monkeypatch.setattr(bench, name, counted)
     algos = (SelectOptions(strategy="root"), "quickselect-random", "quickselect-mom")
-    config = BenchConfig(sizes=(31, 64), dists=("random", "organpipe"), algos=algos, trials=3, seed=2)
-    records = run_benchmark(config)
+    config = {"sizes": (31, 64), "dists": ("random", "organpipe"), "trials": 3, "seed": 2}
+    records = run_benchmark(algos=algos, **config)
     assert calls == {"generate": 12, "oracle_select": 12}
     labels = ["dhselect", "quickselect-random", "quickselect-mom"]
     assert [(r.algo, r.trial) for r in records] == [(label, t) for _ in range(4) for label in labels for t in range(3)]
     # each algorithm's rows are those of a run with that algorithm alone
     for algo, label in zip(algos, labels):
-        alone = run_benchmark(config._replace(algos=(algo,)))
+        alone = run_benchmark(algos=(algo,), **config)
         assert [r for r in records if r.algo == label] == alone, algo
 
 
@@ -290,7 +283,7 @@ def test_run_benchmark_reports_the_first_failing_trial(monkeypatch):
     monkeypatch.setattr(bench, "quickselect", flaky)
     algos = ("quickselect-first", "quickselect-random")
     with pytest.raises(OracleMismatchError) as err:
-        run_benchmark(BenchConfig(sizes=(31,), algos=algos, trials=2, seed=7))
+        run_benchmark(sizes=(31,), algos=algos, trials=2, seed=7)
     assert str(err.value) == f"oracle mismatch: algo=quickselect-random n=31 k=16 dist=random seed={seeds[0]} got=17"
 
 
@@ -311,7 +304,7 @@ def test_run_algo_runs_what_the_configuration_names(algo):
 def test_run_benchmark_oracle_gate_aborts_with_repro(monkeypatch):
     monkeypatch.setattr(bench, "oracle_select", lambda values, k: object())
     with pytest.raises(OracleMismatchError) as err:
-        run_benchmark(BenchConfig(sizes=(31,), trials=1, seed=7))
+        run_benchmark(sizes=(31,), trials=1, seed=7)
     message = str(err.value)
     for token in ("algo=", "n=31", "k=16", "dist=random", "seed="):
         assert token in message
@@ -325,13 +318,11 @@ def test_run_benchmark_partition_gate_covers_every_algo(algo, monkeypatch):
     # the right value with the buffer left as it was: only the partition check sees it
     monkeypatch.setattr(bench, "quickselect", lambda arr, k, *args, **kwargs: sorted(arr.payload())[k - 1])
     with pytest.raises(OracleMismatchError, match="algo=" + algo):
-        run_benchmark(BenchConfig(sizes=(31,), algos=(algo,), trials=1, seed=7))
+        run_benchmark(sizes=(31,), algos=(algo,), trials=1, seed=7)
 
 
 def test_run_benchmark_phase_buckets_for_baselines():
-    records = run_benchmark(
-        BenchConfig(sizes=(63,), algos=("quickselect-mom",), trials=1)
-    )
+    records = run_benchmark(sizes=(63,), algos=("quickselect-mom",), trials=1)
     r = records[0]
     assert r.algo == "quickselect-mom"
     assert r.swap_strategy == ""
@@ -342,7 +333,7 @@ def test_run_benchmark_phase_buckets_for_baselines():
 
 def test_run_benchmark_rejects_bad_k():
     with pytest.raises(IndexError, match=r"selection index k=32 out of range 1\.\.31"):
-        run_benchmark(BenchConfig(sizes=(31,), k=32))
+        run_benchmark(sizes=(31,), k=32)
 
 
 def _no_input_expected(*args):
@@ -356,7 +347,7 @@ def test_bad_k_rejected_before_any_trial_or_sample(k, error, monkeypatch):
     # before the first trial
     monkeypatch.setattr(bench, "generate", _no_input_expected)
     with pytest.raises(error):
-        run_benchmark(BenchConfig(sizes=(31, 15), k=k))
+        run_benchmark(sizes=(31, 15), k=k)
     with pytest.raises(error):
         worst_case_search_random(15, samples=3, seed=1, k=k)
     # worstcase --mode random takes several sizes, and checks k against each
@@ -381,7 +372,7 @@ def test_csv_header_is_pinned():
 
 
 def test_emit_csv_line_counts(tmp_path):
-    records = run_benchmark(BenchConfig(sizes=(31,), trials=2, seed=2))
+    records = run_benchmark(sizes=(31,), trials=2, seed=2)
     path = tmp_path / "out.csv"
     emit_csv(records, path)
     text = path.read_text()
@@ -392,18 +383,16 @@ def test_emit_csv_line_counts(tmp_path):
 
 
 def test_csv_round_trip():
-    records = run_benchmark(
-        BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=2, seed=3)
-    )
+    records = run_benchmark(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=2, seed=3)
     rows = _emitted_rows(emit_csv, records)
     assert rows[0] == list(CSV_FIELDS)
     assert list(map(_read_record, rows[1:])) == records
 
 
 def test_timing_defaults_to_zero_for_reproducibility():
-    records = run_benchmark(BenchConfig(sizes=(31,), trials=1))
+    records = run_benchmark(sizes=(31,), trials=1)
     assert records[0].elapsed_ns == 0
-    timed = run_benchmark(BenchConfig(sizes=(31,), trials=1, timing=True))
+    timed = run_benchmark(sizes=(31,), trials=1, timing=True)
     assert timed[0].elapsed_ns > 0
 
 
@@ -412,9 +401,6 @@ def test_timing_defaults_to_zero_for_reproducibility():
 # Each frozen spec: every field given positionally, the same value given by
 # keywords that leave defaulted fields out, and a keyword that changes it.
 FROZEN_SPECS = {
-    "BenchConfig": (
-        BenchConfig, ((1023, 4095, 16383), ("random",), (SelectOptions(),), 3, 0, None, False), {}, {"trials": 4}
-    ),
     "SelectOptions": (SelectOptions, ("tree", 1), {}, {"presplit": 2}),
 }
 
@@ -432,9 +418,18 @@ def test_frozen_spec_is_an_immutable_hashable_value(cls, args, kwargs, change):
 
 
 def test_frozen_spec_defaults():
-    assert BenchConfig(trials=1).sizes == bench.DEFAULT_SIZES
-    assert BenchConfig(trials=1).algos == (SelectOptions(),)
     assert SelectOptions() == SelectOptions(strategy="tree", presplit=1)
+
+
+def test_run_benchmark_defaults():
+    # the median of a random input at each default size, by the default
+    # SelectOptions, each input seed drawn from master seed 0; untimed
+    records = run_benchmark(trials=1)
+    seeds = SplitMix64(0).take(len(bench.DEFAULT_SIZES))
+    assert [(r.algo, r.swap_strategy, r.presplit, r.n, r.k, r.dist, r.seed) for r in records] == [
+        ("dhselect", "tree", 1, n, (n + 1) // 2, "random", seed) for n, seed in zip(bench.DEFAULT_SIZES, seeds)
+    ]
+    assert not any(r.elapsed_ns for r in records)
 
 
 @pytest.mark.parametrize(
@@ -444,36 +439,38 @@ def test_frozen_spec_defaults():
         (generate, (5, "zipf"), {}, "unknown dist 'zipf', expected one of " + repr(bench.DISTS)),
         # an algo is a SelectOptions or the name of a quickselect series in the
         # CSV: neither the dhselect label nor the CLI's --algo quickselect is one
-        (BenchConfig, (), {"algos": ("heapselect",)}, "unknown algo 'heapselect', expected a SelectOptions or one "
+        (run_benchmark, (), {"algos": ("heapselect",)}, "unknown algo 'heapselect', expected a SelectOptions or one "
          "of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
-        (BenchConfig, (), {"algos": ("quickselect-last",)}, "unknown algo 'quickselect-last', expected a "
+        (run_benchmark, (), {"algos": ("quickselect-last",)}, "unknown algo 'quickselect-last', expected a "
          "SelectOptions or one of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
-        (BenchConfig, (), {"algos": ("dhselect",)}, "unknown algo 'dhselect', expected a SelectOptions or one of "
+        (run_benchmark, (), {"algos": ("dhselect",)}, "unknown algo 'dhselect', expected a SelectOptions or one of "
          + repr(tuple(bench.QUICKSELECT_PIVOTS))),
-        (BenchConfig, (), {"algos": (SelectOptions(), "quickselect")}, "unknown algo 'quickselect', expected a "
+        (run_benchmark, (), {"algos": (SelectOptions(), "quickselect")}, "unknown algo 'quickselect', expected a "
          "SelectOptions or one of " + repr(tuple(bench.QUICKSELECT_PIVOTS))),
         (SelectOptions, ("spiral",), {}, "unknown swap strategy 'spiral', expected one of ('tree', 'branch', 'root')"),
-        (BenchConfig, (), {"trials": 0}, "need at least one trial, got 0"),
+        (run_benchmark, (), {"trials": 0}, "need at least one trial, got 0"),
         (quickselect, (prepare_buffer([5, 3, 9]), 2, "last"), {}, "unknown pivot rule 'last', expected one of "
          "('first', 'random', 'median_of_medians')"),
         (SelectOptions, (), {"presplit": 3}, "presplit must be one of (0, 1, 2), got 3"),
-        (BenchConfig, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
+        (run_benchmark, (), {"sizes": (31, 0)}, "input size must be >= 1, got 0"),
         # n = 0 reported a k error
         (worst_case_search_random, (0, 5, 0), {}, "input size must be >= 1, got 0"),
         # each of these was accepted, or failed only after the first trials ran
-        (BenchConfig, (), {"dists": ("random", "nope")}, "unknown dist 'nope', expected one of " + repr(bench.DISTS)),
+        (run_benchmark, (), {"dists": ("random", "nope")}, "unknown dist 'nope', expected one of " + repr(bench.DISTS)),
         (generate, (5, "random", -1), {}, "expected a seed in 0..18446744073709551615, got -1"),
         (generate, (5, "sorted", 2**70), {}, f"expected a seed in 0..18446744073709551615, got {2**70}"),
         (quickselect, (prepare_buffer([5, 3, 9]), 2, "random"), {"seed": -1}, "expected a seed in "
          "0..18446744073709551615, got -1"),
-        (BenchConfig, (), {"seed": 2**64}, f"expected a seed in 0..18446744073709551615, got {2**64}"),
+        (run_benchmark, (), {"seed": 2**64}, f"expected a seed in 0..18446744073709551615, got {2**64}"),
         # an empty series ran no trial and wrote a bare CSV header
-        (BenchConfig, (), {"sizes": ()}, "sizes must not be empty"),
-        (BenchConfig, (), {"dists": ()}, "dists must not be empty"),
-        (BenchConfig, (), {"algos": ()}, "algos must not be empty"),
+        (run_benchmark, (), {"sizes": ()}, "sizes must not be empty"),
+        (run_benchmark, (), {"dists": ()}, "dists must not be empty"),
+        (run_benchmark, (), {"algos": ()}, "algos must not be empty"),
     ],
 )
-def test_spec_validation_messages(cls, args, kwargs, message):
+def test_spec_validation_messages(cls, args, kwargs, message, monkeypatch):
+    # run_benchmark checks every argument before its first input
+    monkeypatch.setattr(bench, "generate", _no_input_expected)
     with pytest.raises(ValueError) as caught:
         cls(*args, **kwargs)
     assert str(caught.value) == message
@@ -486,15 +483,15 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         (SelectOptions, (), {"presplit": True}, "presplit must be an int, not bool (True)"),
         (SelectOptions, (), {"presplit": 1.0}, "presplit must be an int, not float (1.0)"),
         # the class in place of an instance of it
-        (BenchConfig, (), {"algos": (SelectOptions,)}, "each algo must be a SelectOptions or a name, not type "
+        (run_benchmark, (), {"algos": (SelectOptions,)}, "each algo must be a SelectOptions or a name, not type "
          "(<class 'dualheap.select.SelectOptions'>)"),
         # a bool size was written to the CSV as "true", which fit cannot read back
         (generate, (True, "sorted"), {}, "input size must be an int, not bool (True)"),
         (generate, (5.0, "sorted"), {}, "input size must be an int, not float (5.0)"),
-        (BenchConfig, (), {"sizes": (31, True)}, "input size must be an int, not bool (True)"),
-        (BenchConfig, (), {"sizes": (31.0,)}, "input size must be an int, not float (31.0)"),
-        (BenchConfig, (), {"trials": True}, "trials must be an int, not bool (True)"),
-        (BenchConfig, (), {"trials": 3.0}, "trials must be an int, not float (3.0)"),
+        (run_benchmark, (), {"sizes": (31, True)}, "input size must be an int, not bool (True)"),
+        (run_benchmark, (), {"sizes": (31.0,)}, "input size must be an int, not float (31.0)"),
+        (run_benchmark, (), {"trials": True}, "trials must be an int, not bool (True)"),
+        (run_benchmark, (), {"trials": 3.0}, "trials must be an int, not float (3.0)"),
         # True ran as max_n = 1 and as one sample; 2.5 samples failed with Python's generic message
         (worst_case_search_exhaustive, (True,), {}, "max_n must be an int, not bool (True)"),
         (worst_case_search_random, (5, True, 0), {}, "samples must be an int, not bool (True)"),
@@ -504,20 +501,21 @@ def test_spec_validation_messages(cls, args, kwargs, message):
         # non-bool timing wrote a real elapsed_ns
         (generate, (5, "random", 1.5), {}, "seed must be an int, not float (1.5)"),
         (quickselect, (prepare_buffer([5, 3, 9]), 2), {"seed": True}, "seed must be an int, not bool (True)"),
-        (BenchConfig, (), {"algos": (("tree", 1),)}, "each algo must be a SelectOptions or a name, not tuple "
+        (run_benchmark, (), {"algos": (("tree", 1),)}, "each algo must be a SelectOptions or a name, not tuple "
          "(('tree', 1))"),
-        (BenchConfig, (), {"timing": "no"}, "timing must be a bool, not str ('no')"),
-        (BenchConfig, (), {"timing": 1}, "timing must be a bool, not int (1)"),
+        (run_benchmark, (), {"timing": "no"}, "timing must be a bool, not str ('no')"),
+        (run_benchmark, (), {"timing": 1}, "timing must be a bool, not int (1)"),
         # a scalar series was iterated: "unknown dist 'r'", a SelectOptions' own fields, or
-        # Python's "'int' object is not iterable"; a list made the spec unhashable
-        (BenchConfig, (), {"sizes": 31}, "sizes must be a tuple, not int (31)"),
-        (BenchConfig, (), {"sizes": [31]}, "sizes must be a tuple, not list ([31])"),
-        (BenchConfig, (), {"dists": "random"}, "dists must be a tuple, not str ('random')"),
-        (BenchConfig, (), {"algos": SelectOptions()}, "algos must be a tuple, not SelectOptions "
+        # Python's "'int' object is not iterable"
+        (run_benchmark, (), {"sizes": 31}, "sizes must be a tuple, not int (31)"),
+        (run_benchmark, (), {"sizes": [31]}, "sizes must be a tuple, not list ([31])"),
+        (run_benchmark, (), {"dists": "random"}, "dists must be a tuple, not str ('random')"),
+        (run_benchmark, (), {"algos": SelectOptions()}, "algos must be a tuple, not SelectOptions "
          "(SelectOptions(strategy='tree', presplit=1))"),
     ],
 )
-def test_spec_type_messages(cls, args, kwargs, message):
+def test_spec_type_messages(cls, args, kwargs, message, monkeypatch):
+    monkeypatch.setattr(bench, "generate", _no_input_expected)
     with pytest.raises(TypeError) as caught:
         cls(*args, **kwargs)
     assert str(caught.value) == message
@@ -549,7 +547,7 @@ _worstcase_csv = functools.partial(bench.write_csv, bench.WORSTCASE_FIELDS)
 
 
 def test_experiment_record_round_trips_through_a_row():
-    records = run_benchmark(BenchConfig(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=1, seed=5))
+    records = run_benchmark(sizes=(31,), algos=(SelectOptions(), "quickselect-first"), trials=1, seed=5)
     assert [r.presplit for r in records] == [1, None]
     failed = ExperimentRecord(
         algo="quickselect-first", swap_strategy="", presplit=None, n=3, k=2, dist="sorted", seed=7, trial=0,

@@ -228,6 +228,22 @@ def test_unknown_workers_flag_exits_one():
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("select", "--n", "x"), "argument --n: expected a positive integer, got x"),
+        (("bench", "--sizes", "3,x"), "argument --sizes: expected a positive integer, got x"),
+        (("select", "--seed", "abc"), "argument --seed: expected a seed in 0..18446744073709551615, got abc"),
+    ],
+    ids=["positive", "int-list", "seed"],
+)
+def test_a_flag_that_is_not_an_integer_gets_the_flags_message(argv, error):
+    # argparse named the private converter: "invalid _positive value: 'x'"
+    code, out, err = _in_process(*argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"dualheap {argv[0]}: error: {error}\n")
+
+
+@pytest.mark.parametrize(
     "command",
     (
         ("select", "--n", "9"),
@@ -272,7 +288,7 @@ def test_unopenable_out_fails_before_any_input_is_generated(argv, tmp_path, monk
 
 
 def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path, monkeypatch):
-    def mismatch(config):
+    def mismatch(*args):
         raise OracleMismatchError("oracle mismatch")
 
     monkeypatch.setattr(cli, "run_benchmark", mismatch)
@@ -284,8 +300,13 @@ def test_a_run_that_fails_after_opening_out_leaves_it_empty(tmp_path, monkeypatc
 
 @pytest.mark.parametrize(
     "argv",
-    [("bench", "--sizes", "100", "--k", "101"), ("worstcase", "--max-n", "12")],
-    ids=["bench", "worstcase"],
+    [
+        ("bench", "--sizes", "100", "--k", "101"),
+        ("worstcase", "--max-n", "12"),
+        # k fits the first size and not the second
+        ("bench", "--sizes", "31,15", "--k", "20"),
+    ],
+    ids=["bench", "worstcase", "bench-later-size"],
 )
 def test_a_usage_error_leaves_out_as_it_was(argv, tmp_path):
     out = tmp_path / "series.csv"
@@ -398,9 +419,9 @@ def test_reproduce_figures_series_specs_construct():
     spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # a BenchConfig checks each algo of its series; one trial is one row per algo
-    configs = {name: bench.BenchConfig(sizes=(15,), algos=algos, trials=1) for name, algos in module.SERIES.items()}
-    labels = {name: [record.algo for record in bench.run_benchmark(config)] for name, config in configs.items()}
+    # run_benchmark checks each algo of its series; one trial is one row per algo
+    records = {name: bench.run_benchmark(sizes=(15,), algos=algos, trials=1) for name, algos in module.SERIES.items()}
+    labels = {name: [record.algo for record in series] for name, series in records.items()}
     assert labels == {
         "swap_strategies": ["dhselect"] * 3,
         "presplit": ["dhselect"] * 3,
