@@ -56,7 +56,10 @@ def _seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        span = range(int(first), int(last or first) + 1)
+        try:
+            span = range(int(first), int(last or first) + 1)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a seed or a range a-b, got {part!r}") from None
         if not span:
             raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
         seeds += span

@@ -54,14 +54,14 @@ def _positive(text: str) -> int:
     with contextlib.suppress(ValueError):
         if (value := int(text)) >= 1:
             return value
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _seed(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a seed in 0..{MASK64}, got {text}") from None
+        raise argparse.ArgumentTypeError(f"expected a seed in 0..{MASK64}, got {text!r}") from None
     try:
         return check_seed(value)
     except ValueError as exc:

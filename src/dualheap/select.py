@@ -11,9 +11,7 @@ contract, not an accident. ``prepare_buffer`` copies its input, so callers
 that want their input untouched select on ``prepare_buffer(values)``.
 """
 
-import _thread
 import operator
-import os
 from collections import namedtuple
 
 from .core import (
@@ -208,24 +206,6 @@ def _sort_segments(buf, stack: list, opts: SelectOptions, ctx: Metrics) -> None:
         stack.append((off, k - 1))
 
 
-# The smallest input dh_sort sorts in two processes. Forking costs about
-# 2 ms and sending the right half back is linear, against the half's
-# n log n sort. In runs of ten in-process pairs, each the medians of 15
-# alternating forked and sequential sorts of one random permutation
-# (CPython 3.11.7, 2 vCPUs, the other vCPU idle), the forked sort won 7
-# and 4 pairs at n = 2047 (median ratios 0.919 and 1.174); 10, 9, 8, 9,
-# 8, 9, 8, 7 and 5 at 4095 (0.82 to 1.00); and 10, 8, 8, 10 and 9 at 8191
-# (0.77 to 0.83). 8191 is the smallest 2^j - 1 that won 9 of 10 pairs in
-# most runs. With the other vCPU running a busy loop the forked sort lost
-# every pair, 1.30x at 4095 and 1.16x at 16383: the test counts permitted
-# CPUs, not idle ones, and no benchmark workload covers either case.
-_FORK_MIN_N = 8191
-
-# Exact element types whose compares run no Python code, so no user
-# __lt__ runs unseen in a forked child.
-_PLAIN_TYPES = frozenset((int, float, str))
-
-
 def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = None) -> list:
     """Sort by recursive partitioning: select each segment's median address,
     then sort both halves. Placed partition elements act as the
@@ -234,11 +214,9 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
     ``run_swapping_phase`` at each segment's median, applied recursively
     (see ``_sort_segments``).
 
-    From ``_FORK_MIN_N`` elements on, when the platform forks, more than
-    one CPU is usable, no other thread is alive and every element's exact
-    type is in ``_PLAIN_TYPES``, the two halves of the first partition are
-    sorted in two processes (``parallel.sort_halves``), with the same buffer,
-    counts and element objects.
+    ``parallel.sort_halves`` decides whether the two halves of the first
+    partition are sorted in two processes, with the same buffer, counts and
+    element objects, and returns the segments left to sort here.
     """
     if opts is None:
         opts = SelectOptions()
@@ -248,20 +226,7 @@ def dh_sort(values, opts: SelectOptions | None = None, ctx: Metrics | None = Non
     if not values:
         return []
     arr = prepare_buffer(values)
-    n = arr.n
-    # A child of a process with other threads inherits their locks held.
-    if (
-        n < _FORK_MIN_N
-        or not hasattr(os, "fork")
-        or _thread._count()
-        or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2
-        or not set(map(type, values)) <= _PLAIN_TYPES
-    ):
-        _sort_segments(arr.buf, [(0, n)], opts, ctx)
-        return arr.payload()
-    k = (n + 1) // 2
-    dh_select(arr, k, opts, ctx)
     from .parallel import sort_halves
 
-    sort_halves(arr.buf, n, k, opts, ctx)
+    _sort_segments(arr.buf, sort_halves(arr, opts, ctx), opts, ctx)
     return arr.payload()

@@ -466,6 +466,9 @@ def test_run_benchmark_defaults():
         (run_benchmark, (), {"sizes": ()}, "sizes must not be empty"),
         (run_benchmark, (), {"dists": ()}, "dists must not be empty"),
         (run_benchmark, (), {"algos": ()}, "algos must not be empty"),
+        (worst_case_search_random, (63, 0, 1), {}, "need at least one sample, got 0"),
+        (fit_growth, ([(256, 10), (1024, 40), (4096, 160)], "compares_total", "median"), {}, "agg must be 'mean' or "
+         "'max', got 'median'"),
     ],
 )
 def test_spec_validation_messages(cls, args, kwargs, message, monkeypatch):
@@ -681,8 +684,9 @@ def test_fit_growth_needs_three_sizes():
         ([(256, 10), (256, math.nan), (1024, 40), (4096, 160)], "must be finite to fit, got nan at n=256"),
         ([(0, 10), (1024, 40), (4096, 160)], "input size must be >= 1, got 0"),
         ([(-3, 10), (1024, 40), (4096, 160)], "input size must be >= 1, got -3"),
+        ([(256, 0), (1024, 40), (4096, 160)], "metric 'compares_total' must be positive to fit, got 0"),
     ],
-    ids=["nan", "inf", "nan-beside-a-value", "n=0", "n=-3"],
+    ids=["nan", "inf", "nan-beside-a-value", "n=0", "n=-3", "zero"],
 )
 @pytest.mark.parametrize("agg", ["mean", "max"])
 def test_fit_growth_rejects_values_it_cannot_fit(pairs, message, agg):

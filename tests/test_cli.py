@@ -124,6 +124,14 @@ def test_fit_usage_error_on_missing_column(tmp_path):
     run_cli("bench", "--sizes", "63,127,255", "--trials", "1", "--out", str(path))
     result = run_cli("fit", "--in", str(path), "--metric", "zaps")
     assert result.returncode == 1
+    # a header without n, and one without the --metric column
+    for header, metric, missing in (
+        ("size,compares_total", "compares_total", "n"),
+        ("n,compares_total", "compares_swap", "compares_swap"),
+    ):
+        path.write_text(f"{header}\n63,10\n127,20\n255,40\n")
+        message = f"dualheap: error: {path} has no {missing!r} column\n"
+        assert _in_process("fit", "--in", str(path), "--metric", metric) == (1, "", message)
 
 
 def test_usage_errors_exit_one(tmp_path):
@@ -230,11 +238,12 @@ def test_unknown_workers_flag_exits_one():
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (("select", "--n", "x"), "argument --n: expected a positive integer, got x"),
-        (("bench", "--sizes", "3,x"), "argument --sizes: expected a positive integer, got x"),
-        (("select", "--seed", "abc"), "argument --seed: expected a seed in 0..18446744073709551615, got abc"),
+        (("select", "--n", "x"), "argument --n: expected a positive integer, got 'x'"),
+        (("bench", "--sizes", "3,x"), "argument --sizes: expected a positive integer, got 'x'"),
+        (("select", "--seed", "abc"), "argument --seed: expected a seed in 0..18446744073709551615, got 'abc'"),
+        (("bench", "--sizes", "3,,4"), "argument --sizes: expected a positive integer, got ''"),
     ],
-    ids=["positive", "int-list", "seed"],
+    ids=["positive", "int-list", "seed", "empty-item"],
 )
 def test_a_flag_that_is_not_an_integer_gets_the_flags_message(argv, error):
     # argparse named the private converter: "invalid _positive value: 'x'"

@@ -96,7 +96,15 @@ def test_record_bench_records_whether_bytecode_writing_was_off(tmp_path, monkeyp
 
 @pytest.mark.parametrize(
     "seeds, message",
-    [("5-3", "empty seed range '5-3'"), ("1,1", "seeds given more than once: [1]"), ("1-3,2", "[2]")],
+    [
+        ("5-3", "empty seed range '5-3'"),
+        ("1,1", "seeds given more than once: [1]"),
+        ("1-3,2", "[2]"),
+        ("a", "argument --seeds: expected a seed or a range a-b, got 'a'"),
+        ("-1", "argument --seeds: expected a seed or a range a-b, got '-1'"),
+        ("3-a", "argument --seeds: expected a seed or a range a-b, got '3-a'"),
+        ("1,,2", "argument --seeds: expected a seed or a range a-b, got ''"),
+    ],
 )
 def test_record_bench_rejects_seeds_before_any_run(tmp_path, seeds, message):
     _fake_checkouts(tmp_path)

@@ -568,7 +568,7 @@ def _ones_and_floats(n):
     return [float(v) if i % 3 else v for i, v in enumerate(generate(n, "fewvalues", seed=4))]
 
 
-@pytest.mark.parametrize("n", [select._FORK_MIN_N, 16383])
+@pytest.mark.parametrize("n", [parallel._FORK_MIN_N, 16383])
 @pytest.mark.parametrize("dist", ["random", "fewvalues", "ones_and_floats"])
 def test_forked_sort_matches_the_sequential_driver(n, dist, forks, monkeypatch):
     values = _ones_and_floats(n) if dist == "ones_and_floats" else generate(n, dist, seed=n)
@@ -596,7 +596,7 @@ def test_sort_falls_back_when_the_fork_or_its_pipe_fails(call, two_cpus, monkeyp
     calls = []
     monkeypatch.setattr(os, call, _refused(calls))
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-    _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+    _same_sort_as_sequential(monkeypatch, _ones_and_floats(parallel._FORK_MIN_N), SelectOptions())
     assert len(calls) == 1
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
@@ -627,7 +627,7 @@ def test_forked_child_does_not_collect_the_callers_garbage(forks, monkeypatch):
     threshold = gc.get_threshold()
     gc.set_threshold(1)
     try:
-        dh_sort(generate(select._FORK_MIN_N, "random", seed=3))
+        dh_sort(generate(parallel._FORK_MIN_N, "random", seed=3))
         gc.collect()
     finally:
         gc.set_threshold(*threshold)
@@ -639,7 +639,7 @@ def test_forked_child_does_not_collect_the_callers_garbage(forks, monkeypatch):
 
 def test_sort_discards_a_child_that_exits_nonzero(forks, monkeypatch):
     monkeypatch.setattr(parallel, "marshal", _BrokenMarshal)
-    _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+    _same_sort_as_sequential(monkeypatch, _ones_and_floats(parallel._FORK_MIN_N), SelectOptions())
     assert len(forks) == 1
 
 
@@ -648,7 +648,7 @@ def test_sort_does_not_fork_while_another_thread_is_alive(forks, monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        _same_sort_as_sequential(monkeypatch, _ones_and_floats(select._FORK_MIN_N), SelectOptions())
+        _same_sort_as_sequential(monkeypatch, _ones_and_floats(parallel._FORK_MIN_N), SelectOptions())
     finally:
         release.set()
         thread.join(timeout=10)
@@ -659,9 +659,9 @@ def test_sort_does_not_fork_while_another_thread_is_alive(forks, monkeypatch):
 @pytest.mark.parametrize(
     "values",
     [
-        [Tagged(v, i) for i, v in enumerate(generate(select._FORK_MIN_N, "fewvalues", seed=4))],
-        [bool(v % 2) for v in range(select._FORK_MIN_N)],
-        generate(select._FORK_MIN_N - 1, "random", seed=4),
+        [Tagged(v, i) for i, v in enumerate(generate(parallel._FORK_MIN_N, "fewvalues", seed=4))],
+        [bool(v % 2) for v in range(parallel._FORK_MIN_N)],
+        generate(parallel._FORK_MIN_N - 1, "random", seed=4),
     ],
     ids=["tagged", "bool", "below_threshold"],
 )
